@@ -96,11 +96,7 @@ def cmd_reconstruct(args):
 
 
 def cmd_scale(args):
-    with open(args.input) as f:
-        trajectory = traj.read_trajectory_csv(f)
-    if trajectory.rate is None:
-        trajectory = traj.differentiate(trajectory)
-    scaled = traj.time_scale(trajectory, args.target_duration)
+    scaled = traj.time_scale(_read_trajectory(args.input), args.target_duration)
     with open(args.output, "w") as f:
         traj.write_trajectory_csv(scaled, f)
     outputs = [args.output]
@@ -115,24 +111,28 @@ def cmd_scale(args):
     return EXIT_OK
 
 
-def _load_reference(path, dt):
-    if path is None:
-        return traj.synth_second_order(SURROGATE_OVERSHOOT, SURROGATE_RISE,
-                                       SURROGATE_DURATION, dt)
+def _read_trajectory(path):
+    """A trajectory CSV, differentiated when it carries no rates."""
     with open(path) as f:
-        reference = traj.read_trajectory_csv(f)
-    if reference.rate is None:
-        reference = traj.differentiate(reference)
-    return reference
+        trajectory = traj.read_trajectory_csv(f)
+    return traj.differentiate(trajectory) if trajectory.rate is None else trajectory
 
 
-def cmd_simulate(args):
+def _load_run(args):
+    """Config, model and reference (default: surrogate) of simulate/sweep."""
     cfg = smsdyn.parse_config(Path(args.config).read_text()) if args.config \
         else dict(smsdyn.CONFIG_DEFAULTS)
     if args.dt:
         cfg["dt"] = args.dt
     params = smsdyn.params_from_config(cfg)
-    reference = _load_reference(args.reference, cfg["dt"])
+    reference = _read_trajectory(args.reference) if args.reference is not None \
+        else traj.synth_second_order(SURROGATE_OVERSHOOT, SURROGATE_RISE,
+                                     SURROGATE_DURATION, cfg["dt"])
+    return cfg, params, reference
+
+
+def cmd_simulate(args):
+    cfg, params, reference = _load_run(args)
     phi0 = math.radians(cfg["base_angle0_deg"])
     if args.mode == "prescribed":
         result = smsdyn.simulate_prescribed(params, reference, L0=0.0,
@@ -163,12 +163,7 @@ def cmd_simulate(args):
 
 
 def cmd_sweep(args):
-    cfg = smsdyn.parse_config(Path(args.config).read_text()) if args.config \
-        else dict(smsdyn.CONFIG_DEFAULTS)
-    if args.dt:
-        cfg["dt"] = args.dt
-    params = smsdyn.params_from_config(cfg)
-    reference = _load_reference(args.reference, cfg["dt"])
+    cfg, params, reference = _load_run(args)
     gains = smsdyn.gains_from_config(cfg)
     result = smsdyn.simulate_pd(params, reference, gains, cfg["dt"],
                                 base_angle0=math.radians(cfg["base_angle0_deg"]))

@@ -116,13 +116,15 @@ def simplex_grid(resolution):
 
 
 def weight_sweep(resolution, traj, context):
-    """Evaluate the cost over the weight simplex for one trajectory."""
-    rows = []
-    for w in simplex_grid(resolution):
-        _, row = evaluate(w, traj, context)
-        rows.append(row)
-    argmin = min(rows, key=lambda r: r.J)
-    return ObjectiveReport(rows, argmin)
+    """Evaluate the cost over the weight simplex, in `evaluate`'s arithmetic."""
+    grid = simplex_grid(resolution)
+    ps = phi_safety(traj, context.rate_limit)
+    pst = phi_stability(traj, context.base_angle_target)
+    pe = phi_efficiency(traj, context.torque_limit)
+    W = np.array([w.as_tuple() for w in grid])
+    J = W[:, 0] * ps + W[:, 1] * pst + W[:, 2] * pe
+    rows = [ObjectiveRow(w, ps, pst, pe, j) for w, j in zip(grid, J.tolist())]
+    return ObjectiveReport(rows, rows[int(np.argmin(J))])
 
 
 def write_report_csv(report, stream):
@@ -131,12 +133,9 @@ def write_report_csv(report, stream):
         stream.write(f"# {name}: {definition}\n")
     stream.write("w_safety,w_stability,w_efficiency,"
                  "phi_safety,phi_stability,phi_efficiency,J\n")
-    for row in report.rows:
-        w = row.weights
-        stream.write(f"{w.w_safety:.6f},{w.w_stability:.6f},"
-                     f"{w.w_efficiency:.6f},{row.phi_safety:.9g},"
-                     f"{row.phi_stability:.9g},{row.phi_efficiency:.9g},"
-                     f"{row.J:.9g}\n")
+    stream.writelines("%.6f,%.6f,%.6f,%.9g,%.9g,%.9g,%.9g\n" % (
+        *row.weights.as_tuple(), row.phi_safety, row.phi_stability,
+        row.phi_efficiency, row.J) for row in report.rows)
     a = report.argmin
     stream.write(f"# argmin,{a.weights.w_safety:.6f},"
                  f"{a.weights.w_stability:.6f},{a.weights.w_efficiency:.6f},"

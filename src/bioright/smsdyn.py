@@ -113,24 +113,20 @@ def lizard_params():
 
 
 def mass_matrix(p, theta):
-    """2x2 symmetric inertia matrix in (base angle, joint angle) coordinates."""
-    if p.mode is Mode.COAXIAL:
-        ia = p.arm_inertia_cm
-        return np.array([[p.base_inertia + ia, ia], [ia, ia]])
+    """2x2 symmetric inertia matrix in (base angle, joint angle) coordinates;
+    an array theta gives a (2, 2, *theta.shape) stack."""
     mu = p.reduced_mass
     rh, d = p.hinge_offset, p.arm_cm_offset
-    c = math.cos(theta)
+    c = np.cos(theta)
     m11 = p.base_inertia + p.arm_inertia_cm + mu * (rh * rh + d * d + 2 * rh * d * c)
     m12 = p.arm_inertia_cm + mu * (d * d + rh * d * c)
-    m22 = p.arm_inertia_cm + mu * d * d
+    m22 = np.broadcast_to(p.arm_inertia_cm + mu * d * d, np.shape(c))
     return np.array([[m11, m12], [m12, m22]])
 
 
 def coriolis(p, theta, base_rate, joint_rate):
-    """Coriolis/centrifugal generalized-force vector C(q, qdot) qdot."""
-    if p.mode is Mode.COAXIAL:
-        return np.zeros(2)
-    h = -p.reduced_mass * p.hinge_offset * p.arm_cm_offset * math.sin(theta)
+    """Coriolis/centrifugal generalized-force vector C(q, qdot) qdot (broadcasts)."""
+    h = -p.reduced_mass * p.hinge_offset * p.arm_cm_offset * np.sin(theta)
     row1 = h * joint_rate * base_rate + h * (base_rate + joint_rate) * joint_rate
     row2 = -h * base_rate * base_rate
     return np.array([row1, row2])
@@ -148,32 +144,55 @@ def kinetic_energy(p, s):
     return 0.5 * float(qd @ M @ qd)
 
 
-def _accel(p, y, tau_joint):
-    theta = y[1]
-    qd = y[2:4]
-    M = mass_matrix(p, theta)
-    m11, m12, m22 = M[0, 0], M[0, 1], M[1, 1]
-    det = m11 * m22 - m12 * m12
-    if abs(det) < 1e-300:
-        raise SingularMass("mass matrix not invertible")
-    c = coriolis(p, theta, qd[0], qd[1])
-    r0, r1 = -c[0], tau_joint - c[1]
-    qdd0 = (m22 * r0 - m12 * r1) / det
-    qdd1 = (m11 * r1 - m12 * r0) / det
-    return np.array([qd[0], qd[1], qdd0, qdd1])
+def _scalar_model(p, dt):
+    """Closures `step(phi, theta, phi_d, theta_d, tau)`, one RK4 step with
+    the torque held, and `inertia_row(theta)` -> (M11, M12) over scalar
+    floats. The constants of `mass_matrix` and `coriolis` are hoisted in
+    their operation order, so both modes run this one path exactly."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    mu = p.reduced_mass
+    rh, d, ia = p.hinge_offset, p.arm_cm_offset, p.arm_inertia_cm
+    m11_0, m11_c, m11_k = p.base_inertia + ia, rh * rh + d * d, 2 * rh * d
+    m12_c, m12_k, m22, h_k = d * d, rh * d, ia + mu * d * d, -mu * rh * d
+    cos, sin = math.cos, math.sin
+    half, sixth = 0.5 * dt, dt / 6.0
+
+    def inertia_row(theta):
+        c = cos(theta)
+        return m11_0 + mu * (m11_c + m11_k * c), ia + mu * (m12_c + m12_k * c)
+
+    def accel(theta, phi_d, theta_d, tau):
+        m11, m12 = inertia_row(theta)
+        det = m11 * m22 - m12 * m12
+        if abs(det) < 1e-300:
+            raise SingularMass("mass matrix not invertible")
+        h = h_k * sin(theta)
+        r0 = -(h * theta_d * phi_d + h * (phi_d + theta_d) * theta_d)
+        r1 = tau + h * phi_d * phi_d
+        return (m22 * r0 - m12 * r1) / det, (m11 * r1 - m12 * r0) / det
+
+    def step(phi, theta, phi_d, theta_d, tau):
+        a1, b1 = accel(theta, phi_d, theta_d, tau)
+        phi_d2, theta_d2 = phi_d + half * a1, theta_d + half * b1
+        a2, b2 = accel(theta + half * theta_d, phi_d2, theta_d2, tau)
+        phi_d3, theta_d3 = phi_d + half * a2, theta_d + half * b2
+        a3, b3 = accel(theta + half * theta_d2, phi_d3, theta_d3, tau)
+        phi_d4, theta_d4 = phi_d + dt * a3, theta_d + dt * b3
+        a4, b4 = accel(theta + dt * theta_d3, phi_d4, theta_d4, tau)
+        return (phi + sixth * (phi_d + 2 * phi_d2 + 2 * phi_d3 + phi_d4),
+                theta + sixth * (theta_d + 2 * theta_d2 + 2 * theta_d3 + theta_d4),
+                phi_d + sixth * (a1 + 2 * a2 + 2 * a3 + a4),
+                theta_d + sixth * (b1 + 2 * b2 + 2 * b3 + b4))
+
+    return step, inertia_row
 
 
 def step_rk4(p, s, tau_joint, dt):
     """Classical 4th-order step with the joint torque held over the step."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    y = s.as_array()
-    k1 = _accel(p, y, tau_joint)
-    k2 = _accel(p, y + 0.5 * dt * k1, tau_joint)
-    k3 = _accel(p, y + 0.5 * dt * k2, tau_joint)
-    k4 = _accel(p, y + dt * k3, tau_joint)
-    y = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return SmsState(y[0], y[1], y[2], y[3], s.t + dt)
+    step, _ = _scalar_model(p, dt)
+    return SmsState(*step(s.base_angle, s.joint_angle, s.base_rate,
+                          s.joint_rate, tau_joint), s.t + dt)
 
 
 def simulate_prescribed(p, joint_traj, L0=0.0, base_angle0=math.pi):
@@ -188,23 +207,14 @@ def simulate_prescribed(p, joint_traj, L0=0.0, base_angle0=math.pi):
         raise ValueError("joint trajectory must carry rates")
     times = joint_traj.times
     n = len(times)
-    theta = joint_traj.angle
-    theta_d = joint_traj.rate
-    m11 = np.empty(n)
-    m12 = np.empty(n)
-    m22 = np.empty(n)
-    for i in range(n):
-        M = mass_matrix(p, theta[i])
-        m11[i], m12[i], m22[i] = M[0, 0], M[0, 1], M[1, 1]
+    theta, theta_d = joint_traj.angle, joint_traj.rate
+    (m11, m12), (_, m22) = mass_matrix(p, theta)
     phi_d = (L0 - m12 * theta_d) / m11
     phi = base_angle0 + np.concatenate(
         ([0.0], np.cumsum(0.5 * np.diff(times) * (phi_d[:-1] + phi_d[1:]))))
     phi_dd = np.gradient(phi_d, times) if n >= 3 else np.zeros(n)
     theta_dd = np.gradient(theta_d, times) if n >= 3 else np.zeros(n)
-    tau = np.empty(n)
-    for i in range(n):
-        cvec = coriolis(p, theta[i], phi_d[i], theta_d[i])
-        tau[i] = m12[i] * phi_dd[i] + m22[i] * theta_dd[i] + cvec[1]
+    tau = m12 * phi_dd + m22 * theta_dd + coriolis(p, theta, phi_d, theta_d)[1]
     L = m11 * phi_d + m12 * theta_d
     return SmsTrajectory(times.copy(), phi, theta.copy(), phi_d,
                          theta_d.copy(), tau, L,
@@ -216,44 +226,37 @@ def simulate_pd(p, joint_ref, gains, dt, base_angle0=math.pi,
     """PD joint tracking of a reference trajectory on a free-floating base.
 
     The joint torque is clamped to the gains' torque limit; the base is
-    unactuated. Raises Diverged when any state magnitude exceeds 1e6.
+    unactuated. Raises Diverged unless every state |x| <= DIVERGE_LIMIT.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if joint_angle0 is None:
-        joint_angle0 = float(joint_ref.angle[0])
-    t_end = float(joint_ref.times[-1])
-    n = int(round(t_end / dt)) + 1
-    ref_rate = joint_ref.rate if joint_ref.rate is not None \
-        else np.zeros(len(joint_ref.times))
-    s = SmsState(base_angle0, joint_angle0, 0.0, 0.0, 0.0)
-    times = np.empty(n)
-    phi = np.empty(n)
-    theta = np.empty(n)
-    phi_d = np.empty(n)
-    theta_d = np.empty(n)
-    tau = np.empty(n)
-    L = np.empty(n)
-    err = np.empty(n)
+    step, inertia_row = _scalar_model(p, dt)
+    n = int(round(float(joint_ref.times[-1]) / dt)) + 1
+    times = np.arange(n) * dt
+    th_ref = np.interp(times, joint_ref.times, joint_ref.angle)
+    thd_ref = np.zeros(n) if joint_ref.rate is None \
+        else np.interp(times, joint_ref.times, joint_ref.rate)
+    history = np.empty((6, n))
+    phi_v, theta_v, phi_d_v, theta_d_v, tau_v, L_v, ref_v, refd_v = map(
+        memoryview, (*history, th_ref, thd_ref))
+    kp, kd, limit = gains.kp, gains.kd, gains.torque_limit
+    a, ad, thd = float(base_angle0), 0.0, 0.0
+    th = float(joint_ref.angle[0] if joint_angle0 is None else joint_angle0)
     for i in range(n):
-        t = i * dt
-        th_ref = float(np.interp(t, joint_ref.times, joint_ref.angle))
-        thd_ref = float(np.interp(t, joint_ref.times, ref_rate))
-        u = gains.kp * (th_ref - s.joint_angle) + gains.kd * (thd_ref - s.joint_rate)
-        u = float(np.clip(u, -gains.torque_limit, gains.torque_limit))
-        times[i], phi[i], theta[i] = t, s.base_angle, s.joint_angle
-        phi_d[i], theta_d[i], tau[i] = s.base_rate, s.joint_rate, u
-        L[i] = angular_momentum(p, s)
-        err[i] = th_ref - s.joint_angle
-        if i + 1 < n:
-            s = step_rk4(p, s, u, dt)
-            if np.max(np.abs(s.as_array())) > DIVERGE_LIMIT:
-                raise Diverged(f"state blew up at t = {s.t:.3f} s")
-    return SmsTrajectory(times, phi, theta, phi_d, theta_d, tau, L,
+        u = kp * (ref_v[i] - th) + kd * (refd_v[i] - thd)
+        u = min(max(u, -limit), limit)  # NaN stays NaN, as with np.clip
+        phi_v[i], theta_v[i], phi_d_v[i], theta_d_v[i], tau_v[i] = a, th, ad, thd, u
+        m11, m12 = inertia_row(th)
+        L_v[i] = m11 * ad + m12 * thd
+        if i == n - 1:
+            break
+        a, th, ad, thd = step(a, th, ad, thd, u)
+        if not (abs(a) <= DIVERGE_LIMIT and abs(th) <= DIVERGE_LIMIT
+                and abs(ad) <= DIVERGE_LIMIT and abs(thd) <= DIVERGE_LIMIT):
+            raise Diverged(f"state blew up at t = {(i + 1) * dt:.3f} s")
+    return SmsTrajectory(times, *history,
                          metadata={"mode": "pd", "kp": gains.kp,
                                    "kd": gains.kd,
                                    "torque_limit": gains.torque_limit,
-                                   "tracking_error": err})
+                                   "tracking_error": th_ref - history[1]})
 
 
 def base_reaction_estimate(p, delta_theta):
@@ -277,12 +280,11 @@ def write_trajectory_csv(traj, stream):
     """Emit `t,phi_deg,theta_deg,phi_rate_deg_s,theta_rate_deg_s,tau_Nm,L`."""
     stream.write("t,phi_deg,theta_deg,phi_rate_deg_s,theta_rate_deg_s,tau_Nm,L\n")
     r2d = 180.0 / math.pi
-    for i, t in enumerate(traj.times):
-        stream.write(f"{t:.9g},{traj.base_angle[i] * r2d:.9g},"
-                     f"{traj.joint_angle[i] * r2d:.9g},"
-                     f"{traj.base_rate[i] * r2d:.9g},"
-                     f"{traj.joint_rate[i] * r2d:.9g},"
-                     f"{traj.torque[i]:.9g},{traj.momentum[i]:.9g}\n")
+    columns = map(memoryview, (
+        traj.times, traj.base_angle * r2d, traj.joint_angle * r2d,
+        traj.base_rate * r2d, traj.joint_rate * r2d, traj.torque, traj.momentum))
+    stream.writelines("%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%.9g\n" % row
+                      for row in zip(*columns))
 
 
 # Config file handling: `key = value` lines, '#' comments.

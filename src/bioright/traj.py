@@ -35,6 +35,8 @@ class JointTrajectory:
                 raise ValueError("time grid is not uniform")
         if not np.all(np.isfinite(self.angle)):
             raise ValueError("angle contains non-finite values")
+        if self.rate is not None and not np.all(np.isfinite(self.rate)):
+            raise ValueError("rate contains non-finite values")
 
     @property
     def dt(self):
@@ -90,6 +92,8 @@ def time_scale(traj, target_duration):
     """Stretch the time axis to target_duration; rates divide by the factor."""
     if target_duration <= 0:
         raise ValueError("target_duration must be positive")
+    if traj.duration <= 0:
+        raise TooShort("trajectory duration must be positive to scale")
     k = target_duration / traj.duration
     rate = traj.rate / k if traj.rate is not None else None
     return JointTrajectory(traj.times * k, traj.angle.copy(), rate)
@@ -239,8 +243,8 @@ def write_trajectory_csv(traj, stream):
     """Emit `t,angle_deg,rate_deg_s`."""
     stream.write("t,angle_deg,rate_deg_s\n")
     rate = traj.rate if traj.rate is not None else np.full(len(traj.times), np.nan)
-    for t, a, r in zip(traj.times, np.degrees(traj.angle), np.degrees(rate)):
-        stream.write(f"{t:.9g},{a:.9g},{r:.9g}\n")
+    columns = map(memoryview, (traj.times, np.degrees(traj.angle), np.degrees(rate)))
+    stream.writelines("%.9g,%.9g,%.9g\n" % row for row in zip(*columns))
 
 
 def read_trajectory_csv(stream):

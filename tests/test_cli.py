@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -194,3 +198,20 @@ class TestDemo:
         assert "closed form -9.878 deg" in captured
         assert "peak base rate=" in captured
         assert (out / "reference.manifest.json").exists()
+
+
+class TestScaleSingleRow:
+    def test_exit_3_without_traceback(self, tmp_path):
+        # a one-row trajectory with a rate has zero duration
+        src = tmp_path / "one.csv"
+        src.write_text("t,angle_deg,rate_deg_s\n0,1,2\n")
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "bioright.cli", "scale", "--input",
+             str(src), "--output", str(tmp_path / "out.csv"),
+             "--target-duration", "225"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")

@@ -308,3 +308,17 @@ class TestCsv:
         first = lines[1].split(",")
         assert float(first[0]) == 0.0
         assert float(first[1]) == pytest.approx(180.0)
+
+
+class TestNonFiniteReference:
+    """A NaN that reaches the PD loop stops it instead of filling the
+    output; `np.max(|state|) > limit` alone is False for NaN."""
+
+    @pytest.mark.parametrize("params", [ets7_params(), planar_params()],
+                             ids=["coaxial", "planar_offset"])
+    def test_nan_rate_raises_diverged(self, params):
+        ref = traj.synth_second_order(13.85, 64.5, 225.0, 0.01)
+        ref.rate[5000] = np.nan  # set after construction-time validation
+        gains = PdGains(kp=2000.0, kd=20000.0, torque_limit=10.0)
+        with pytest.raises(Diverged, match="t = 50.010 s"):
+            simulate_pd(params, ref, gains, dt=0.01)

@@ -195,3 +195,19 @@ class TestCsvRoundTrip:
         assert np.allclose(again.times, tr.times, atol=1e-9)
         assert np.allclose(again.angle, tr.angle, atol=1e-9)
         assert np.allclose(again.rate, tr.rate, atol=1e-9)
+
+
+class TestNonFiniteRate:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejected(self, bad):
+        t = np.linspace(0, 1, 11)
+        rate = np.zeros(11)
+        rate[5] = bad
+        with pytest.raises(ValueError, match="rate contains non-finite"):
+            make_traj(t, np.sin(t), rate)
+
+
+class TestTimeScaleZeroDuration:
+    def test_single_sample_too_short(self):
+        with pytest.raises(TooShort):
+            time_scale(make_traj([0.0], [1.0], [2.0]), 225.0)
