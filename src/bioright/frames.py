@@ -1,14 +1,15 @@
 """Body-segment frame construction from keypoints and orientation
 time-series (inertial and leg-relative-to-body)."""
 
+import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from . import rotmath
-from .errors import (DegenerateAxes, EmptyWindow, MissingKeypoint,
-                     NoValidFrames, TimeGridMismatch)
+from . import keypoints, rotmath
+from .errors import (DegenerateAxes, EmptyWindow, GimbalLockWarning,
+                     MissingKeypoint, NoValidFrames, TimeGridMismatch)
 
 # Keypoint ids used by the recipes.
 NECK, VENT, TAIL_TIP = 1, 21, 23
@@ -61,26 +62,53 @@ class SegmentFrameSeries:
     metadata: dict = field(default_factory=dict)
 
 
-def _require(positions, ids):
-    for kid in ids:
+def _leg_dcms(y_raw):
+    """leg_frame over (..., 3) limb vectors; the mask is False for a
+    zero-length limb or one parallel to the inertial x axis."""
+    ny = np.linalg.norm(y_raw, axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        y = y_raw / ny[..., None]
+        z = np.cross(X_INERTIAL, y)
+        nz = np.linalg.norm(z, axis=-1)
+        z /= nz[..., None]
+    ok = ~((ny <= rotmath.EPS_LEN) | (nz <= rotmath.EPS_LEN))
+    return np.stack([np.cross(y, z), y, z], axis=-2), ok
+
+
+def _segment_dcms(segment, p):
+    """Rotations C_SN and their validity mask from the positions p[kid]
+    of the segment's keypoints, each (3,) or (F, 3)."""
+    if segment is Segment.BODY:
+        return rotmath.dcms_from_axes(p[NECK] - p[VENT],
+                                      p[SHOULDER_LEFT] - p[SHOULDER_RIGHT])
+    if segment is Segment.TAIL:
+        return rotmath.dcms_from_axes(p[TAIL_TIP] - p[VENT],
+                                      p[HIP_RIGHT] - p[HIP_LEFT])
+    a, b = LEG_AXES[segment]
+    return _leg_dcms(p[b] - p[a])
+
+
+def segment_frame(segment, positions):
+    """C_SN of one segment from a {keypoint id: position} mapping."""
+    needed = REQUIRED_KEYPOINTS[segment]
+    for kid in needed:
         if kid not in positions:
             raise MissingKeypoint(f"keypoint {kid} required but absent")
+    R, ok = _segment_dcms(segment, {kid: np.asarray(positions[kid], dtype=float)
+                                    for kid in needed})
+    if not ok:
+        raise DegenerateAxes(f"{segment.value}: axis vectors near zero or parallel")
+    return R
 
 
 def body_frame(positions):
     """C_BN: x along vent->neck, x-y plane through the shoulder line."""
-    _require(positions, REQUIRED_KEYPOINTS[Segment.BODY])
-    x_raw = np.asarray(positions[NECK]) - np.asarray(positions[VENT])
-    y_temp = np.asarray(positions[SHOULDER_LEFT]) - np.asarray(positions[SHOULDER_RIGHT])
-    return rotmath.dcm_from_axes(x_raw, y_temp)
+    return segment_frame(Segment.BODY, positions)
 
 
 def tail_frame(positions):
     """C_TN: x along vent->tail tip, x-y plane through the hip line."""
-    _require(positions, REQUIRED_KEYPOINTS[Segment.TAIL])
-    x_raw = np.asarray(positions[TAIL_TIP]) - np.asarray(positions[VENT])
-    y_temp = np.asarray(positions[HIP_RIGHT]) - np.asarray(positions[HIP_LEFT])
-    return rotmath.dcm_from_axes(x_raw, y_temp)
+    return segment_frame(Segment.TAIL, positions)
 
 
 def leg_frame(segment, positions):
@@ -93,62 +121,32 @@ def leg_frame(segment, positions):
     """
     if segment not in LEG_AXES:
         raise ValueError(f"{segment} is not a leg")
-    a, b = LEG_AXES[segment]
-    _require(positions, (a, b))
-    y_raw = np.asarray(positions[b], dtype=float) - np.asarray(positions[a], dtype=float)
-    ny = np.linalg.norm(y_raw)
-    if ny <= rotmath.EPS_LEN:
-        raise DegenerateAxes(f"{segment.value}: zero-length limb axis")
-    y = y_raw / ny
-    z = np.cross(X_INERTIAL, y)
-    nz = np.linalg.norm(z)
-    if nz <= rotmath.EPS_LEN:
-        raise DegenerateAxes(f"{segment.value}: limb parallel to inertial x")
-    z /= nz
-    x = np.cross(y, z)
-    return np.array([x, y, z])
+    return segment_frame(segment, positions)
 
 
-def segment_frame(segment, positions):
-    if segment is Segment.BODY:
-        return body_frame(positions)
-    if segment is Segment.TAIL:
-        return tail_frame(positions)
-    return leg_frame(segment, positions)
-
-
-def _unwrap_valid_runs(euler, valid):
-    """Unwrap each Euler channel independently over contiguous valid runs."""
-    out = euler.copy()
-    n = len(valid)
-    i = 0
-    while i < n:
-        if not valid[i]:
-            i += 1
-            continue
-        j = i
-        while j < n and valid[j]:
-            j += 1
-        for c in range(3):
-            out[i:j, c] = rotmath.unwrap_angles(euler[i:j, c])
-        i = j
-    return out
-
-
-def _series_from_rotations(segment, times, rotations, valid, metadata):
-    euler = np.full((len(times), 3), np.nan)
-    for i, ok in enumerate(valid):
-        if ok:
-            e = rotmath.dcm_to_euler321(rotations[i])
-            euler[i] = (e.yaw, e.pitch, e.roll)
-    euler = _unwrap_valid_runs(euler, valid)
+def _series(segment, times, rotations, valid, metadata):
+    """Series from the (n, 3, 3) rotations of the n valid frames; gimbal
+    lock warns once and its frame count goes in metadata."""
+    ypr, lock = rotmath.dcms_to_euler321(rotations)
+    locked = int(lock.sum())
+    if locked:
+        warnings.warn(f"{segment.value}: pitch at +/-90 deg on {locked} frames: "
+                      "roll set to 0, free angle in yaw", GimbalLockWarning,
+                      stacklevel=3)
+    euler = np.full((len(valid), 3), np.nan)
+    euler[valid] = ypr
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], valid, [0]))))
+    for i, j in zip(edges[::2], edges[1::2]):
+        euler[i:j] = np.unwrap(euler[i:j], axis=0)
+    stacked = iter(rotations)
+    per_frame = [next(stacked) if ok else None for ok in valid.tolist()]
     return SegmentFrameSeries(segment, np.asarray(times, dtype=float),
-                              rotations, euler, np.asarray(valid, dtype=bool),
-                              metadata)
+                              per_frame, euler, valid,
+                              {**metadata, "gimbal_lock_frames": locked})
 
 
 def segment_series(dataset, segment):
-    """Per-frame frame construction for one segment over a 3D dataset.
+    """Frame construction for one segment over every frame of a 3D dataset.
 
     Frames with missing, invisible, or degenerate keypoints are marked
     invalid; Euler angles are unwrapped over contiguous valid runs.
@@ -156,30 +154,16 @@ def segment_series(dataset, segment):
     if dataset.unit != "meter":
         raise ValueError("segment_series needs a dataset in meters")
     needed = REQUIRED_KEYPOINTS[segment]
-    times = np.arange(dataset.frame_count) / dataset.frame_rate
-    rotations = []
-    valid = np.zeros(dataset.frame_count, dtype=bool)
-    for f in range(dataset.frame_count):
-        positions = {}
-        for kid in needed:
-            track = dataset.tracks.get(kid)
-            if track is None:
-                continue
-            idx = np.searchsorted(track.frames, f)
-            if idx < len(track.frames) and track.frames[idx] == f and track.visible[idx]:
-                positions[kid] = track.positions[idx]
-        try:
-            R = segment_frame(segment, positions)
-        except (MissingKeypoint, DegenerateAxes):
-            rotations.append(None)
-            continue
-        rotations.append(R)
-        valid[f] = True
+    positions, visible = keypoints.dense_stack(dataset, needed)
+    R, ok = _segment_dcms(segment, {kid: positions[:, j]
+                                    for j, kid in enumerate(needed)})
+    valid = visible.all(axis=1) & ok
     if not valid.any():
         raise NoValidFrames(f"no valid frames for {segment.value}")
-    metadata = {"tail_x_direction": "vent_to_tip",
-                "hip_y_temp_direction": "left_to_right"}
-    return _series_from_rotations(segment, times, rotations, valid, metadata)
+    times = np.arange(dataset.frame_count) / dataset.frame_rate
+    return _series(segment, times, R[valid], valid,
+                   {"tail_x_direction": "vent_to_tip",
+                    "hip_y_temp_direction": "left_to_right"})
 
 
 def relative_leg_series(leg, body):
@@ -188,17 +172,12 @@ def relative_leg_series(leg, body):
             leg.times, body.times, rtol=0, atol=1e-12):
         raise TimeGridMismatch("leg and body series on different time grids")
     valid = leg.valid & body.valid
-    rotations = []
-    for i, ok in enumerate(valid):
-        if ok:
-            rotations.append(rotmath.relative_rotation(leg.rotations[i],
-                                                       body.rotations[i]))
-        else:
-            rotations.append(None)
-    metadata = dict(leg.metadata)
-    metadata["relative_to"] = "Body"
-    return _series_from_rotations(leg.segment, leg.times, rotations, valid,
-                                  metadata)
+    idx = np.flatnonzero(valid).tolist()
+    rotations = rotmath.relative_rotation(
+        *(np.array([s.rotations[i] for i in idx], dtype=float).reshape(-1, 3, 3)
+          for s in (leg, body)))
+    return _series(leg.segment, leg.times, rotations, valid,
+                   {**leg.metadata, "relative_to": "Body"})
 
 
 def righting_window(series, t_start, t_end):
@@ -222,10 +201,8 @@ def righting_window(series, t_start, t_end):
 def write_series_csv(series, stream):
     """Emit `t,yaw_deg,pitch_deg,roll_deg,valid` with 4-decimal degrees."""
     stream.write("t,yaw_deg,pitch_deg,roll_deg,valid\n")
-    deg = np.degrees(series.euler)
-    for i, t in enumerate(series.times):
-        if series.valid[i]:
-            stream.write(f"{t:.6f},{deg[i, 0]:.4f},{deg[i, 1]:.4f},"
-                         f"{deg[i, 2]:.4f},1\n")
-        else:
-            stream.write(f"{t:.6f},,,,0\n")
+    stream.writelines(
+        f"{t:.6f},{y:.4f},{p:.4f},{r:.4f},1\n" if ok else f"{t:.6f},,,,0\n"
+        for t, (y, p, r), ok in zip(series.times.tolist(),
+                                    np.degrees(series.euler).tolist(),
+                                    series.valid.tolist()))

@@ -4,6 +4,8 @@ re-association, gap interpolation, and the planar pixel-to-world map."""
 import csv
 import io
 import json
+import math
+import operator
 import os
 from dataclasses import dataclass, replace
 
@@ -187,8 +189,7 @@ def _load_csv(source, frame_rate, unit):
         raise ParseError(f"unexpected header {header!r}")
     has_z = "z" in header
     ncol = 7 if has_z else 6
-    rows = {}  # id -> {frame: (pos, visible)}
-    names = {}
+    rows = {}  # id -> {frame: (coords, visible)}
     for lineno, row in enumerate(reader, start=2):
         if not row:
             continue
@@ -205,27 +206,35 @@ def _load_csv(source, frame_rate, unit):
         vis = row[ncol - 1]
         if vis not in ("0", "1"):
             raise ParseError(f"line {lineno}: visible must be 0 or 1, got {vis!r}")
+        if vis == "1" and not all(map(math.isfinite, coords)):
+            raise ParseError(f"line {lineno}: non-finite coordinate on a visible row")
         per = rows.setdefault(kid, {})
         if frame in per:
             raise SchemaError(f"line {lineno}: duplicate (frame {frame}, keypoint {kid})")
         per[frame] = (coords, vis == "1")
-        names[kid] = name
     if not rows:
         raise EmptyDataset("no data rows")
     frame_count = 1 + max(max(per) for per in rows.values())
-    dim = 3 if has_z else 2
-    tracks = {}
-    for kid in sorted(rows):
-        per = rows[kid]
-        frames = np.arange(frame_count)
-        positions = np.full((frame_count, dim), np.nan)
-        visible = np.zeros(frame_count, dtype=bool)
-        for frame, (coords, vis) in per.items():
-            positions[frame] = coords
-            visible[frame] = vis
-        positions[~visible] = np.nan
-        tracks[kid] = KeypointTrack(kid, names[kid], frames, positions, visible)
+    tracks = {kid: _dense_track(kid, KEYPOINT_NAMES[kid], list(rows[kid]),
+                                [c for c, _ in rows[kid].values()],
+                                [v for _, v in rows[kid].values()],
+                                frame_count, 3 if has_z else 2)
+              for kid in sorted(rows)}
     return KeypointDataset(tracks, float(frame_rate), frame_count, unit)
+
+
+def _dense_track(kid, name, frames, coords, visible, frame_count, dim):
+    """A track on arange(frame_count) from samples at `frames`; frames
+    without a sample become invisible NaN samples."""
+    frames = np.asarray(frames, dtype=int)
+    if len(frames) and (frames.min() < 0 or frames.max() >= frame_count):
+        raise SchemaError(f"track {kid}: frame index outside 0..{frame_count - 1}")
+    positions = np.full((frame_count, dim), np.nan)
+    positions[frames] = np.asarray(coords, dtype=float).reshape(len(frames), dim)
+    vis = np.zeros(frame_count, dtype=bool)
+    vis[frames] = visible
+    positions[~vis] = np.nan
+    return KeypointTrack(kid, name, np.arange(frame_count), positions, vis)
 
 
 def _load_json(source):
@@ -234,27 +243,32 @@ def _load_json(source):
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad JSON: {exc}") from None
     for key in ("frame_rate", "frame_count", "unit", "tracks"):
-        if key not in obj:
+        if not isinstance(obj, dict) or key not in obj:
             raise ParseError(f"missing top-level key {key!r}")
     if not obj["tracks"]:
         raise EmptyDataset("no tracks")
     tracks = {}
-    for t in obj["tracks"]:
-        kid = t["id"]
-        if kid in tracks:
-            raise SchemaError(f"duplicate keypoint id {kid}")
-        samples = t["samples"]
-        frames = np.array([s["frame"] for s in samples], dtype=int)
-        has_z = samples and "z" in samples[0]
-        if has_z:
-            positions = np.array([[s["x"], s["y"], s["z"]] for s in samples])
-        else:
-            positions = np.array([[s["x"], s["y"]] for s in samples])
-        visible = np.array([bool(s["visible"]) for s in samples])
-        tracks[kid] = KeypointTrack(kid, t["name"], frames,
-                                    positions.reshape(len(samples), -1), visible)
-    return KeypointDataset(tracks, float(obj["frame_rate"]),
-                           int(obj["frame_count"]), obj["unit"])
+    try:
+        frame_rate, frame_count = float(obj["frame_rate"]), int(obj["frame_count"])
+        for t in obj["tracks"]:
+            kid, name, samples = t["id"], t["name"], t["samples"]
+            axes = ("x", "y", "z") if samples and "z" in samples[0] else ("x", "y")
+            coords = operator.itemgetter(*axes)
+            frames = np.array([s["frame"] for s in samples], dtype=int)
+            positions = np.array([coords(s) for s in samples],
+                                 dtype=float).reshape(len(samples), len(axes))
+            visible = np.array([bool(s["visible"]) for s in samples], dtype=bool)
+            if kid in tracks:
+                raise SchemaError(f"duplicate keypoint id {kid}")
+            if np.any(np.diff(frames) <= 0):
+                raise SchemaError(f"track {kid}: frame indices not strictly increasing")
+            if not np.isfinite(positions[visible]).all():
+                raise ParseError(f"track {kid}: non-finite coordinate on a visible sample")
+            tracks[kid] = _dense_track(kid, name, frames, positions, visible,
+                                       frame_count, len(axes))
+    except (KeyError, TypeError) as exc:
+        raise ParseError(f"malformed track or sample, missing or bad {exc}") from None
+    return KeypointDataset(tracks, frame_rate, frame_count, obj["unit"])
 
 
 def save_dataset(dataset, stream, format="csv"):
@@ -268,34 +282,46 @@ def save_dataset(dataset, stream, format="csv"):
         writer.writerow(cols)
         for kid in sorted(dataset.tracks):
             track = dataset.tracks[kid]
-            for i, frame in enumerate(track.frames):
-                pos = track.positions[i]
-                coords = [repr(float(c)) for c in pos] if track.visible[i] \
-                    else ["nan"] * track.dim
-                writer.writerow([int(frame), kid, track.name, *coords,
-                                 int(track.visible[i])])
+            writer.writerows(
+                [f, kid, track.name, *(map(repr, p) if v else ["nan"] * track.dim), int(v)]
+                for f, p, v in zip(track.frames.tolist(), track.positions.tolist(),
+                                   track.visible.tolist()))
     elif format == "json":
-        obj = {
-            "frame_rate": dataset.frame_rate,
-            "frame_count": dataset.frame_count,
-            "unit": dataset.unit,
-            "tracks": [],
-        }
-        for kid in sorted(dataset.tracks):
+        # json.dumps runs the C encoder (json.dump on a stream does not);
+        # one track per call keeps the whole file out of memory.
+        head = json.dumps({"frame_rate": dataset.frame_rate,
+                           "frame_count": dataset.frame_count,
+                           "unit": dataset.unit, "tracks": []})
+        stream.write(head[:-2])
+        for n, kid in enumerate(sorted(dataset.tracks)):
             track = dataset.tracks[kid]
-            samples = []
-            for i, frame in enumerate(track.frames):
-                s = {"frame": int(frame),
-                     "x": float(track.positions[i][0]),
-                     "y": float(track.positions[i][1]),
-                     "visible": bool(track.visible[i])}
-                if track.dim == 3:
-                    s["z"] = float(track.positions[i][2])
-                samples.append(s)
-            obj["tracks"].append({"id": kid, "name": track.name, "samples": samples})
-        json.dump(obj, stream)
+            rows = zip(track.frames.tolist(), track.positions.tolist(),
+                       track.visible.tolist())
+            if track.dim == 3:
+                samples = [{"frame": f, "x": p[0], "y": p[1], "visible": v,
+                            "z": p[2]} for f, p, v in rows]
+            else:
+                samples = [{"frame": f, "x": p[0], "y": p[1], "visible": v}
+                           for f, p, v in rows]
+            stream.write((", " if n else "") + json.dumps(
+                {"id": kid, "name": track.name, "samples": samples}))
+        stream.write("]}")
     else:
         raise ValueError(f"unknown format {format!r}")
+
+
+def dense_stack(dataset, ids):
+    """(F, k, D) positions and (F, k) visibility of the tracks `ids` on
+    frames 0..frame_count-1; absent tracks and frames are invisible NaN."""
+    dim = next((t.dim for t in dataset.tracks.values()), 3)
+    positions = np.full((dataset.frame_count, len(ids), dim), np.nan)
+    visible = np.zeros((dataset.frame_count, len(ids)), dtype=bool)
+    for j, kid in enumerate(ids):
+        track = dataset.tracks.get(kid)
+        if track is not None:
+            positions[track.frames, j] = track.positions
+            visible[track.frames, j] = track.visible
+    return positions, visible
 
 
 def reassociate_identities(dataset, max_jump):
@@ -306,48 +332,34 @@ def reassociate_identities(dataset, max_jump):
     the lower id. The per-frame multiset of detections is preserved.
     Returns (new dataset, list of SwapEvent).
     """
-    some = next(iter(dataset.tracks.values()))
-    if some.dim != 2:
-        raise SchemaError("re-association is defined for 2D datasets")
     ids = sorted(dataset.tracks)
-    positions = {kid: dataset.tracks[kid].positions.copy() for kid in ids}
-    visible = {kid: dataset.tracks[kid].visible for kid in ids}
-    last = {kid: None for kid in ids}
+    positions, visible = dense_stack(dataset, ids)
+    if positions.shape[2] != 2:
+        raise SchemaError("re-association is defined for 2D datasets")
+    last = np.full((len(ids), 2), np.nan)  # NaN: no visible sample yet
     raw_events = []  # (frame, from_id, to_id, kind)
     for f in range(dataset.frame_count):
-        offenders = []
-        for kid in ids:
-            if not visible[kid][f]:
-                continue
-            if last[kid] is not None:
-                jump = np.linalg.norm(positions[kid][f] - last[kid])
-                if jump > max_jump:
-                    offenders.append(kid)
+        pos, vis = positions[f], visible[f]
+        jump = np.linalg.norm(pos - last, axis=1)
+        offenders = np.flatnonzero(vis & (jump > max_jump)).tolist()
         if len(offenders) >= 2:
-            detections = {kid: positions[kid][f].copy() for kid in offenders}
             free = list(offenders)
-            assign = {}
-            for kid in offenders:
-                dists = [(np.linalg.norm(detections[kid] - last[t]), t) for t in free]
-                dists.sort()
-                target = dists[0][1]
-                assign[kid] = target
+            # pos[offenders] is a copy, so the writes below keep each det
+            for j, det in zip(offenders, pos[offenders]):
+                target = min(free, key=lambda t: (np.linalg.norm(det - last[t]), t))
                 free.remove(target)
-            for kid, target in assign.items():
-                if target != kid:
-                    positions[target][f] = detections[kid]
-                    raw_events.append((f, kid, target, "swap"))
+                if target != j:
+                    pos[target] = det
+                    raw_events.append((f, ids[j], ids[target], "swap"))
         elif len(offenders) == 1:
-            raw_events.append((f, offenders[0], offenders[0], "jump"))
-        for kid in ids:
-            if visible[kid][f]:
-                last[kid] = positions[kid][f]
+            raw_events.append((f, ids[offenders[0]], ids[offenders[0]], "jump"))
+        last[vis] = pos[vis]
     events = _merge_events(raw_events)
-    tracks = {kid: replace(dataset.tracks[kid], positions=positions[kid])
-              for kid in ids}
-    new = KeypointDataset(tracks, dataset.frame_rate, dataset.frame_count,
-                          dataset.unit)
-    return new, events
+    tracks = {kid: replace(dataset.tracks[kid],
+                           positions=positions[dataset.tracks[kid].frames, j])
+              for j, kid in enumerate(ids)}
+    return KeypointDataset(tracks, dataset.frame_rate, dataset.frame_count,
+                           dataset.unit), events
 
 
 def _merge_events(raw):
@@ -379,15 +391,11 @@ def interpolate_gaps(track, max_gap):
     visible = track.visible.copy()
     interpolated = track.interpolated.copy()
     vis_idx = np.flatnonzero(track.visible)
-    for a, b in zip(vis_idx[:-1], vis_idx[1:]):
-        gap = b - a - 1
-        if gap == 0 or gap > max_gap:
-            continue
-        for i in range(a + 1, b):
-            w = (i - a) / (b - a)
-            positions[i] = (1 - w) * track.positions[a] + w * track.positions[b]
-            visible[i] = True
-            interpolated[i] = True
+    for a, b in zip(vis_idx[:-1].tolist(), vis_idx[1:].tolist()):
+        if 2 <= b - a <= max_gap + 1:
+            w = (np.arange(a + 1, b) - a)[:, None] / (b - a)
+            positions[a + 1:b] = (1 - w) * track.positions[a] + w * track.positions[b]
+            visible[a + 1:b] = interpolated[a + 1:b] = True
     return replace(track, positions=positions, visible=visible,
                    interpolated=interpolated)
 

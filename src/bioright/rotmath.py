@@ -43,6 +43,22 @@ def is_rotation(R, tol=EPS_ORTHO):
             and abs(np.linalg.det(R) - 1.0) <= tol)
 
 
+def dcms_from_axes(x_raw, y_temp):
+    """dcm_from_axes over (..., 3) inputs: (..., 3, 3) rotations and a
+    mask, False where it would raise (those rows hold NaN or inf)."""
+    x_raw = np.asarray(x_raw, dtype=float)
+    y_temp = np.asarray(y_temp, dtype=float)
+    nx = np.linalg.norm(x_raw, axis=-1)
+    # "not degenerate" rather than "long enough": NaN input is not rejected
+    ok = ~((nx <= EPS_LEN)
+           | (np.linalg.norm(np.cross(x_raw, y_temp), axis=-1) <= EPS_LEN))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = x_raw / nx[..., None]
+        z = np.cross(x, y_temp)
+        z /= np.linalg.norm(z, axis=-1)[..., None]
+    return np.stack([x, np.cross(z, x), z], axis=-2), ok
+
+
 def dcm_from_axes(x_raw, y_temp):
     """Build a rotation from a primary x-axis and an in-plane companion.
 
@@ -50,18 +66,10 @@ def dcm_from_axes(x_raw, y_temp):
     y completes the right-handed triad. Raises DegenerateAxes when the
     inputs are near-zero or near-parallel (occluded/collinear keypoints).
     """
-    x_raw = np.asarray(x_raw, dtype=float)
-    y_temp = np.asarray(y_temp, dtype=float)
-    if np.linalg.norm(x_raw) <= EPS_LEN:
-        raise DegenerateAxes("x axis vector is near zero")
-    cross = np.cross(x_raw, y_temp)
-    if np.linalg.norm(cross) <= EPS_LEN:
-        raise DegenerateAxes("axis vectors are near parallel or zero")
-    x = x_raw / np.linalg.norm(x_raw)
-    z = np.cross(x, y_temp)
-    z /= np.linalg.norm(z)
-    y = np.cross(z, x)
-    return np.array([x, y, z])
+    R, ok = dcms_from_axes(x_raw, y_temp)
+    if not ok:
+        raise DegenerateAxes("x axis vector near zero, or axes near parallel")
+    return R
 
 
 def euler321_to_dcm(e):
@@ -80,31 +88,37 @@ def euler321_to_dcm(e):
     ])
 
 
+def dcms_to_euler321(R):
+    """dcm_to_euler321 over (..., 3, 3) rotations: (..., 3) yaw, pitch,
+    roll and the gimbal-lock mask, without warning."""
+    R = np.asarray(R, dtype=float)
+    pitch = np.arcsin(np.clip(-R[..., 0, 2], -1.0, 1.0))
+    lock = np.abs(pitch) > np.pi / 2 - GIMBAL_MARGIN
+    locked_yaw = np.where(pitch > 0, -np.arctan2(R[..., 1, 0], R[..., 1, 1]),
+                          np.arctan2(-R[..., 1, 0], R[..., 1, 1]))
+    yaw = np.where(lock, locked_yaw, np.arctan2(R[..., 0, 1], R[..., 0, 0]))
+    roll = np.where(lock, 0.0, np.arctan2(R[..., 1, 2], R[..., 2, 2]))
+    return np.stack([yaw, pitch, roll], axis=-1), lock
+
+
 def dcm_to_euler321(R):
     """Extract 3-2-1 Euler angles from a rotation.
 
     At |pitch| = pi/2 the roll/yaw split is undefined; roll is set to 0,
     the free angle folds into yaw, and GimbalLockWarning is emitted.
     """
-    R = np.asarray(R, dtype=float)
-    sp = np.clip(-R[0, 2], -1.0, 1.0)
-    pitch = np.arcsin(sp)
-    if abs(pitch) > np.pi / 2 - GIMBAL_MARGIN:
+    e, lock = dcms_to_euler321(R)
+    if lock:
         warnings.warn("pitch at +/-90 deg: roll set to 0, free angle in yaw",
                       GimbalLockWarning, stacklevel=2)
-        if pitch > 0:
-            yaw = -np.arctan2(R[1, 0], R[1, 1])
-        else:
-            yaw = np.arctan2(-R[1, 0], R[1, 1])
-        return EulerYPR(float(yaw), float(pitch), 0.0)
-    yaw = np.arctan2(R[0, 1], R[0, 0])
-    roll = np.arctan2(R[1, 2], R[2, 2])
-    return EulerYPR(float(yaw), float(pitch), float(roll))
+    return EulerYPR(*e.tolist())
 
 
 def relative_rotation(C_AN, C_BN):
-    """Rotation of frame A relative to frame B: C_AB = C_AN @ C_BN^T."""
-    return np.asarray(C_AN, dtype=float) @ np.asarray(C_BN, dtype=float).T
+    """Rotation of frame A relative to frame B: C_AB = C_AN @ C_BN^T,
+    for single (3, 3) rotations or stacks of them."""
+    return np.einsum("...ij,...kj->...ik", np.asarray(C_AN, dtype=float),
+                     np.asarray(C_BN, dtype=float))
 
 
 def unwrap_angles(series):

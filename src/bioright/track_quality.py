@@ -53,17 +53,15 @@ class ReportRow:
 
 
 def average_movement(track):
-    """Mean Euclidean displacement over consecutive visible-sample pairs.
-
-    Pairs spanning an invisible gap are excluded.
-    """
+    """Mean Euclidean displacement over visible samples on consecutive
+    frames; pairs spanning an invisible or absent frame are excluded."""
     vis = np.flatnonzero(track.visible)
     if len(vis) < 2:
         raise TooSparse(f"track {track.id}: need >= 2 visible samples")
-    consecutive = vis[1:][np.diff(vis) == 1]
-    if len(consecutive) == 0:
+    consecutive = np.diff(track.frames[vis]) == 1
+    if not consecutive.any():
         raise TooSparse(f"track {track.id}: no consecutive visible pairs")
-    steps = track.positions[consecutive] - track.positions[consecutive - 1]
+    steps = np.diff(track.positions[vis], axis=0)[consecutive]
     return float(np.mean(np.linalg.norm(steps, axis=1)))
 
 
@@ -91,12 +89,12 @@ def normalized_movement(dataset):
 
 
 def max_gap_length(track):
-    """Longest run of invisible frames; leading/trailing runs count."""
-    best = run = 0
-    for v in track.visible:
-        run = 0 if v else run + 1
-        best = max(best, run)
-    return best
+    """Longest run of invisible frames from frame 0 to the track's last
+    frame; leading/trailing runs count, and so do frames without a sample."""
+    if not len(track.frames):
+        return 0
+    seen = np.concatenate(([-1], track.frames[track.visible], [track.frames[-1] + 1]))
+    return int(np.diff(seen).max()) - 1
 
 
 def position_variance(track):

@@ -251,6 +251,8 @@ def read_trajectory_csv(stream):
     lines = [ln.strip() for ln in stream if ln.strip()]
     if not lines or lines[0] != "t,angle_deg,rate_deg_s":
         raise ValueError("expected header t,angle_deg,rate_deg_s")
+    if len(lines) < 2:
+        raise TooShort("trajectory CSV has no data rows")
     data = np.array([[float(x) if x != "nan" else np.nan for x in ln.split(",")]
                      for ln in lines[1:]])
     rate = None if np.all(np.isnan(data[:, 2])) else np.radians(data[:, 2])

@@ -215,3 +215,51 @@ class TestScaleSingleRow:
         assert proc.returncode == 3
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ")
+
+
+def run_subprocess(argv):
+    """The CLI in a fresh interpreter, as a user runs it."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, "-m", "bioright.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+class TestRejectedInputExitCodes:
+    def _json(self, tmp_path, track):
+        src = tmp_path / "rec.json"
+        src.write_text(json.dumps({"frame_rate": 1000.0, "frame_count": 2,
+                                   "unit": "pixel", "tracks": [track]}))
+        return src
+
+    @pytest.mark.parametrize("track", [
+        {"name": "Neck", "samples": []},
+        {"id": 1, "name": "Neck",
+         "samples": [{"frame": 0, "x": 1.0, "y": 2.0}]},
+        {"id": 1, "name": "Neck",
+         "samples": [{"frame": 0, "x": float("inf"), "y": 2.0, "visible": True}]},
+    ], ids=["no_id", "no_visible", "inf_visible"])
+    def test_bad_json_exit_2(self, tmp_path, track):
+        proc = run_subprocess(["metrics", "--input", str(self._json(tmp_path, track)),
+                               "--output", str(tmp_path / "r.csv")])
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
+
+    def test_nan_on_visible_csv_row_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("frame,keypoint_id,keypoint_name,x,y,visible\n"
+                       "0,1,Neck,1.0,2.0,1\n1,1,Neck,nan,2.0,1\n")
+        code = run(["metrics", "--input", str(bad),
+                    "--output", str(tmp_path / "r.csv"), "--frame-rate", "1000"])
+        assert code == 2
+        assert "line 3" in capsys.readouterr().err
+
+    def test_scale_header_only_exit_3(self, tmp_path):
+        src = tmp_path / "empty.csv"
+        src.write_text("t,angle_deg,rate_deg_s\n")
+        proc = run_subprocess(["scale", "--input", str(src), "--output",
+                               str(tmp_path / "out.csv"), "--target-duration", "225"])
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")

@@ -8,20 +8,32 @@ formatted write per row. Where the arithmetic is unchanged the results
 must be equal; where `np.cos`/`np.sin` over an array replace
 `math.cos`/`math.sin` per sample (prescribed playback) they must agree
 to 1e-12 relative.
+
+The frame layer and the dataset writers have frozen oracles too: the
+per-frame `segment_series` and `relative_leg_series` with their scalar
+axis, leg and Euler formulas, the per-sample `json.dump` writer and the
+per-row CSV writer. The batched series must match them to 1e-12 with
+equal validity, and the writers byte for byte.
 """
 
+import csv
 import io
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from bioright import objective, smsdyn, traj
-from bioright.errors import Diverged, SingularMass
+from bioright import cli, frames, keypoints, objective, rotmath, smsdyn, traj
+from bioright.errors import (DegenerateAxes, Diverged, GimbalLockWarning,
+                             MissingKeypoint, NoValidFrames, SingularMass)
+from bioright.frames import Segment
 from bioright.objective import ObjectiveContext
 from bioright.smsdyn import (DIVERGE_LIMIT, Mode, PdGains, SmsState,
                              SmsTrajectory, ets7_params, lizard_params)
 
+from conftest import REST_POSE, csv_text, dataset_from_poses, roll_matrix
 from test_smsdyn import planar_params
 
 REL = 1e-12
@@ -353,3 +365,341 @@ def test_report_writer_byte_identical():
     buf = io.StringIO()
     objective.write_report_csv(report, buf)
     assert buf.getvalue() == oracle_report_csv(report)
+
+
+# -- frozen oracle: per-frame segment frames, per-sample JSON writer ---------
+
+def oracle_dcm_from_axes(x_raw, y_temp):
+    x_raw = np.asarray(x_raw, dtype=float)
+    y_temp = np.asarray(y_temp, dtype=float)
+    if np.linalg.norm(x_raw) <= rotmath.EPS_LEN:
+        raise DegenerateAxes("x axis vector is near zero")
+    cross = np.cross(x_raw, y_temp)
+    if np.linalg.norm(cross) <= rotmath.EPS_LEN:
+        raise DegenerateAxes("axis vectors are near parallel or zero")
+    x = x_raw / np.linalg.norm(x_raw)
+    z = np.cross(x, y_temp)
+    z /= np.linalg.norm(z)
+    y = np.cross(z, x)
+    return np.array([x, y, z])
+
+
+def oracle_leg_frame(segment, positions):
+    a, b = frames.LEG_AXES[segment]
+    y_raw = np.asarray(positions[b], dtype=float) - np.asarray(positions[a], dtype=float)
+    ny = np.linalg.norm(y_raw)
+    if ny <= rotmath.EPS_LEN:
+        raise DegenerateAxes("zero-length limb axis")
+    y = y_raw / ny
+    z = np.cross(frames.X_INERTIAL, y)
+    nz = np.linalg.norm(z)
+    if nz <= rotmath.EPS_LEN:
+        raise DegenerateAxes("limb parallel to inertial x")
+    z /= nz
+    x = np.cross(y, z)
+    return np.array([x, y, z])
+
+
+def oracle_segment_frame(segment, p):
+    for kid in frames.REQUIRED_KEYPOINTS[segment]:
+        if kid not in p:
+            raise MissingKeypoint(f"keypoint {kid} required but absent")
+    if segment is Segment.BODY:
+        return oracle_dcm_from_axes(np.asarray(p[1]) - np.asarray(p[21]),
+                                    np.asarray(p[13]) - np.asarray(p[12]))
+    if segment is Segment.TAIL:
+        return oracle_dcm_from_axes(np.asarray(p[23]) - np.asarray(p[21]),
+                                    np.asarray(p[19]) - np.asarray(p[20]))
+    return oracle_leg_frame(segment, p)
+
+
+def oracle_dcm_to_euler321(R):
+    R = np.asarray(R, dtype=float)
+    sp = np.clip(-R[0, 2], -1.0, 1.0)
+    pitch = np.arcsin(sp)
+    if abs(pitch) > np.pi / 2 - rotmath.GIMBAL_MARGIN:
+        warnings.warn("pitch at +/-90 deg: roll set to 0, free angle in yaw",
+                      GimbalLockWarning, stacklevel=2)
+        if pitch > 0:
+            yaw = -np.arctan2(R[1, 0], R[1, 1])
+        else:
+            yaw = np.arctan2(-R[1, 0], R[1, 1])
+        return (float(yaw), float(pitch), 0.0)
+    yaw = np.arctan2(R[0, 1], R[0, 0])
+    roll = np.arctan2(R[1, 2], R[2, 2])
+    return (float(yaw), float(pitch), float(roll))
+
+
+def oracle_series_from_rotations(segment, times, rotations, valid):
+    euler = np.full((len(times), 3), np.nan)
+    for i, ok in enumerate(valid):
+        if ok:
+            euler[i] = oracle_dcm_to_euler321(rotations[i])
+    out = euler.copy()
+    n, i = len(valid), 0
+    while i < n:
+        if not valid[i]:
+            i += 1
+            continue
+        j = i
+        while j < n and valid[j]:
+            j += 1
+        for c in range(3):
+            out[i:j, c] = np.unwrap(euler[i:j, c])
+        i = j
+    return frames.SegmentFrameSeries(segment, np.asarray(times, dtype=float),
+                                     rotations, out, np.asarray(valid), {})
+
+
+def oracle_segment_series(dataset, segment):
+    needed = frames.REQUIRED_KEYPOINTS[segment]
+    times = np.arange(dataset.frame_count) / dataset.frame_rate
+    rotations = []
+    valid = np.zeros(dataset.frame_count, dtype=bool)
+    for f in range(dataset.frame_count):
+        positions = {}
+        for kid in needed:
+            track = dataset.tracks.get(kid)
+            if track is None:
+                continue
+            idx = np.searchsorted(track.frames, f)
+            if idx < len(track.frames) and track.frames[idx] == f and track.visible[idx]:
+                positions[kid] = track.positions[idx]
+        try:
+            R = oracle_segment_frame(segment, positions)
+        except (MissingKeypoint, DegenerateAxes):
+            rotations.append(None)
+            continue
+        rotations.append(R)
+        valid[f] = True
+    if not valid.any():
+        raise NoValidFrames(f"no valid frames for {segment.value}")
+    return oracle_series_from_rotations(segment, times, rotations, valid)
+
+
+def oracle_relative_leg_series(leg, body):
+    valid = leg.valid & body.valid
+    rotations = [np.asarray(leg.rotations[i]) @ np.asarray(body.rotations[i]).T
+                 if ok else None for i, ok in enumerate(valid)]
+    return oracle_series_from_rotations(leg.segment, leg.times, rotations, valid)
+
+
+def oracle_save_json(dataset, stream):
+    obj = {"frame_rate": dataset.frame_rate, "frame_count": dataset.frame_count,
+           "unit": dataset.unit, "tracks": []}
+    for kid in sorted(dataset.tracks):
+        track = dataset.tracks[kid]
+        samples = []
+        for i, frame in enumerate(track.frames):
+            s = {"frame": int(frame),
+                 "x": float(track.positions[i][0]),
+                 "y": float(track.positions[i][1]),
+                 "visible": bool(track.visible[i])}
+            if track.dim == 3:
+                s["z"] = float(track.positions[i][2])
+            samples.append(s)
+        obj["tracks"].append({"id": kid, "name": track.name, "samples": samples})
+    json.dump(obj, stream)
+
+
+def oracle_save_csv(dataset, stream):
+    some = next(iter(dataset.tracks.values()))
+    cols = ["frame", "keypoint_id", "keypoint_name", "x", "y"] + \
+        (["z"] if some.dim == 3 else []) + ["visible"]
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(cols)
+    for kid in sorted(dataset.tracks):
+        track = dataset.tracks[kid]
+        for i, frame in enumerate(track.frames):
+            coords = [repr(float(c)) for c in track.positions[i]] \
+                if track.visible[i] else ["nan"] * track.dim
+            writer.writerow([int(frame), kid, track.name, *coords,
+                             int(track.visible[i])])
+
+
+# -- fixtures: a recording with every kind of bad frame ----------------------
+
+LOCK_FRAMES = (20, 21, 22)
+
+
+def pitch_up():
+    """Active rotation taking the inertial x axis onto +z."""
+    return np.array([[0.0, 0.0, -1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+
+
+def awkward_dataset():
+    """40 frames at 1 kHz: two full roll turns (so unwrapping matters)
+    under a yaw sway, with invisible, absent, degenerate and gimbal-lock
+    frames, and two tracks stored sparse."""
+    n = 40
+    poses = []
+    for f in range(n):
+        yaw = 0.4 * np.sin(f / 5.0)
+        Rz = np.array([[np.cos(yaw), -np.sin(yaw), 0.0],
+                       [np.sin(yaw), np.cos(yaw), 0.0], [0.0, 0.0, 1.0]])
+        R = Rz @ roll_matrix(4 * np.pi * f / n)
+        if f in LOCK_FRAMES:
+            R = pitch_up() @ roll_matrix(0.3 * f)
+        poses.append({kid: R @ np.asarray(p) for kid, p in REST_POSE.items()})
+    poses[7][12] = poses[7][21] + 0.5 * (poses[7][1] - poses[7][21])
+    poses[7][13] = poses[7][21] + 0.7 * (poses[7][1] - poses[7][21])
+    poses[8][8] = poses[8][12].copy()
+    poses[9][16] = poses[9][20] + np.array([0.1, 0.0, 0.0])
+    poses[15][23] = poses[15][21].copy()
+    visible = {1: np.ones(n, dtype=bool), 13: np.ones(n, dtype=bool),
+               15: np.ones(n, dtype=bool)}
+    visible[1][[3, 4]] = False
+    visible[13][30] = False
+    visible[15][[0, 1, 2]] = False
+    ds = dataset_from_poses(poses, visible=visible)
+    tracks = dict(ds.tracks)
+    for kid, drop in ((19, [25, 26, 27]), (9, [5, 33, 39])):
+        keep = np.setdiff1d(np.arange(n), drop)
+        t = tracks[kid]
+        tracks[kid] = keypoints.KeypointTrack(kid, t.name, keep, t.positions[keep],
+                                              t.visible[keep])
+    return keypoints.KeypointDataset(tracks, ds.frame_rate, n, "meter")
+
+
+def record_gimbal(fn, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn(*args)
+    return out, sum(issubclass(w.category, GimbalLockWarning) for w in caught)
+
+
+def assert_series_match(got, want):
+    assert np.array_equal(got.valid, want.valid)
+    assert np.array_equal(np.isnan(got.euler), np.isnan(want.euler))
+    assert np.nanmax(np.abs(got.euler - want.euler)) <= 1e-12
+    for i, ok in enumerate(want.valid):
+        if ok:
+            assert np.max(np.abs(np.asarray(got.rotations[i])
+                                 - want.rotations[i])) <= 1e-12
+        else:
+            assert got.rotations[i] is None
+
+
+# -- frames ------------------------------------------------------------------
+
+def test_fixture_has_every_kind_of_bad_frame():
+    ds = awkward_dataset()
+    invalid = {seg: set(np.flatnonzero(~record_gimbal(
+        oracle_segment_series, ds, seg)[0].valid).tolist()) for seg in Segment}
+    assert {3, 4, 7, 30} <= invalid[Segment.BODY]          # invisible, collinear
+    assert {15, 25} <= invalid[Segment.TAIL]               # zero-length, absent
+    assert 8 in invalid[Segment.RIGHT_FRONT_LEG]           # zero-length limb
+    assert 9 in invalid[Segment.LEFT_HIND_LEG]             # limb along x_N
+    assert {5, 33, 39} <= invalid[Segment.LEFT_FRONT_LEG]  # absent
+    assert {0, 1, 2} <= invalid[Segment.RIGHT_HIND_LEG]    # invisible
+
+
+@pytest.mark.parametrize("segment", list(Segment), ids=lambda s: s.value)
+def test_segment_series_equal_to_oracle(segment):
+    ds = awkward_dataset()
+    want, want_locks = record_gimbal(oracle_segment_series, ds, segment)
+    got, got_locks = record_gimbal(frames.segment_series, ds, segment)
+    assert_series_match(got, want)
+    assert got.metadata["gimbal_lock_frames"] == want_locks
+    assert got_locks == (1 if want_locks else 0)
+    if segment in (Segment.BODY, Segment.TAIL):
+        assert want_locks == len(LOCK_FRAMES)
+
+
+@pytest.mark.parametrize("leg", [s for s in Segment if s in frames.LEG_AXES],
+                         ids=lambda s: s.value)
+def test_relative_leg_series_equal_to_oracle(leg):
+    ds = awkward_dataset()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", GimbalLockWarning)
+        body = frames.segment_series(ds, Segment.BODY)
+        series = frames.segment_series(ds, leg)
+    want, want_locks = record_gimbal(oracle_relative_leg_series, series, body)
+    got, got_locks = record_gimbal(frames.relative_leg_series, series, body)
+    assert_series_match(got, want)
+    assert got.metadata["relative_to"] == "Body"
+    assert got.metadata["gimbal_lock_frames"] == want_locks
+    assert got_locks == (1 if want_locks else 0)
+
+
+def test_relative_series_gimbal_lock_warns_once():
+    n = 6
+    rots = [np.eye(3)] * n
+    locked = [rotmath.euler321_to_dcm(rotmath.EulerYPR(0.2, np.pi / 2, 0.1))] * n
+    times = np.arange(n) / 1000.0
+    body = frames.SegmentFrameSeries(Segment.BODY, times, rots,
+                                     np.zeros((n, 3)), np.ones(n, bool), {})
+    leg = frames.SegmentFrameSeries(Segment.LEFT_FRONT_LEG, times, locked,
+                                    np.zeros((n, 3)), np.ones(n, bool), {})
+    want, want_locks = record_gimbal(oracle_relative_leg_series, leg, body)
+    got, got_locks = record_gimbal(frames.relative_leg_series, leg, body)
+    assert (want_locks, got_locks, got.metadata["gimbal_lock_frames"]) == (n, 1, n)
+    assert_series_match(got, want)
+
+
+def test_absent_track_no_valid_frames_like_oracle():
+    ds = awkward_dataset()
+    tracks = {k: t for k, t in ds.tracks.items() if k != 9}
+    ds = keypoints.KeypointDataset(tracks, ds.frame_rate, ds.frame_count, "meter")
+    with pytest.raises(NoValidFrames):
+        oracle_segment_series(ds, Segment.LEFT_FRONT_LEG)
+    with pytest.raises(NoValidFrames):
+        frames.segment_series(ds, Segment.LEFT_FRONT_LEG)
+
+
+# -- keypoints: JSON writer and JSON ingest ----------------------------------
+
+def pixel_recording():
+    """2D pixel CSV: a yawing planar lizard with invisible rows and rows
+    left out, and the same samples as a sparse JSON document."""
+    rows, tracks = [], {}
+    for f in range(30):
+        yaw = 0.05 * f
+        c, s = np.cos(yaw), np.sin(yaw)
+        for kid, (x, y, _) in REST_POSE.items():
+            if (kid, f) in ((12, 4), (9, 11), (21, 17)) or (kid == 16 and 20 <= f < 24):
+                continue  # row left out
+            vis = 0 if (kid, f) in ((1, 6), (13, 6), (8, 12)) else 1
+            px = (300 + 1000 * (c * x - s * y), 200 - 1000 * (s * x + c * y))
+            rows.append((f, kid, *(px if vis else (np.nan, np.nan)), vis))
+            tracks.setdefault(kid, []).append(
+                {"frame": f, "x": px[0] if vis else None,
+                 "y": px[1] if vis else None, "visible": bool(vis)})
+    doc = {"frame_rate": 1000.0, "frame_count": 30, "unit": "pixel",
+           "tracks": [{"id": kid, "name": keypoints.KEYPOINT_NAMES[kid],
+                       "samples": samples} for kid, samples in tracks.items()]}
+    return csv_text(rows), json.dumps(doc)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("which", ["pixel_csv", "awkward_meter", "sparse"])
+def test_dataset_writer_byte_identical(which, fmt):
+    if which == "pixel_csv":
+        ds = keypoints.load_dataset(io.StringIO(pixel_recording()[0]),
+                                    format="csv", frame_rate=1000.0)
+    elif which == "awkward_meter":
+        ds = dataset_from_poses([REST_POSE] * 3)
+        ds.tracks[5].positions[1] = np.nan
+        ds.tracks[5].visible[1] = False
+    else:
+        ds = awkward_dataset()
+    want, got = io.StringIO(), io.StringIO()
+    (oracle_save_json if fmt == "json" else oracle_save_csv)(ds, want)
+    keypoints.save_dataset(ds, got, format=fmt)
+    assert got.getvalue() == want.getvalue()
+
+
+def test_reconstruct_same_bytes_from_csv_and_sparse_json(tmp_path):
+    csv_doc, json_doc = pixel_recording()
+    (tmp_path / "rec.csv").write_text(csv_doc)
+    (tmp_path / "rec.json").write_text(json_doc)
+    for extra in ([], ["--segment", "RightFrontLeg", "--relative-to-body"]):
+        out = {}
+        for ext in ("csv", "json"):
+            argv = ["reconstruct", "--input", str(tmp_path / f"rec.{ext}"),
+                    "--output", str(tmp_path / f"out_{ext}.csv"),
+                    "--segment", "Body", "--frame-rate", "1000"] + extra
+            assert cli.main(argv) == 0
+            out[ext] = (tmp_path / f"out_{ext}.csv").read_bytes()
+        assert out["csv"] == out["json"]
+        assert out["csv"].count(b",0\n") >= 2  # the invisible frames show

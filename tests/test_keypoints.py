@@ -1,4 +1,5 @@
 import io
+import json
 
 import numpy as np
 import pytest
@@ -229,3 +230,111 @@ class TestReassociate:
             before = sorted(tuple(ds.tracks[k].positions[f]) for k in (1, 12, 21))
             after = sorted(tuple(out.tracks[k].positions[f]) for k in (1, 12, 21))
             assert np.allclose(before, after)
+
+
+def json_text(tracks, frame_count, unit="pixel"):
+    """Dataset JSON from {id: [(frame, x, y, visible), ...]}."""
+    return json.dumps({
+        "frame_rate": 1000.0, "frame_count": frame_count, "unit": unit,
+        "tracks": [{"id": kid, "name": keypoints.KEYPOINT_NAMES[kid],
+                    "samples": [{"frame": f, "x": x, "y": y, "visible": v}
+                                for f, x, y, v in samples]}
+                   for kid, samples in tracks.items()]})
+
+
+def load_json(text):
+    return load_dataset(io.StringIO(text), format="json")
+
+
+class TestNonFiniteCsv:
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_visible_row_rejected_with_line(self, token):
+        text = ("frame,keypoint_id,keypoint_name,x,y,visible\n"
+                "0,1,Neck,1.0,2.0,1\n"
+                f"1,1,Neck,3.0,{token},1\n")
+        with pytest.raises(ParseError, match="line 3"):
+            load_csv(text)
+
+    def test_invisible_nan_row_accepted(self):
+        ds = load_csv(csv_text([(0, 1, 1.0, 2.0, 1), (1, 1, np.nan, np.nan, 0)]))
+        assert list(ds.tracks[1].visible) == [True, False]
+
+
+def test_csv_negative_frame_rejected():
+    # a negative index used to wrap around onto the last frame
+    with pytest.raises(SchemaError):
+        load_csv(csv_text([(0, 1, 1.0, 2.0, 1), (2, 1, 3.0, 4.0, 1),
+                           (-1, 1, 9.0, 9.0, 1)]))
+
+
+class TestLoadJson:
+    SPARSE = {1: [(0, 0.0, 0.0, True), (1, 1.0, 0.0, True),
+                  (5, 5.0, 0.0, True), (6, 6.0, 0.0, True)]}
+
+    def test_sparse_track_densified(self):
+        track = load_json(json_text(self.SPARSE, 7)).tracks[1]
+        assert list(track.frames) == list(range(7))
+        assert list(track.visible) == [1, 1, 0, 0, 0, 1, 1]
+        assert np.isnan(track.positions[2:5]).all()
+        assert track.positions[5].tolist() == [5.0, 0.0]
+
+    def test_same_dataset_as_csv(self):
+        rows = [(f, kid, x, y, int(v)) for kid, samples in self.SPARSE.items()
+                for f, x, y, v in samples]
+        a, b = load_csv(csv_text(rows)), load_json(json_text(self.SPARSE, 7))
+        assert np.array_equal(a.tracks[1].frames, b.tracks[1].frames)
+        assert np.array_equal(a.tracks[1].visible, b.tracks[1].visible)
+        assert np.array_equal(a.tracks[1].positions, b.tracks[1].positions,
+                              equal_nan=True)
+
+    def test_reassociate_sparse_json(self):
+        # frames 5-7 carry each other's labels; each track skips one frame
+        y = {1: [100.0 if 5 <= f <= 7 else 0.0 for f in range(12)],
+             21: [0.0 if 5 <= f <= 7 else 100.0 for f in range(12)]}
+        tracks = {1: [(f, float(f), y[1][f], True) for f in range(12) if f != 3],
+                  21: [(f, float(f), y[21][f], True) for f in range(12) if f != 8]}
+        out, events = reassociate_identities(load_json(json_text(tracks, 12)),
+                                             max_jump=10.0)
+        assert {(e.from_id, e.to_id) for e in events} == {(1, 21), (21, 1)}
+        assert np.allclose(out.tracks[1].positions[:, 1][out.tracks[1].visible], 0.0)
+
+    @pytest.mark.parametrize("drop", ["id", "name", "samples"])
+    def test_missing_track_key(self, drop):
+        doc = json.loads(json_text(self.SPARSE, 7))
+        del doc["tracks"][0][drop]
+        with pytest.raises(ParseError):
+            load_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("drop", ["frame", "x", "y", "visible"])
+    def test_missing_sample_key(self, drop):
+        doc = json.loads(json_text(self.SPARSE, 7))
+        del doc["tracks"][0]["samples"][2][drop]
+        with pytest.raises(ParseError):
+            load_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), None])
+    def test_non_finite_visible_sample(self, value):
+        with pytest.raises(ParseError, match="non-finite"):
+            load_json(json_text({1: [(0, 1.0, 2.0, True), (1, value, 2.0, True)]}, 2))
+
+    def test_non_finite_invisible_sample_accepted(self):
+        ds = load_json(json_text({1: [(0, 1.0, 2.0, True), (1, None, None, False)]}, 2))
+        assert list(ds.tracks[1].visible) == [True, False]
+
+    @pytest.mark.parametrize("frame", [-1, 7])
+    def test_frame_outside_frame_count(self, frame):
+        with pytest.raises(SchemaError):
+            load_json(json_text({1: [(frame, 1.0, 2.0, True)]}, 7))
+
+
+class TestDenseStack:
+    def test_scatters_frames_and_marks_absent(self):
+        sparse = KeypointTrack(1, "Neck", [1, 3], [[1.0, 2.0], [3.0, 4.0]],
+                               [True, True])
+        ds = keypoints.KeypointDataset({1: sparse}, 1000.0, 5, "pixel")
+        positions, visible = keypoints.dense_stack(ds, (21, 1))
+        assert positions.shape == (5, 2, 2) and visible.shape == (5, 2)
+        assert visible[:, 0].tolist() == [False] * 5
+        assert visible[:, 1].tolist() == [False, True, False, True, False]
+        assert positions[3, 1].tolist() == [3.0, 4.0]
+        assert np.isnan(positions[[0, 2, 4], 1]).all()

@@ -244,3 +244,39 @@ class TestInvariances:
         b = make_track(positions * 3.0)
         assert tq.average_movement(b) == pytest.approx(3 * tq.average_movement(a))
         assert tq.drift_score(b) == pytest.approx(tq.drift_score(a))
+
+
+class TestSparseAgreesWithDense:
+    """Neck seen on frames {0, 1, 5, 6} of 7, one unit per frame."""
+
+    SEEN = (0, 1, 5, 6)
+
+    def _datasets(self):
+        from test_keypoints import json_text, load_json
+        csv_ds = load_csv(csv_text([(f, 1, float(f), 0.0, 1) for f in self.SEEN]))
+        json_ds = load_json(json_text(
+            {1: [(f, float(f), 0.0, True) for f in self.SEEN]}, 7))
+        return csv_ds, json_ds
+
+    def test_csv_and_json_agree(self):
+        for ds in self._datasets():
+            track = ds.tracks[1]
+            assert tq.max_gap_length(track) == 3
+            assert tq.average_movement(track) == pytest.approx(1.0)
+
+    def test_report_bytes_agree(self):
+        out = []
+        for ds in self._datasets():
+            buf = io.StringIO()
+            tq.write_report_csv(tq.stability_report(ds), buf)
+            out.append(buf.getvalue())
+        assert out[0] == out[1]
+
+    def test_hand_built_sparse_track(self):
+        from bioright.keypoints import KeypointTrack
+        sparse = KeypointTrack(1, "Neck", self.SEEN,
+                               [(float(f), 0.0) for f in self.SEEN],
+                               np.ones(4, dtype=bool))
+        dense = self._datasets()[0].tracks[1]
+        assert tq.max_gap_length(sparse) == tq.max_gap_length(dense) == 3
+        assert tq.average_movement(sparse) == tq.average_movement(dense)
