@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, frames, keypoints, objective, smsdyn, track_quality, traj
-from .errors import (BiorightError, Diverged, EmptyDataset, EmptyWindow,
-                     ParseError, SchemaError, TooShort, TooSparse)
+from .errors import (BiorightError, Diverged, EmptyDataset, ParseError,
+                     SchemaError, TooShort, TooSparse)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -143,8 +143,7 @@ def cmd_simulate(args):
                                     base_angle0=phi0)
     with open(args.output, "w") as f:
         smsdyn.write_trajectory_csv(result, f)
-    _write_manifest("simulate", [args.reference], [args.output],
-                    config=args.config)
+    _write_manifest("simulate", [args.reference], [args.output], config=args.config)
     r2d = 180.0 / math.pi
     dphi = np.max(np.abs(result.base_angle - result.base_angle[0])) * r2d
     peak_rate = np.max(np.abs(result.base_rate)) * r2d
@@ -167,18 +166,21 @@ def cmd_sweep(args):
     gains = smsdyn.gains_from_config(cfg)
     result = smsdyn.simulate_pd(params, reference, gains, cfg["dt"],
                                 base_angle0=math.radians(cfg["base_angle0_deg"]))
-    context = objective.ObjectiveContext(
-        rate_limit=math.radians(0.30),
-        base_angle_target=result.base_angle[-1],
-        torque_limit=gains.torque_limit,
-    )
-    report = objective.weight_sweep(args.resolution, result, context)
-    with open(args.output, "w") as f:
-        objective.write_report_csv(report, f)
-    _write_manifest("sweep", [args.reference], [args.output],
-                    config=args.config)
+    report = _sweep(args.resolution, result, gains, args.output)
+    _write_manifest("sweep", [args.reference], [args.output], config=args.config)
     print(f"wrote {len(report.rows)} rows to {args.output}")
     return EXIT_OK
+
+
+def _sweep(resolution, pd_run, gains, path):
+    """Weight sweep of a PD run, scored against its final base angle."""
+    context = objective.ObjectiveContext(rate_limit=math.radians(0.30),
+                                         base_angle_target=pd_run.base_angle[-1],
+                                         torque_limit=gains.torque_limit)
+    report = objective.weight_sweep(resolution, pd_run, context)
+    with open(path, "w") as f:
+        objective.write_report_csv(report, f)
+    return report
 
 
 def cmd_demo(args):
@@ -216,13 +218,7 @@ def cmd_demo(args):
     print(f"pd tracking: peak base rate={peak_rate:.4f} deg/s "
           "(target < 0.15 deg/s)")
 
-    context = objective.ObjectiveContext(
-        rate_limit=math.radians(0.30),
-        base_angle_target=pd_run.base_angle[-1],
-        torque_limit=gains.torque_limit)
-    report = objective.weight_sweep(args.resolution, pd_run, context)
-    with open(out / "sweep.csv", "w") as f:
-        objective.write_report_csv(report, f)
+    report = _sweep(args.resolution, pd_run, gains, out / "sweep.csv")
     print(f"sweep: {len(report.rows)} weight vectors, "
           f"argmin J={report.argmin.J:.6g}")
     _write_manifest("demo", [], [out / "reference.csv", out / "prescribed.csv",
@@ -286,25 +282,19 @@ def build_parser():
     return parser
 
 
+#: Exit code of each family of errors, the first match wins.
+EXIT_CODES = (((ParseError, SchemaError, ValueError, OSError), EXIT_PARSE),
+              ((EmptyDataset, TooSparse, TooShort), EXIT_EMPTY),
+              (Diverged, EXIT_DIVERGED), (BiorightError, EXIT_DOMAIN))
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, SchemaError, ValueError) as exc:
+    except (BiorightError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (EmptyDataset, TooSparse, TooShort) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EMPTY
-    except Diverged as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
-    except (BiorightError, EmptyWindow) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return next(code for errors, code in EXIT_CODES if isinstance(exc, errors))
 
 
 if __name__ == "__main__":

@@ -54,7 +54,7 @@ class TooShort(BiorightError):
 
 
 class BadWindow(BiorightError):
-    """Smoothing window must be odd and no larger than the sample count."""
+    """Smoothing window even or too long, or time window start >= end."""
 
 
 class NoStep(BiorightError):

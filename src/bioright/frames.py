@@ -8,8 +8,9 @@ from enum import Enum
 import numpy as np
 
 from . import keypoints, rotmath
-from .errors import (DegenerateAxes, EmptyWindow, GimbalLockWarning,
-                     MissingKeypoint, NoValidFrames, TimeGridMismatch)
+from .errors import (BadWindow, DegenerateAxes, EmptyWindow, GimbalLockWarning,
+                     MissingKeypoint, NoValidFrames, SchemaError,
+                     TimeGridMismatch)
 
 # Keypoint ids used by the recipes.
 NECK, VENT, TAIL_TIP = 1, 21, 23
@@ -155,6 +156,8 @@ def segment_series(dataset, segment):
         raise ValueError("segment_series needs a dataset in meters")
     needed = REQUIRED_KEYPOINTS[segment]
     positions, visible = keypoints.dense_stack(dataset, needed)
+    if positions.shape[2] != 3:
+        raise SchemaError(f"segment_series needs a 3D dataset, got {positions.shape[2]}D")
     R, ok = _segment_dcms(segment, {kid: positions[:, j]
                                     for j, kid in enumerate(needed)})
     valid = visible.all(axis=1) & ok
@@ -183,7 +186,7 @@ def relative_leg_series(leg, body):
 def righting_window(series, t_start, t_end):
     """Sub-series restricted to [t_start, t_end], times re-zeroed."""
     if t_start >= t_end:
-        raise ValueError("t_start must precede t_end")
+        raise BadWindow(f"window start {t_start} s must precede its end {t_end} s")
     mask = (series.times >= t_start) & (series.times <= t_end)
     if not mask.any():
         raise EmptyWindow(f"no samples in [{t_start}, {t_end}] s")

@@ -4,9 +4,9 @@ re-association, gap interpolation, and the planar pixel-to-world map."""
 import csv
 import io
 import json
-import math
 import operator
 import os
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -61,10 +61,8 @@ class KeypointTrack:
         self.frames = np.asarray(self.frames, dtype=int)
         self.positions = np.asarray(self.positions, dtype=float)
         self.visible = np.asarray(self.visible, dtype=bool)
-        if self.interpolated is None:
-            self.interpolated = np.zeros(len(self.frames), dtype=bool)
-        else:
-            self.interpolated = np.asarray(self.interpolated, dtype=bool)
+        self.interpolated = np.zeros(len(self.frames), dtype=bool) \
+            if self.interpolated is None else np.asarray(self.interpolated, dtype=bool)
         if np.any(np.diff(self.frames) <= 0):
             raise SchemaError(f"track {self.id}: frame indices not strictly increasing")
         if self.positions.ndim != 2 or self.positions.shape[1] not in (2, 3):
@@ -129,20 +127,6 @@ class SwapEvent:
     kind: str  # "swap" or "jump"
 
 
-def _parse_float(token, what):
-    try:
-        return float(token)
-    except ValueError:
-        raise ParseError(f"bad {what}: {token!r}") from None
-
-
-def _parse_int(token, what):
-    try:
-        return int(token)
-    except ValueError:
-        raise ParseError(f"bad {what}: {token!r}") from None
-
-
 def load_dataset(source, format="csv", frame_rate=None, unit="pixel"):
     """Read a dataset from a byte/text stream or path.
 
@@ -150,91 +134,120 @@ def load_dataset(source, format="csv", frame_rate=None, unit="pixel"):
     carries frame_rate, frame_count, and unit itself. Missing (frame,
     keypoint) rows become invisible samples.
     """
-    close = False
-    if isinstance(source, os.PathLike) or (
-            isinstance(source, str) and "\n" not in source):
-        source = open(source, "rb")
-        close = True
-    try:
-        if format == "csv":
-            return _load_csv(source, frame_rate, unit)
-        if format == "json":
-            return _load_json(source)
-        raise ValueError(f"unknown format {format!r}")
-    finally:
-        if close:
-            source.close()
+    if format == "csv":
+        return _load_csv(source, frame_rate, unit)
+    if format == "json":
+        return _load_json(source)
+    raise ValueError(f"unknown format {format!r}")
 
 
 def _as_text(source):
-    if isinstance(source, bytes):
-        return io.StringIO(source.decode("utf-8"))
-    if isinstance(source, str):
-        return io.StringIO(source)
-    data = source.read()
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
+    if isinstance(source, os.PathLike) or (
+            isinstance(source, str) and "\n" not in source):
+        with open(source, "rb") as f:
+            source = f.read()
+    data = source if isinstance(source, (str, bytes)) else source.read()
+    data = data.decode("utf-8") if isinstance(data, bytes) else data
+    if (nul := data.find("\0")) >= 0:  # numpy drops a trailing NUL from a text field
+        raise ParseError("line %d: NUL character" % (data.count("\n", 0, nul) + 1))
     return io.StringIO(data)
 
 
 def _load_csv(source, frame_rate, unit):
     if frame_rate is None:
         raise SchemaError("frame_rate is required for CSV input (never inferred)")
-    reader = csv.reader(_as_text(source))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise EmptyDataset("no header row") from None
+    text = _as_text(source)
+    if not (line := text.readline()):
+        raise EmptyDataset("no header row")
+    header = next(csv.reader([line]))
     if header[:4] != ["frame", "keypoint_id", "keypoint_name", "x"]:
         raise ParseError(f"unexpected header {header!r}")
-    has_z = "z" in header
-    ncol = 7 if has_z else 6
-    rows = {}  # id -> {frame: (coords, visible)}
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != ncol:
-            raise ParseError(f"line {lineno}: expected {ncol} fields, got {len(row)}")
-        frame = _parse_int(row[0], "frame")
-        kid = _parse_int(row[1], "keypoint_id")
-        name = row[2]
-        if kid not in KEYPOINT_NAMES:
-            raise SchemaError(f"line {lineno}: keypoint id {kid} out of range 1-23")
-        if name != KEYPOINT_NAMES[kid]:
-            raise SchemaError(f"line {lineno}: unknown keypoint name {name!r} for id {kid}")
-        coords = [_parse_float(tok, "coordinate") for tok in row[3:ncol - 1]]
-        vis = row[ncol - 1]
-        if vis not in ("0", "1"):
-            raise ParseError(f"line {lineno}: visible must be 0 or 1, got {vis!r}")
-        if vis == "1" and not all(map(math.isfinite, coords)):
-            raise ParseError(f"line {lineno}: non-finite coordinate on a visible row")
-        per = rows.setdefault(kid, {})
-        if frame in per:
-            raise SchemaError(f"line {lineno}: duplicate (frame {frame}, keypoint {kid})")
-        per[frame] = (coords, vis == "1")
-    if not rows:
+    dim = 3 if "z" in header else 2
+    dtype = np.dtype([("frame", "i8"), ("id", "i8"), ("name", "U19"),
+                      ("coords", "f8", (dim,)), ("visible", "U2")])
+    start = text.tell()
+    try:
+        rows = _parse_rows(text, dtype)
+    except ValueError:
+        lineno, line = _first_bad(_data_lines(text, start), dtype)
+        got = len(next(csv.reader([line])))
+        why = f"expected {4 + dim} fields, got {got}" if got != 4 + dim \
+            else f"bad number in {line!r}"
+        raise ParseError(f"line {lineno}: {why}") from None
+    if not len(rows):
         raise EmptyDataset("no data rows")
-    frame_count = 1 + max(max(per) for per in rows.values())
-    tracks = {kid: _dense_track(kid, KEYPOINT_NAMES[kid], list(rows[kid]),
-                                [c for c, _ in rows[kid].values()],
-                                [v for _, v in rows[kid].values()],
-                                frame_count, 3 if has_z else 2)
-              for kid in sorted(rows)}
+    frame, kid, name, coords, visible = (rows[f] for f in dtype.names)
+    known = (kid >= 1) & (kid <= len(KEYPOINT_NAMES))
+    order = np.lexsort((frame, kid))  # stable: a repeat sorts after its first row
+    repeat = np.zeros(len(rows), dtype=bool)
+    repeat[order[1:]] = (np.diff(kid[order]) == 0) & (np.diff(frame[order]) == 0)
+    faults = (  # in the order the checks apply to one row
+        (~known, SchemaError, "keypoint id {id} out of range 1-23"),
+        (known & (name != np.array(["", *KEYPOINT_NAMES.values()])[known * kid]),
+         SchemaError, "unknown keypoint name {name!r} for id {id}"),
+        ((visible != "0") & (visible != "1"), ParseError,
+         "visible must be 0 or 1, got {visible!r}"),
+        ((visible == "1") & ~np.isfinite(coords).all(axis=1), ParseError,
+         "non-finite coordinate on a visible row"),
+        (repeat, SchemaError, "duplicate (frame {frame}, keypoint {id})"),
+        (frame < 0, SchemaError, "negative frame index {frame}"),
+    )
+    bad = np.logical_or.reduce([mask for mask, _, _ in faults])
+    if bad.any():
+        r = int(np.argmax(bad))
+        _, error, message = next(fault for fault in faults if fault[0][r])
+        fields = dict(zip(dtype.names, rows[r].tolist()))
+        raise error(f"line {_data_lines(text, start)[r][0]}: {message.format_map(fields)}")
+    frame_count = 1 + int(frame.max())
+    names = {k: KEYPOINT_NAMES[k] for k in np.flatnonzero(np.bincount(kid)).tolist()}
+    tracks = _scatter(names, kid, frame, coords, visible == "1", frame_count)
     return KeypointDataset(tracks, float(frame_rate), frame_count, unit)
 
 
-def _dense_track(kid, name, frames, coords, visible, frame_count, dim):
-    """A track on arange(frame_count) from samples at `frames`; frames
-    without a sample become invisible NaN samples."""
-    frames = np.asarray(frames, dtype=int)
-    if len(frames) and (frames.min() < 0 or frames.max() >= frame_count):
-        raise SchemaError(f"track {kid}: frame index outside 0..{frame_count - 1}")
-    positions = np.full((frame_count, dim), np.nan)
-    positions[frames] = np.asarray(coords, dtype=float).reshape(len(frames), dim)
-    vis = np.zeros(frame_count, dtype=bool)
-    vis[frames] = visible
-    positions[~vis] = np.nan
-    return KeypointTrack(kid, name, np.arange(frame_count), positions, vis)
+def _parse_rows(lines, dtype):
+    """CSV data rows from a text stream or a list of lines, in one pass."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+        # older numpy reads "1.0" into an int field with a DeprecationWarning
+        warnings.simplefilter("error", DeprecationWarning)
+        return np.loadtxt(lines, dtype=dtype, delimiter=",", quotechar='"',
+                          comments=None, ndmin=1)
+
+
+def _data_lines(text, start):
+    """(line number, line) of each non-blank line after the header."""
+    text.seek(start)
+    return [(n, line) for n, raw in enumerate(text, start=2)
+            if (line := raw.rstrip("\r\n"))]
+
+
+def _first_bad(numbered, dtype):
+    """The first (line number, line) that _parse_rows rejects, by bisection."""
+    lo, hi = 0, len(numbered)  # the first bad line is in numbered[lo:hi]
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            _parse_rows([line for _, line in numbered[lo:mid]], dtype)
+            lo = mid
+        except ValueError:
+            hi = mid
+    return numbered[lo]
+
+
+def _scatter(names, kid, frame, coords, visible, frame_count):
+    """{id: KeypointTrack} on arange(frame_count) for `names` (id -> name) from
+    per-sample arrays; frames without a sample become invisible NaN samples."""
+    outside = (frame < 0) | (frame >= frame_count)
+    if outside.any():
+        raise SchemaError(f"track {kid[outside][0]}: frame index outside "
+                          f"0..{frame_count - 1}")
+    positions = np.full((len(KEYPOINT_NAMES) + 1, frame_count, coords.shape[1]), np.nan)
+    seen = np.zeros(positions.shape[:2], dtype=bool)
+    positions[kid, frame] = coords
+    seen[kid, frame] = visible
+    positions[~seen] = np.nan
+    return {k: KeypointTrack(k, name, np.arange(frame_count), positions[k], seen[k])
+            for k, name in names.items()}
 
 
 def _load_json(source):
@@ -247,39 +260,40 @@ def _load_json(source):
             raise ParseError(f"missing top-level key {key!r}")
     if not obj["tracks"]:
         raise EmptyDataset("no tracks")
-    tracks = {}
+    names, samples = {}, []  # samples: (id, frames, positions, visible) per track
     try:
         frame_rate, frame_count = float(obj["frame_rate"]), int(obj["frame_count"])
+        first = next((t["samples"][0] for t in obj["tracks"] if t["samples"]), {})
+        axes = ("x", "y", "z") if "z" in first else ("x", "y")
+        coords = operator.itemgetter(*axes)
         for t in obj["tracks"]:
-            kid, name, samples = t["id"], t["name"], t["samples"]
-            axes = ("x", "y", "z") if samples and "z" in samples[0] else ("x", "y")
-            coords = operator.itemgetter(*axes)
-            frames = np.array([s["frame"] for s in samples], dtype=int)
-            positions = np.array([coords(s) for s in samples],
-                                 dtype=float).reshape(len(samples), len(axes))
-            visible = np.array([bool(s["visible"]) for s in samples], dtype=bool)
-            if kid in tracks:
+            kid, name, track = t["id"], t["name"], t["samples"]
+            if kid in names:
                 raise SchemaError(f"duplicate keypoint id {kid}")
+            if kid not in KEYPOINT_NAMES or not isinstance(kid, int):
+                raise SchemaError(f"keypoint id {kid!r} out of range 1-23")
+            frames = np.array([s["frame"] for s in track], dtype=int)
+            positions = np.array([coords(s) for s in track],
+                                 dtype=float).reshape(len(track), len(axes))
+            visible = np.array([bool(s["visible"]) for s in track], dtype=bool)
             if np.any(np.diff(frames) <= 0):
                 raise SchemaError(f"track {kid}: frame indices not strictly increasing")
             if not np.isfinite(positions[visible]).all():
                 raise ParseError(f"track {kid}: non-finite coordinate on a visible sample")
-            tracks[kid] = _dense_track(kid, name, frames, positions, visible,
-                                       frame_count, len(axes))
+            names[kid] = name
+            samples.append((np.full(len(track), kid), frames, positions, visible))
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed track or sample, missing or bad {exc}") from None
+    tracks = _scatter(names, *map(np.concatenate, zip(*samples)), frame_count)
     return KeypointDataset(tracks, frame_rate, frame_count, obj["unit"])
 
 
 def save_dataset(dataset, stream, format="csv"):
     """Write a dataset back out; inverse of load_dataset on valid data."""
     if format == "csv":
-        some = next(iter(dataset.tracks.values()))
-        has_z = some.dim == 3
-        cols = ["frame", "keypoint_id", "keypoint_name", "x", "y"] + \
-            (["z"] if has_z else []) + ["visible"]
+        dim = next((t.dim for t in dataset.tracks.values()), 2)
         writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(cols)
+        writer.writerow(["frame", "keypoint_id", "keypoint_name", *"xyz"[:dim], "visible"])
         for kid in sorted(dataset.tracks):
             track = dataset.tracks[kid]
             writer.writerows(
@@ -287,27 +301,28 @@ def save_dataset(dataset, stream, format="csv"):
                 for f, p, v in zip(track.frames.tolist(), track.positions.tolist(),
                                    track.visible.tolist()))
     elif format == "json":
-        # json.dumps runs the C encoder (json.dump on a stream does not);
-        # one track per call keeps the whole file out of memory.
         head = json.dumps({"frame_rate": dataset.frame_rate,
                            "frame_count": dataset.frame_count,
                            "unit": dataset.unit, "tracks": []})
         stream.write(head[:-2])
         for n, kid in enumerate(sorted(dataset.tracks)):
             track = dataset.tracks[kid]
-            rows = zip(track.frames.tolist(), track.positions.tolist(),
-                       track.visible.tolist())
-            if track.dim == 3:
-                samples = [{"frame": f, "x": p[0], "y": p[1], "visible": v,
-                            "z": p[2]} for f, p, v in rows]
-            else:
-                samples = [{"frame": f, "x": p[0], "y": p[1], "visible": v}
-                           for f, p, v in rows]
-            stream.write((", " if n else "") + json.dumps(
-                {"id": kid, "name": track.name, "samples": samples}))
+            x, y, *z = map(_json_tokens, track.positions.T)
+            sample = '{"frame": %s, "x": %s, "y": %s, "visible": %s' + \
+                (', "z": %s}' if z else "}")
+            body = ", ".join(map(sample.__mod__, zip(
+                _json_tokens(track.frames), x, y, _json_tokens(track.visible), *z)))
+            stream.write(f'{", " if n else ""}{{"id": {kid}, "name": '
+                         f'{json.dumps(track.name)}, "samples": [{body}]}}')
         stream.write("]}")
     else:
         raise ValueError(f"unknown format {format!r}")
+
+
+def _json_tokens(column):
+    """Each value of a 1-D array as json.dumps writes it (NaN and
+    Infinity included), from one C-encoder call."""
+    return json.dumps(column.tolist())[1:-1].split(", ") if len(column) else []
 
 
 def dense_stack(dataset, ids):
@@ -382,18 +397,19 @@ def _merge_events(raw):
 
 
 def interpolate_gaps(track, max_gap):
-    """Linearly fill invisible runs of length <= max_gap between visible
-    samples; filled samples are marked interpolated. Longer runs and
-    leading/trailing runs are untouched."""
+    """Linearly fill invisible runs of length <= max_gap frames between
+    visible samples, weighted by frame index; filled samples are marked
+    interpolated. Longer runs and leading/trailing runs are untouched."""
     if int(track.visible.sum()) < 2:
         raise TooSparse(f"track {track.id}: need >= 2 visible samples")
     positions = track.positions.copy()
     visible = track.visible.copy()
     interpolated = track.interpolated.copy()
+    frames = track.frames
     vis_idx = np.flatnonzero(track.visible)
     for a, b in zip(vis_idx[:-1].tolist(), vis_idx[1:].tolist()):
-        if 2 <= b - a <= max_gap + 1:
-            w = (np.arange(a + 1, b) - a)[:, None] / (b - a)
+        if b - a >= 2 and frames[b] - frames[a] <= max_gap + 1:
+            w = (frames[a + 1:b] - frames[a])[:, None] / (frames[b] - frames[a])
             positions[a + 1:b] = (1 - w) * track.positions[a] + w * track.positions[b]
             visible[a + 1:b] = interpolated[a + 1:b] = True
     return replace(track, positions=positions, visible=visible,
@@ -409,13 +425,11 @@ def pixel_to_world(dataset, calib):
     if dataset.unit != "pixel":
         raise AlreadyWorldUnits("dataset already in meters")
     ox, oy = calib.origin_pixel
-    ysign = -1.0 if calib.image_y_down else 1.0
+    gain = (calib.scale, (-1.0 if calib.image_y_down else 1.0) * calib.scale)
     tracks = {}
     for kid, track in dataset.tracks.items():
-        world = np.full((len(track.frames), 3), np.nan)
-        world[:, 0] = (track.positions[:, 0] - ox) * calib.scale
-        world[:, 1] = ysign * (track.positions[:, 1] - oy) * calib.scale
-        world[:, 2] = 0.0
+        world = np.zeros((len(track.frames), 3))
+        world[:, :2] = (track.positions[:, :2] - (ox, oy)) * gain
         world[~track.visible] = np.nan
         tracks[kid] = replace(track, positions=world)
     return KeypointDataset(tracks, dataset.frame_rate, dataset.frame_count,

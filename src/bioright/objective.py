@@ -7,6 +7,9 @@ import numpy as np
 
 from .errors import MissingTorque
 
+# numpy < 2.0 names the same trapezoid rule np.trapz.
+_trapezoid = getattr(np, "trapezoid", None) or np.trapz
+
 FUNCTIONAL_DEFINITIONS = {
     "phi_safety": "peak |base rate| / rate limit",
     "phi_stability": ("|terminal base angle - target| / pi"
@@ -78,7 +81,7 @@ def phi_stability(traj, base_angle_target):
     if peak == 0.0:
         return terminal
     duration = float(traj.times[-1] - traj.times[0])
-    motion = float(np.trapezoid(np.abs(traj.base_rate), traj.times)) / duration
+    motion = float(_trapezoid(np.abs(traj.base_rate), traj.times)) / duration
     return terminal + motion / peak
 
 
@@ -87,7 +90,7 @@ def phi_efficiency(traj, torque_limit):
     if traj.torque is None:
         raise MissingTorque("trajectory carries no torque series")
     duration = float(traj.times[-1] - traj.times[0])
-    integral = float(np.trapezoid(traj.torque ** 2, traj.times))
+    integral = float(_trapezoid(traj.torque ** 2, traj.times))
     return integral / (torque_limit ** 2 * duration)
 
 
@@ -96,8 +99,7 @@ def evaluate(weights, traj, context):
     ps = phi_safety(traj, context.rate_limit)
     pst = phi_stability(traj, context.base_angle_target)
     pe = phi_efficiency(traj, context.torque_limit)
-    J = (weights.w_safety * ps + weights.w_stability * pst
-         + weights.w_efficiency * pe)
+    J = weights.w_safety * ps + weights.w_stability * pst + weights.w_efficiency * pe
     return J, ObjectiveRow(weights, ps, pst, pe, J)
 
 
@@ -107,12 +109,8 @@ def simplex_grid(resolution):
     if resolution < 2:
         raise ValueError("grid resolution must be >= 2")
     n = resolution
-    grid = []
-    for i in range(n + 1):
-        for j in range(n - i + 1):
-            k = n - i - j
-            grid.append(ObjectiveWeights(i / n, j / n, k / n))
-    return grid
+    return [ObjectiveWeights(i / n, j / n, (n - i - j) / n)
+            for i in range(n + 1) for j in range(n - i + 1)]
 
 
 def weight_sweep(resolution, traj, context):

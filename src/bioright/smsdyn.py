@@ -316,8 +316,7 @@ def parse_config(text):
         if "=" not in line:
             raise ValueError(f"config line {lineno}: expected key = value")
         key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
+        key, value = key.strip(), value.strip()
         if key not in cfg:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
         if key == "mode":
@@ -330,15 +329,9 @@ def parse_config(text):
 
 
 def params_from_config(cfg):
-    return SmsParams(
-        base_mass=cfg["base_mass"],
-        arm_mass=cfg["arm_mass"],
-        base_inertia=cfg["base_inertia"],
-        arm_inertia_cm=cfg["arm_inertia_cm"],
-        hinge_offset=cfg["hinge_offset"],
-        arm_cm_offset=cfg["arm_cm_offset"],
-        mode=Mode(cfg["mode"]),
-    )
+    fields = ("base_mass", "arm_mass", "base_inertia", "arm_inertia_cm",
+              "hinge_offset", "arm_cm_offset")
+    return SmsParams(**{k: cfg[k] for k in fields}, mode=Mode(cfg["mode"]))
 
 
 def gains_from_config(cfg):

@@ -9,8 +9,9 @@ import numpy as np
 
 from .errors import BadWindow, NoStep, TooShort, Unreachable
 
-#: Tolerance on grid uniformity, seconds.
-GRID_TOL = 1e-9
+#: Tolerance on grid uniformity: GRID_TOL seconds plus GRID_RTOL max|t|, as
+#: times written with %.9g are off by <= 5e-9 |t| and two steps by <= 2e-8 max|t|.
+GRID_TOL, GRID_RTOL = 1e-9, 2e-8
 
 #: Minimum step magnitude for metrics, radians.
 STEP_EPS = 1e-12
@@ -31,7 +32,8 @@ class JointTrajectory:
             self.rate = np.asarray(self.rate, dtype=float)
         if len(self.times) >= 2:
             steps = np.diff(self.times)
-            if np.max(np.abs(steps - steps[0])) > GRID_TOL:
+            tol = GRID_TOL + GRID_RTOL * np.max(np.abs(self.times))
+            if np.max(np.abs(steps - steps[0])) > tol:
                 raise ValueError("time grid is not uniform")
         if not np.all(np.isfinite(self.angle)):
             raise ValueError("angle contains non-finite values")

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bioright import cli, traj
+from bioright import cli, keypoints, traj
 
 from conftest import REST_POSE, full_csv_dataset, csv_text
 
@@ -261,5 +261,46 @@ class TestRejectedInputExitCodes:
         proc = run_subprocess(["scale", "--input", str(src), "--output",
                                str(tmp_path / "out.csv"), "--target-duration", "225"])
         assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
+
+
+class TestScaledReferenceSimulates:
+    def test_scale_to_100_s_then_simulate(self, tmp_path):
+        # a 150 ms flip stretched to 100 s has a step of 0.666... s
+        src, scaled = tmp_path / "flip.csv", tmp_path / "scaled.csv"
+        with open(src, "w") as f:
+            traj.write_trajectory_csv(traj.synth_second_order(13.85, 0.043, 0.150,
+                                                              1e-3), f)
+        assert run(["scale", "--input", str(src), "--output", str(scaled),
+                    "--target-duration", "100"]) == 0
+        assert run(["simulate", "--reference", str(scaled), "--mode", "prescribed",
+                    "--output", str(tmp_path / "sim.csv")]) == 0
+
+
+class TestReconstructTypedErrors:
+    def test_2d_meter_json_exit_2(self, tmp_path):
+        src = tmp_path / "flat.json"
+        src.write_text(json.dumps({
+            "frame_rate": 1000.0, "frame_count": 3, "unit": "meter",
+            "tracks": [{"id": kid, "name": name,
+                        "samples": [{"frame": f, "x": REST_POSE[kid][0],
+                                     "y": REST_POSE[kid][1], "visible": True}
+                                    for f in range(3)]}
+                       for kid, name in keypoints.KEYPOINT_NAMES.items()]}))
+        proc = run_subprocess(["reconstruct", "--input", str(src), "--output",
+                               str(tmp_path / "body.csv"), "--segment", "Body"])
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ") and "3D dataset" in proc.stderr
+
+    def test_reversed_window_exit_4(self, tmp_path):
+        src = tmp_path / "pose.csv"
+        src.write_text(rest_pose_csv(5))
+        proc = run_subprocess(["reconstruct", "--input", str(src), "--output",
+                               str(tmp_path / "w.csv"), "--segment", "Body",
+                               "--frame-rate", "1000", "--scale", "1.0",
+                               "--window-ms", "3:1"])
+        assert proc.returncode == 4
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ")

@@ -14,26 +14,39 @@ per-frame `segment_series` and `relative_leg_series` with their scalar
 axis, leg and Euler formulas, the per-sample `json.dump` writer and the
 per-row CSV writer. The batched series must match them to 1e-12 with
 equal validity, and the writers byte for byte.
+
+The tracker-CSV loader has a frozen oracle as well: the per-row
+`csv.reader` loader with `int()`/`float()` per token. The whole-column
+`np.loadtxt` loader must give array-equal datasets on every CSV fixture
+and on the benchmark recordings, and raise the same error class on the
+same line for each malformed input. The one intended difference is
+pinned: `float()` reads "1_0" and non-ASCII digits, the numpy parse does
+not.
 """
 
 import csv
+import importlib.util
 import io
 import json
 import math
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bioright import cli, frames, keypoints, objective, rotmath, smsdyn, traj
-from bioright.errors import (DegenerateAxes, Diverged, GimbalLockWarning,
-                             MissingKeypoint, NoValidFrames, SingularMass)
+from bioright.errors import (DegenerateAxes, Diverged, EmptyDataset,
+                             GimbalLockWarning, MissingKeypoint, NoValidFrames,
+                             ParseError, SchemaError, SingularMass)
 from bioright.frames import Segment
 from bioright.objective import ObjectiveContext
 from bioright.smsdyn import (DIVERGE_LIMIT, Mode, PdGains, SmsState,
                              SmsTrajectory, ets7_params, lizard_params)
 
-from conftest import REST_POSE, csv_text, dataset_from_poses, roll_matrix
+from conftest import (REST_POSE, csv_text, dataset_from_poses, full_csv_dataset,
+                      roll_matrix)
 from test_smsdyn import planar_params
 
 REL = 1e-12
@@ -703,3 +716,255 @@ def test_reconstruct_same_bytes_from_csv_and_sparse_json(tmp_path):
             out[ext] = (tmp_path / f"out_{ext}.csv").read_bytes()
         assert out["csv"] == out["json"]
         assert out["csv"].count(b",0\n") >= 2  # the invisible frames show
+
+
+# -- keypoints: the whole-column CSV loader ----------------------------------
+
+def oracle_parse_number(token, what, kind):
+    try:
+        return kind(token)
+    except ValueError:
+        raise ParseError(f"bad {what}: {token!r}") from None
+
+
+def oracle_load_csv(text, frame_rate=1000.0, unit="pixel"):
+    """The per-row loader: one csv.reader row, int()/float() per token."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise EmptyDataset("no header row") from None
+    if header[:4] != ["frame", "keypoint_id", "keypoint_name", "x"]:
+        raise ParseError(f"unexpected header {header!r}")
+    has_z = "z" in header
+    ncol = 7 if has_z else 6
+    rows = {}  # id -> {frame: (coords, visible)}
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != ncol:
+            raise ParseError(f"line {lineno}: expected {ncol} fields, got {len(row)}")
+        frame = oracle_parse_number(row[0], "frame", int)
+        kid = oracle_parse_number(row[1], "keypoint_id", int)
+        name = row[2]
+        if kid not in keypoints.KEYPOINT_NAMES:
+            raise SchemaError(f"line {lineno}: keypoint id {kid} out of range 1-23")
+        if name != keypoints.KEYPOINT_NAMES[kid]:
+            raise SchemaError(f"line {lineno}: unknown keypoint name {name!r} for id {kid}")
+        coords = [oracle_parse_number(tok, "coordinate", float)
+                  for tok in row[3:ncol - 1]]
+        vis = row[ncol - 1]
+        if vis not in ("0", "1"):
+            raise ParseError(f"line {lineno}: visible must be 0 or 1, got {vis!r}")
+        if vis == "1" and not all(map(math.isfinite, coords)):
+            raise ParseError(f"line {lineno}: non-finite coordinate on a visible row")
+        per = rows.setdefault(kid, {})
+        if frame in per:
+            raise SchemaError(f"line {lineno}: duplicate (frame {frame}, keypoint {kid})")
+        per[frame] = (coords, vis == "1")
+    if not rows:
+        raise EmptyDataset("no data rows")
+    frame_count = 1 + max(max(per) for per in rows.values())
+    dim = 3 if has_z else 2
+    tracks = {}
+    for kid in sorted(rows):
+        frames_idx = np.asarray(list(rows[kid]), dtype=int)
+        if frames_idx.min() < 0:
+            raise SchemaError(f"track {kid}: frame index outside 0..{frame_count - 1}")
+        positions = np.full((frame_count, dim), np.nan)
+        positions[frames_idx] = np.asarray([c for c, _ in rows[kid].values()],
+                                           dtype=float).reshape(-1, dim)
+        vis = np.zeros(frame_count, dtype=bool)
+        vis[frames_idx] = [v for _, v in rows[kid].values()]
+        positions[~vis] = np.nan
+        tracks[kid] = keypoints.KeypointTrack(kid, keypoints.KEYPOINT_NAMES[kid],
+                                              np.arange(frame_count), positions, vis)
+    return keypoints.KeypointDataset(tracks, float(frame_rate), frame_count, unit)
+
+
+def oracle_interpolate_gaps(track, max_gap):
+    """interpolate_gaps weighted by sample index, as on dense tracks."""
+    positions = track.positions.copy()
+    visible = track.visible.copy()
+    interpolated = track.interpolated.copy()
+    vis_idx = np.flatnonzero(track.visible)
+    for a, b in zip(vis_idx[:-1].tolist(), vis_idx[1:].tolist()):
+        if 2 <= b - a <= max_gap + 1:
+            w = (np.arange(a + 1, b) - a)[:, None] / (b - a)
+            positions[a + 1:b] = (1 - w) * track.positions[a] + w * track.positions[b]
+            visible[a + 1:b] = interpolated[a + 1:b] = True
+    return positions, visible, interpolated
+
+
+def load_new(text):
+    return keypoints.load_dataset(io.StringIO(text), format="csv",
+                                  frame_rate=1000.0)
+
+
+def benchmark_recording(tmp_path, seed):
+    """The tracker CSV text of the benchmark's `recording` workload."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    gen.generate_recording(tmp_path, seed)
+    return (tmp_path / "tracks.csv").read_text()
+
+
+def assert_same_dataset(got, want):
+    assert got.frame_count == want.frame_count
+    assert list(got.tracks) == list(want.tracks)
+    for kid, track in want.tracks.items():
+        other = got.tracks[kid]
+        assert other.name == track.name
+        assert np.array_equal(other.frames, track.frames)
+        assert np.array_equal(other.visible, track.visible)
+        assert np.array_equal(other.positions, track.positions, equal_nan=True)
+
+
+H2 = "frame,keypoint_id,keypoint_name,x,y,visible\n"
+H3 = "frame,keypoint_id,keypoint_name,x,y,z,visible\n"
+
+
+def csv_fixtures():
+    """Every kind of tracker CSV the suite builds, valid ones only."""
+    rng = np.random.default_rng(5)
+    rows3 = [(f, kid, *rng.normal(size=3), int(rng.random() > 0.2))
+             for f in range(12) for kid in (1, 12, 13, 21) if (f, kid) != (4, 12)]
+    return {
+        "full": full_csv_dataset(140),
+        "rest_pose": csv_text([(f, kid, p[0], p[1], 1)
+                               for f in range(5) for kid, p in REST_POSE.items()]),
+        "pixel_recording": pixel_recording()[0],
+        "sparse_rows": csv_text([(0, 1, 1.25, -2.5, 1), (1, 1, 0.1, 0.2, 0),
+                                 (2, 1, 3.75, 4.125, 1), (0, 21, 9.0, 9.5, 1),
+                                 (2, 21, 8.0, 7.5, 1)]),
+        "invisible_nan": csv_text([(0, 1, 1.0, 2.0, 1), (1, 1, np.nan, np.nan, 0)]),
+        "three_d": csv_text(rows3, has_z=True),
+        "quoted_blank_crlf": H2 + '0,1,"Neck",1.5,2,1\r\n\r\n'
+                                  '1,1,Neck, 3 ,-4e-3,0\r\n2,21,"Tail_Top_Back",+5,inf,0',
+        "unordered": H2 + "3,21,Tail_Top_Back,1,2,1\n0,21,Tail_Top_Back,3,4,1\n"
+                          "1,2,Eye_Left,5,6,1\n",
+    }
+
+
+@pytest.mark.parametrize("name", sorted(csv_fixtures()))
+def test_csv_loader_equal_to_oracle(name):
+    text = csv_fixtures()[name]
+    assert_same_dataset(load_new(text), oracle_load_csv(text))
+
+
+@pytest.mark.parametrize("seed", [11, 23])
+def test_csv_loader_equal_to_oracle_on_benchmark_recording(tmp_path, seed):
+    text = benchmark_recording(tmp_path, seed)
+    assert_same_dataset(load_new(text), oracle_load_csv(text))
+
+
+def line_of(exc):
+    found = re.search(r"\bline (\d+)\b", str(exc))
+    return int(found.group(1)) if found else None
+
+
+#: (case, text, error class, the line the new loader names or None).
+MALFORMED = [
+    ("bad_number", H2 + "0,1,Neck,1.0,2.0,1\n0,2,Eye_Left,abc,2.0,1\n", ParseError, 3),
+    ("float_frame", H2 + "1.0,1,Neck,1.0,2.0,1\n", ParseError, 2),
+    ("float_id", H2 + "0,1.0,Neck,1.0,2.0,1\n", ParseError, 2),
+    ("id_24", H2 + "0,1,Neck,1,2,1\n0,24,Extra_Point,1.0,2.0,1\n", SchemaError, 3),
+    ("id_0", H2 + "0,0,Neck,1.0,2.0,1\n", SchemaError, 2),
+    ("wrong_name", H2 + "0,1,Tail_End_Back,1.0,2.0,1\n", SchemaError, 2),
+    ("long_name", H2 + "0,5,Mouth_Front_Bottom_Extra,1.0,2.0,1\n", SchemaError, 2),
+    ("quoted_wrong_name", H2 + '0,1,"Ne,ck",1.0,2.0,1\n', SchemaError, 2),
+    ("visible_2", H2 + "0,1,Neck,1.0,2.0,2\n", ParseError, 2),
+    ("visible_01", H2 + "0,1,Neck,1.0,2.0,1\n1,1,Neck,1.0,2.0,01\n", ParseError, 3),
+    ("visible_space", H2 + "0,1,Neck,1.0,2.0,1 \n", ParseError, 2),
+    ("nan_visible", H2 + "0,1,Neck,1.0,2.0,1\n1,1,Neck,nan,2.0,1\n", ParseError, 3),
+    ("inf_visible", H2 + "0,1,Neck,1.0,2.0,1\n1,1,Neck,3.0,-inf,1\n", ParseError, 3),
+    ("duplicate", H2 + "0,1,Neck,1.0,2.0,1\n1,1,Neck,1,2,1\n0,1,Neck,3.0,4.0,0\n",
+     SchemaError, 4),
+    ("negative_frame", H2 + "0,1,Neck,1.0,2.0,1\n-1,1,Neck,9.0,9.0,1\n", SchemaError, 3),
+    ("too_few_fields", H2 + "0,1,Neck,1.0,2.0,1\n1,1,Neck,1.0,2.0\n", ParseError, 3),
+    ("too_many_fields", H2 + "0,1,Neck,1.0,2.0,1,7\n", ParseError, 2),
+    ("whitespace_line", H2 + "0,1,Neck,1.0,2.0,1\n  \n", ParseError, 3),
+    ("blank_then_bad_token", H2 + "0,1,Neck,1,2,1\n\n\n1,1,Neck,x1,2,1\n", ParseError, 5),
+    ("blank_then_bad_visible", H2 + "0,1,Neck,1,2,1\n\n1,1,Neck,1,2,2\n", ParseError, 4),
+    ("first_of_two_faults", H2 + "0,1,Neck,1,2,1\n1,1,Neck,1,2,9\n0,25,Neck,1,2,1\n",
+     ParseError, 3),
+    ("header_only", H2, EmptyDataset, None),
+    ("header_and_blank_lines", H2 + "\n\r\n", EmptyDataset, None),
+    ("z_missing", H3 + "0,1,Neck,1.0,2.0,3.0,1\n1,1,Neck,1.0,2.0,1\n", ParseError, 3),
+    ("z_bad_token", H3 + "0,1,Neck,1.0,2.0,zz,1\n", ParseError, 2),
+    ("z_nan_visible", H3 + "0,1,Neck,1.0,2.0,nan,1\n", ParseError, 2),
+]
+
+
+@pytest.mark.parametrize("text, error, line", [case[1:] for case in MALFORMED],
+                         ids=[case[0] for case in MALFORMED])
+def test_csv_loader_rejects_like_oracle(text, error, line):
+    with pytest.raises(error) as want:
+        oracle_load_csv(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy "input contained no data"
+        with pytest.raises(error) as got:
+            load_new(text)
+    assert line_of(got.value) == line
+    # the per-row loader named no line for a bad token or a negative frame
+    assert line_of(want.value) in (None, line)
+
+
+def test_csv_bad_row_deep_in_a_recording_names_its_line(tmp_path):
+    lines = benchmark_recording(tmp_path, 11).split("\n")
+    lines[30000] = lines[30000].replace(",1", ",1e", 1)
+    lines.insert(20000, "")
+    with pytest.raises(ParseError, match=r"^line 30002: "):
+        load_new("\n".join(lines))
+
+
+@pytest.mark.parametrize("token, value", [("1_0", 10.0), ("\u0663", 3.0)])
+def test_csv_rejects_tokens_python_float_accepts(token, value):
+    # The one intended difference: float() reads digit groups ("1_0") and
+    # non-ASCII digits (ARABIC-INDIC DIGIT THREE); the numpy parse does not.
+    text = H2 + f"0,1,Neck,{token},2.0,1\n"
+    assert oracle_load_csv(text).tracks[1].positions[0, 0] == value
+    with pytest.raises(ParseError, match="line 2"):
+        load_new(text)
+
+
+@pytest.mark.parametrize("row", ["1,1,Neck\0,3,4,1", "1,1,Neck,3,4,1\0"])
+def test_csv_rejects_trailing_nul_in_a_text_field(row):
+    # numpy drops a trailing NUL from a text field, so the loader refuses
+    # NUL outright; the per-row loader failed the name or visible check.
+    text = H2 + "0,1,Neck,1,2,1\n" + row + "\n"
+    with pytest.raises((SchemaError, ParseError), match="line 3"):
+        oracle_load_csv(text)
+    with pytest.raises(ParseError, match="line 3: NUL"):
+        load_new(text)
+
+
+def test_interpolate_gaps_on_dense_tracks_equal_to_oracle():
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        n = int(rng.integers(3, 80))
+        visible = rng.random(n) > 0.4
+        visible[rng.integers(n, size=2)] = True
+        positions = rng.normal(size=(n, 3))
+        positions[~visible] = np.nan
+        track = keypoints.KeypointTrack(1, "Neck", np.arange(n), positions, visible)
+        max_gap = int(rng.integers(1, 6))
+        got = keypoints.interpolate_gaps(track, max_gap)
+        want = oracle_interpolate_gaps(track, max_gap)
+        assert np.array_equal(got.positions, want[0], equal_nan=True)
+        assert np.array_equal(got.visible, want[1])
+        assert np.array_equal(got.interpolated, want[2])
+
+
+def test_dataset_json_writer_non_finite_and_empty_tracks():
+    t = keypoints.KeypointTrack(1, "Neck", [0, 1, 2],
+                                [[0.1, -0.0], [np.inf, -np.inf], [np.nan, 1e300]],
+                                [True, False, False])
+    empty = keypoints.KeypointTrack(21, "Tail_Top_Back", [], np.empty((0, 2)), [])
+    ds = keypoints.KeypointDataset({21: empty, 1: t}, 1000.0, 3, "pixel")
+    want, got = io.StringIO(), io.StringIO()
+    oracle_save_json(ds, want)
+    keypoints.save_dataset(ds, got, format="json")
+    assert got.getvalue() == want.getvalue()

@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from bioright import frames, rotmath
-from bioright.errors import (DegenerateAxes, EmptyWindow, MissingKeypoint,
-                             NoValidFrames, TimeGridMismatch)
+from bioright import frames, keypoints, rotmath
+from bioright.errors import (BadWindow, DegenerateAxes, EmptyWindow,
+                             MissingKeypoint, NoValidFrames, SchemaError,
+                             TimeGridMismatch)
 from bioright.frames import Segment
 
 from conftest import (REST_POSE, dataset_from_poses, random_rotation,
@@ -240,3 +243,21 @@ class TestRigidMotionProperties:
                 rel1 = rotmath.relative_rotation(
                     frames.leg_frame(leg, pose), body1)
                 assert np.max(np.abs(rel1 - rel0)) < 1e-9
+
+
+class TestTypedBoundaryErrors:
+    def test_reversed_window_is_bad_window(self):
+        series = frames.segment_series(dataset_from_poses([REST_POSE] * 5),
+                                       Segment.BODY)
+        for a, b in ((0.003, 0.001), (0.002, 0.002)):
+            with pytest.raises(BadWindow):
+                frames.righting_window(series, a, b)
+
+    def test_2d_meter_dataset_is_schema_error(self):
+        ds = dataset_from_poses([REST_POSE] * 3)
+        tracks = {kid: replace(t, positions=t.positions[:, :2])
+                  for kid, t in ds.tracks.items()}
+        flat = keypoints.KeypointDataset(tracks, ds.frame_rate, ds.frame_count,
+                                         "meter")
+        with pytest.raises(SchemaError, match="3D dataset"):
+            frames.segment_series(flat, Segment.BODY)

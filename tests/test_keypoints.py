@@ -338,3 +338,41 @@ class TestDenseStack:
         assert visible[:, 1].tolist() == [False, True, False, True, False]
         assert positions[3, 1].tolist() == [3.0, 4.0]
         assert np.isnan(positions[[0, 2, 4], 1]).all()
+
+
+class TestInterpolateSparse:
+    def test_weights_by_frame_index(self):
+        # samples on frames 0, 5 and 6: frame 5 lies 5/6 of the way along
+        track = KeypointTrack(1, "Neck", [0, 5, 6],
+                              [[0.0, 0.0], [np.nan, np.nan], [6.0, 12.0]],
+                              [True, False, True])
+        out = interpolate_gaps(track, max_gap=10)
+        assert out.positions[1].tolist() == [5.0, 10.0]
+        assert out.visible[1] and out.interpolated[1]
+
+    def test_gap_length_counts_frames(self):
+        # one invisible sample, but a 5-frame gap: longer than max_gap 3
+        track = KeypointTrack(1, "Neck", [0, 5, 6],
+                              [[0.0, 0.0], [np.nan, np.nan], [6.0, 12.0]],
+                              [True, False, True])
+        out = interpolate_gaps(track, max_gap=3)
+        assert not out.visible[1] and not out.interpolated.any()
+
+    def test_sparse_agrees_with_dense(self):
+        sparse = KeypointTrack(1, "Neck", [0, 2, 3, 7],
+                               [[0.0, 1.0], [np.nan, np.nan], [np.nan, np.nan],
+                                [7.0, 8.0]], [True, False, False, True])
+        dense = make_track(np.column_stack([np.arange(8.0), np.arange(8.0) + 1]),
+                           visible=[1, 0, 0, 0, 0, 0, 0, 1])
+        out_sparse = interpolate_gaps(sparse, max_gap=6)
+        out_dense = interpolate_gaps(dense, max_gap=6)
+        assert np.allclose(out_sparse.positions, out_dense.positions[[0, 2, 3, 7]])
+
+
+def test_save_dataset_without_tracks():
+    ds = keypoints.KeypointDataset({}, 1000.0, 3, "pixel")
+    buf = io.StringIO()
+    save_dataset(ds, buf, format="csv")
+    assert buf.getvalue() == "frame,keypoint_id,keypoint_name,x,y,visible\n"
+    with pytest.raises(EmptyDataset):
+        load_csv(buf.getvalue())

@@ -211,3 +211,22 @@ class TestTimeScaleZeroDuration:
     def test_single_sample_too_short(self):
         with pytest.raises(TooShort):
             time_scale(make_traj([0.0], [1.0], [2.0]), 225.0)
+
+
+class TestScaledCsvRoundTrip:
+    @pytest.mark.parametrize("duration", [1.0, 7.0, 100.0, 225.0, 1000.0])
+    def test_scaled_flip_reads_back(self, duration):
+        buf = io.StringIO()
+        flip = synth_second_order(13.85, 0.043, 0.150, 1e-3)  # 151 samples
+        traj.write_trajectory_csv(time_scale(flip, duration), buf)
+        again = traj.read_trajectory_csv(io.StringIO(buf.getvalue()))
+        assert len(again.times) == 151
+        assert again.duration == pytest.approx(duration, rel=1e-8)
+
+    @pytest.mark.parametrize("duration", [0.150, 100.0, 1000.0])
+    def test_one_percent_step_jitter_rejected(self, duration):
+        rng = np.random.default_rng(7)
+        steps = duration / 150 * (1 + 0.01 * rng.choice([-1.0, 1.0], size=150))
+        times = np.concatenate([[0.0], np.cumsum(steps)])
+        with pytest.raises(ValueError, match="not uniform"):
+            make_traj(times, np.zeros(151))
