@@ -57,6 +57,11 @@ class BadWindow(BiorightError):
     """Smoothing window even or too long, or time window start >= end."""
 
 
+class OutOfDomain(BiorightError):
+    """An argument outside the domain of the operation: a non-positive
+    duration or step, a steady time outside the span, a non-finite torque."""
+
+
 class NoStep(BiorightError):
     """Initial and final values coincide; step metrics undefined."""
 

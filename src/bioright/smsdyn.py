@@ -8,7 +8,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import Diverged, ModeUnsupported, SingularMass
+from .errors import Diverged, ModeUnsupported, OutOfDomain, SingularMass
 
 DIVERGE_LIMIT = 1e6
 
@@ -144,55 +144,92 @@ def kinetic_energy(p, s):
     return 0.5 * float(qd @ M @ qd)
 
 
-def _scalar_model(p, dt):
-    """Closures `step(phi, theta, phi_d, theta_d, tau)`, one RK4 step with
-    the torque held, and `inertia_row(theta)` -> (M11, M12) over scalar
-    floats. The constants of `mass_matrix` and `coriolis` are hoisted in
-    their operation order, so both modes run this one path exactly."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+def _rk4_track(p, dt, state, t0, ref, ref_d, kp, kd, lo, hi):
+    """The one RK4 loop of `simulate_pd` and `step_rk4`: sample i records
+    the state, the torque u = min(max(kp (ref[i] - theta) + kd (ref_d[i] -
+    theta_d), lo), hi) and the momentum, and one step with u held leads to
+    sample i + 1. Returns the (6, len(ref)) history phi, theta, phi_d,
+    theta_d, u, L. The stages are written out over scalar floats with the
+    constants of `mass_matrix` and `coriolis` hoisted in their operation
+    order, so both modes run this loop exactly; stage 1's mass-matrix row
+    is the momentum row. Raises SingularMass at any stage, and Diverged
+    (dated from t0) unless every |state| <= DIVERGE_LIMIT after a step."""
     mu = p.reduced_mass
     rh, d, ia = p.hinge_offset, p.arm_cm_offset, p.arm_inertia_cm
     m11_0, m11_c, m11_k = p.base_inertia + ia, rh * rh + d * d, 2 * rh * d
     m12_c, m12_k, m22, h_k = d * d, rh * d, ia + mu * d * d, -mu * rh * d
-    cos, sin = math.cos, math.sin
+    cos, sin, lim = math.cos, math.sin, DIVERGE_LIMIT
     half, sixth = 0.5 * dt, dt / 6.0
-
-    def inertia_row(theta):
-        c = cos(theta)
-        return m11_0 + mu * (m11_c + m11_k * c), ia + mu * (m12_c + m12_k * c)
-
-    def accel(theta, phi_d, theta_d, tau):
-        m11, m12 = inertia_row(theta)
+    a, th, ad, thd = map(float, state)
+    n = len(ref)
+    history = np.empty((6, n))
+    phi_v, theta_v, phi_d_v, theta_d_v, tau_v, L_v = map(memoryview, history)
+    for i in range(n):
+        u = kp * (ref[i] - th) + kd * (ref_d[i] - thd)
+        u = min(max(u, lo), hi)  # NaN stays NaN, as with np.clip
+        c, h = cos(th), h_k * sin(th)
+        m11, m12 = m11_0 + mu * (m11_c + m11_k * c), ia + mu * (m12_c + m12_k * c)
+        phi_v[i], theta_v[i], phi_d_v[i], theta_d_v[i], tau_v[i] = a, th, ad, thd, u
+        L_v[i] = m11 * ad + m12 * thd
+        if i == n - 1:
+            break
         det = m11 * m22 - m12 * m12
         if abs(det) < 1e-300:
             raise SingularMass("mass matrix not invertible")
-        h = h_k * sin(theta)
-        r0 = -(h * theta_d * phi_d + h * (phi_d + theta_d) * theta_d)
-        r1 = tau + h * phi_d * phi_d
-        return (m22 * r0 - m12 * r1) / det, (m11 * r1 - m12 * r0) / det
-
-    def step(phi, theta, phi_d, theta_d, tau):
-        a1, b1 = accel(theta, phi_d, theta_d, tau)
-        phi_d2, theta_d2 = phi_d + half * a1, theta_d + half * b1
-        a2, b2 = accel(theta + half * theta_d, phi_d2, theta_d2, tau)
-        phi_d3, theta_d3 = phi_d + half * a2, theta_d + half * b2
-        a3, b3 = accel(theta + half * theta_d2, phi_d3, theta_d3, tau)
-        phi_d4, theta_d4 = phi_d + dt * a3, theta_d + dt * b3
-        a4, b4 = accel(theta + dt * theta_d3, phi_d4, theta_d4, tau)
-        return (phi + sixth * (phi_d + 2 * phi_d2 + 2 * phi_d3 + phi_d4),
-                theta + sixth * (theta_d + 2 * theta_d2 + 2 * theta_d3 + theta_d4),
-                phi_d + sixth * (a1 + 2 * a2 + 2 * a3 + a4),
-                theta_d + sixth * (b1 + 2 * b2 + 2 * b3 + b4))
-
-    return step, inertia_row
+        r0, r1 = -(h * thd * ad + h * (ad + thd) * thd), u + h * ad * ad
+        a1, b1 = (m22 * r0 - m12 * r1) / det, (m11 * r1 - m12 * r0) / det
+        ad2, thd2 = ad + half * a1, thd + half * b1
+        x = th + half * thd
+        c, h = cos(x), h_k * sin(x)
+        m11, m12 = m11_0 + mu * (m11_c + m11_k * c), ia + mu * (m12_c + m12_k * c)
+        det = m11 * m22 - m12 * m12
+        if abs(det) < 1e-300:
+            raise SingularMass("mass matrix not invertible")
+        r0, r1 = -(h * thd2 * ad2 + h * (ad2 + thd2) * thd2), u + h * ad2 * ad2
+        a2, b2 = (m22 * r0 - m12 * r1) / det, (m11 * r1 - m12 * r0) / det
+        ad3, thd3 = ad + half * a2, thd + half * b2
+        x = th + half * thd2
+        c, h = cos(x), h_k * sin(x)
+        m11, m12 = m11_0 + mu * (m11_c + m11_k * c), ia + mu * (m12_c + m12_k * c)
+        det = m11 * m22 - m12 * m12
+        if abs(det) < 1e-300:
+            raise SingularMass("mass matrix not invertible")
+        r0, r1 = -(h * thd3 * ad3 + h * (ad3 + thd3) * thd3), u + h * ad3 * ad3
+        a3, b3 = (m22 * r0 - m12 * r1) / det, (m11 * r1 - m12 * r0) / det
+        ad4, thd4 = ad + dt * a3, thd + dt * b3
+        x = th + dt * thd3
+        c, h = cos(x), h_k * sin(x)
+        m11, m12 = m11_0 + mu * (m11_c + m11_k * c), ia + mu * (m12_c + m12_k * c)
+        det = m11 * m22 - m12 * m12
+        if abs(det) < 1e-300:
+            raise SingularMass("mass matrix not invertible")
+        r0, r1 = -(h * thd4 * ad4 + h * (ad4 + thd4) * thd4), u + h * ad4 * ad4
+        a4, b4 = (m22 * r0 - m12 * r1) / det, (m11 * r1 - m12 * r0) / det
+        a, th, ad, thd = (a + sixth * (ad + 2 * ad2 + 2 * ad3 + ad4),
+                          th + sixth * (thd + 2 * thd2 + 2 * thd3 + thd4),
+                          ad + sixth * (a1 + 2 * a2 + 2 * a3 + a4),
+                          thd + sixth * (b1 + 2 * b2 + 2 * b3 + b4))
+        if not (abs(a) <= lim and abs(th) <= lim and abs(ad) <= lim
+                and abs(thd) <= lim):
+            raise Diverged(f"state blew up at t = {t0 + (i + 1) * dt:.3f} s")
+    return history
 
 
 def step_rk4(p, s, tau_joint, dt):
-    """Classical 4th-order step with the joint torque held over the step."""
-    step, _ = _scalar_model(p, dt)
-    return SmsState(*step(s.base_angle, s.joint_angle, s.base_rate,
-                          s.joint_rate, tau_joint), s.t + dt)
+    """Classical 4th-order step with the joint torque held over the step.
+
+    Raises OutOfDomain for a non-finite torque and Diverged unless every
+    component of the new state satisfies |x| <= DIVERGE_LIMIT."""
+    tau = float(tau_joint)
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    if not math.isfinite(tau):
+        raise OutOfDomain(f"joint torque must be finite, got {tau!r}")
+    # zero gains and lo = hi = tau hold tau over the one step
+    ref, ref_d = (s.joint_angle,) * 2, (s.joint_rate,) * 2
+    history = _rk4_track(p, dt, (s.base_angle, s.joint_angle, s.base_rate,
+                                 s.joint_rate), s.t, ref, ref_d, 0.0, 0.0, tau, tau)
+    return SmsState(*history[:4, 1].tolist(), s.t + dt)
 
 
 def simulate_prescribed(p, joint_traj, L0=0.0, base_angle0=math.pi):
@@ -223,35 +260,25 @@ def simulate_prescribed(p, joint_traj, L0=0.0, base_angle0=math.pi):
 
 def simulate_pd(p, joint_ref, gains, dt, base_angle0=math.pi,
                 joint_angle0=None):
-    """PD joint tracking of a reference trajectory on a free-floating base.
+    """PD joint tracking of a reference trajectory on a free-floating base,
+    from the reference's first time to its last.
 
     The joint torque is clamped to the gains' torque limit; the base is
     unactuated. Raises Diverged unless every state |x| <= DIVERGE_LIMIT.
     """
-    step, inertia_row = _scalar_model(p, dt)
-    n = int(round(float(joint_ref.times[-1]) / dt)) + 1
-    times = np.arange(n) * dt
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    t0 = float(joint_ref.times[0])
+    n = int(round((float(joint_ref.times[-1]) - t0) / dt)) + 1
+    times = t0 + np.arange(n) * dt
     th_ref = np.interp(times, joint_ref.times, joint_ref.angle)
     thd_ref = np.zeros(n) if joint_ref.rate is None \
         else np.interp(times, joint_ref.times, joint_ref.rate)
-    history = np.empty((6, n))
-    phi_v, theta_v, phi_d_v, theta_d_v, tau_v, L_v, ref_v, refd_v = map(
-        memoryview, (*history, th_ref, thd_ref))
-    kp, kd, limit = gains.kp, gains.kd, gains.torque_limit
-    a, ad, thd = float(base_angle0), 0.0, 0.0
-    th = float(joint_ref.angle[0] if joint_angle0 is None else joint_angle0)
-    for i in range(n):
-        u = kp * (ref_v[i] - th) + kd * (refd_v[i] - thd)
-        u = min(max(u, -limit), limit)  # NaN stays NaN, as with np.clip
-        phi_v[i], theta_v[i], phi_d_v[i], theta_d_v[i], tau_v[i] = a, th, ad, thd, u
-        m11, m12 = inertia_row(th)
-        L_v[i] = m11 * ad + m12 * thd
-        if i == n - 1:
-            break
-        a, th, ad, thd = step(a, th, ad, thd, u)
-        if not (abs(a) <= DIVERGE_LIMIT and abs(th) <= DIVERGE_LIMIT
-                and abs(ad) <= DIVERGE_LIMIT and abs(thd) <= DIVERGE_LIMIT):
-            raise Diverged(f"state blew up at t = {(i + 1) * dt:.3f} s")
+    th0 = joint_ref.angle[0] if joint_angle0 is None else joint_angle0
+    limit = gains.torque_limit
+    history = _rk4_track(p, dt, (base_angle0, th0, 0.0, 0.0), t0,
+                         memoryview(th_ref), memoryview(thd_ref),
+                         gains.kp, gains.kd, -limit, limit)
     return SmsTrajectory(times, *history,
                          metadata={"mode": "pd", "kp": gains.kp,
                                    "kd": gains.kd,

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import BadWindow, NoStep, TooShort, Unreachable
+from .errors import BadWindow, NoStep, OutOfDomain, TooShort, Unreachable
 
 #: Tolerance on grid uniformity: GRID_TOL seconds plus GRID_RTOL max|t|, as
 #: times written with %.9g are off by <= 5e-9 |t| and two steps by <= 2e-8 max|t|.
@@ -93,7 +93,7 @@ def smooth(traj, window):
 def time_scale(traj, target_duration):
     """Stretch the time axis to target_duration; rates divide by the factor."""
     if target_duration <= 0:
-        raise ValueError("target_duration must be positive")
+        raise OutOfDomain("target_duration must be positive")
     if traj.duration <= 0:
         raise TooShort("trajectory duration must be positive to scale")
     k = target_duration / traj.duration
@@ -104,7 +104,7 @@ def time_scale(traj, target_duration):
 def resample(traj, dt):
     """Linear interpolation onto a new grid spanning the same interval."""
     if dt <= 0:
-        raise ValueError("dt must be positive")
+        raise OutOfDomain("dt must be positive")
     t0, t1 = traj.times[0], traj.times[-1]
     n = int(np.floor((t1 - t0) / dt + 0.5)) + 1
     times = t0 + dt * np.arange(n)
@@ -136,9 +136,9 @@ def step_metrics(traj, steady_time, settle_band=0.05):
     the step.
     """
     if not (0 < settle_band < 0.5):
-        raise ValueError("settle_band must be in (0, 0.5)")
+        raise OutOfDomain("settle_band must be in (0, 0.5)")
     if steady_time < traj.times[0] or steady_time > traj.times[-1]:
-        raise ValueError("steady_time outside the trajectory span")
+        raise OutOfDomain("steady_time outside the trajectory span")
     initial = float(traj.angle[0])
     final = float(np.interp(steady_time, traj.times, traj.angle))
     step = final - initial

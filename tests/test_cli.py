@@ -265,6 +265,19 @@ class TestRejectedInputExitCodes:
         assert proc.stderr.startswith("error: ")
 
 
+class TestDomainErrorExitCode:
+    def test_negative_target_duration_exit_4(self, tmp_path):
+        src = tmp_path / "flip.csv"
+        with open(src, "w") as f:
+            traj.write_trajectory_csv(traj.synth_second_order(13.85, 0.043, 0.150,
+                                                              1e-3), f)
+        proc = run_subprocess(["scale", "--input", str(src), "--output",
+                               str(tmp_path / "out.csv"), "--target-duration", "-1"])
+        assert proc.returncode == 4
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ") and "positive" in proc.stderr
+
+
 class TestScaledReferenceSimulates:
     def test_scale_to_100_s_then_simulate(self, tmp_path):
         # a 150 ms flip stretched to 100 s has a step of 0.666... s

@@ -202,7 +202,9 @@ def oracle_report_csv(report):
 
 # -- fixtures ----------------------------------------------------------------
 
-MODELS = {"coaxial": ets7_params(), "planar_offset": planar_params()}
+# "replay" is the PlanarOffset model of the replay benchmark workload.
+MODELS = {"coaxial": ets7_params(), "planar_offset": planar_params(),
+          "replay": planar_params(hinge_offset=1.0)}
 GAINS = PdGains(kp=2000.0, kd=20000.0, torque_limit=10.0)
 CONTEXT = ObjectiveContext(rate_limit=math.radians(0.30),
                            base_angle_target=math.pi, torque_limit=10.0)
@@ -285,6 +287,26 @@ class TestSimulatePd:
         with pytest.raises(Diverged) as got:
             smsdyn.simulate_pd(p, ref, gains, dt=1.0, joint_angle0=0.0)
         assert str(got.value) == str(want.value)
+
+
+def test_pd_on_replay_shaped_reference_equal_to_oracle():
+    # a 151-sample flip, differentiated and stretched to 225 s (1.5 s grid)
+    flip = traj.synth_second_order(13.85, 0.043, 0.150, 1e-3)
+    ref = traj.time_scale(traj.differentiate(
+        traj.JointTrajectory(flip.times, flip.angle)), 225.0)
+    out = smsdyn.simulate_pd(MODELS["replay"], ref, GAINS, dt=0.01)
+    assert len(out.times) == 22501
+    assert np.array_equal(pd_fields(out), oracle_simulate_pd(
+        MODELS["replay"], ref, GAINS, dt=0.01))
+
+
+def test_pd_singular_mass_like_oracle():
+    p = smsdyn.SmsParams(1.0, 1.0, 0.0, 0.0)
+    with pytest.raises(SingularMass) as want:
+        oracle_simulate_pd(p, surrogate(), GAINS, dt=0.05)
+    with pytest.raises(SingularMass) as got:
+        smsdyn.simulate_pd(p, surrogate(), GAINS, dt=0.05)
+    assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))

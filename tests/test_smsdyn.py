@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from bioright import smsdyn, traj
-from bioright.errors import Diverged, ModeUnsupported, SingularMass
+from bioright.errors import (BiorightError, Diverged, ModeUnsupported,
+                             SingularMass)
 from bioright.smsdyn import (Mode, PdGains, SmsParams, SmsState,
                              angular_momentum, base_reaction_estimate,
                              coriolis, ets7_params, inertia_ratio,
@@ -322,3 +323,50 @@ class TestNonFiniteReference:
         gains = PdGains(kp=2000.0, kd=20000.0, torque_limit=10.0)
         with pytest.raises(Diverged, match="t = 50.010 s"):
             simulate_pd(params, ref, gains, dt=0.01)
+
+
+class TestNonFiniteTorque:
+    """A held torque that is not finite is rejected, not propagated into
+    the state or dropped."""
+
+    @pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf])
+    def test_rejected(self, tau):
+        with pytest.raises(BiorightError, match="finite") as info:
+            step_rk4(ets7_params(), SmsState(0.1, 0.2, 0.0, 0.0), tau, 0.01)
+        assert not isinstance(info.value, ValueError)
+
+
+class TestReferenceStartTime:
+    """PD tracking runs from the reference's first time, not from t = 0."""
+
+    T0, DT = 128.0, 0.03125  # both exact in binary
+
+    def reference(self, t0):
+        t = t0 + 1.5 * np.arange(31)
+        angle = np.pi * (1 - np.cos(np.pi * np.arange(31) / 30)) / 2
+        return traj.differentiate(traj.JointTrajectory(t, angle))
+
+    def test_starts_at_first_sample(self):
+        gains = PdGains(kp=2000.0, kd=20000.0, torque_limit=10.0)
+        late = simulate_pd(planar_params(), self.reference(self.T0), gains,
+                           self.DT, joint_angle0=0.3)
+        early = simulate_pd(planar_params(), self.reference(0.0), gains,
+                            self.DT, joint_angle0=0.3)
+        assert len(late.times) == len(early.times) == 1441
+        assert late.times[0] == self.T0 and late.times[-1] == self.T0 + 45.0
+        assert np.array_equal(late.times, self.T0 + early.times)
+        for name in ("base_angle", "joint_angle", "base_rate", "joint_rate",
+                     "torque", "momentum"):
+            assert np.array_equal(getattr(late, name), getattr(early, name))
+
+    def test_diverged_reports_reference_time(self):
+        p = SmsParams(2.9e-3, 0.29e-3, 6.6e-8, 5.29e-8)
+        gains = PdGains(kp=2000.0, kd=0.0, torque_limit=1e9)
+        messages = []
+        for t0 in (0.0, self.T0):
+            t = t0 + np.linspace(0.0, 10.0, 11)
+            ref = traj.JointTrajectory(t, np.ones(11), np.zeros(11))
+            with pytest.raises(Diverged) as info:
+                simulate_pd(p, ref, gains, dt=1.0, joint_angle0=0.0)
+            messages.append(float(str(info.value).split("t = ")[1].split()[0]))
+        assert messages[1] == messages[0] + self.T0

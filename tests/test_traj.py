@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from bioright import traj
+from bioright import errors, traj
 from bioright.errors import BadWindow, NoStep, TooShort, Unreachable
 from bioright.traj import (JointTrajectory, damping_from_overshoot,
                            differentiate, resample, smooth, step_metrics,
@@ -230,3 +230,23 @@ class TestScaledCsvRoundTrip:
         times = np.concatenate([[0.0], np.cumsum(steps)])
         with pytest.raises(ValueError, match="not uniform"):
             make_traj(times, np.zeros(151))
+
+
+class TestDomainErrors:
+    """Arguments outside an operation's domain raise OutOfDomain, which the
+    CLI maps to exit 4; a ValueError would map to exit 2."""
+
+    @pytest.mark.parametrize("call", [
+        lambda tr: time_scale(tr, -1.0),
+        lambda tr: time_scale(tr, 0.0),
+        lambda tr: resample(tr, 0.0),
+        lambda tr: resample(tr, -0.1),
+        lambda tr: step_metrics(tr, steady_time=-0.5),
+        lambda tr: step_metrics(tr, steady_time=1.5),
+    ], ids=["scale_negative", "scale_zero", "resample_zero",
+            "resample_negative", "steady_before", "steady_after"])
+    def test_out_of_domain(self, call):
+        t = np.linspace(0.0, 1.0, 11)
+        with pytest.raises(errors.OutOfDomain) as info:
+            call(make_traj(t, t * t, 2 * t))
+        assert not isinstance(info.value, ValueError)
