@@ -118,12 +118,18 @@ def _read_trajectory(path):
     return traj.differentiate(trajectory) if trajectory.rate is None else trajectory
 
 
+def _check_dt(dt):
+    if not dt > 0:
+        raise ValueError("dt must be positive")
+
+
 def _load_run(args):
     """Config, model and reference (default: surrogate) of simulate/sweep."""
     cfg = smsdyn.parse_config(Path(args.config).read_text()) if args.config \
         else dict(smsdyn.CONFIG_DEFAULTS)
-    if args.dt:
+    if args.dt is not None:
         cfg["dt"] = args.dt
+    _check_dt(cfg["dt"])
     params = smsdyn.params_from_config(cfg)
     reference = _read_trajectory(args.reference) if args.reference is not None \
         else traj.synth_second_order(SURROGATE_OVERSHOOT, SURROGATE_RISE,
@@ -185,9 +191,10 @@ def _sweep(resolution, pd_run, gains, path):
 
 def cmd_demo(args):
     """Chain synth reference -> scale -> simulate -> sweep."""
+    dt = 0.01 if args.dt is None else args.dt
+    _check_dt(dt)
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    dt = args.dt or 0.01
     reference = traj.synth_second_order(SURROGATE_OVERSHOOT, SURROGATE_RISE,
                                         SURROGATE_DURATION, dt)
     ref_path = out / "reference.csv"

@@ -5,10 +5,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MissingTorque
+from .errors import MissingTorque, OutOfDomain
 
 # numpy < 2.0 names the same trapezoid rule np.trapz.
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
+
+#: Largest simplex resolution: C(1002, 2) = 501 501 weight rows.
+MAX_RESOLUTION = 1000
 
 FUNCTIONAL_DEFINITIONS = {
     "phi_safety": "peak |base rate| / rate limit",
@@ -105,9 +108,12 @@ def evaluate(weights, traj, context):
 
 def simplex_grid(resolution):
     """All weight triples with components in {0, 1/n, ..., 1} summing to 1,
-    in lexicographic order. Count is C(n+2, 2)."""
+    in lexicographic order. Count is C(n+2, 2); n is at most MAX_RESOLUTION."""
     if resolution < 2:
         raise ValueError("grid resolution must be >= 2")
+    if resolution > MAX_RESOLUTION:
+        raise OutOfDomain(f"grid resolution must be <= {MAX_RESOLUTION}, "
+                          f"got {resolution}")
     n = resolution
     return [ObjectiveWeights(i / n, j / n, (n - i - j) / n)
             for i in range(n + 1) for j in range(n - i + 1)]

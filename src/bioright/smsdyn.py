@@ -36,6 +36,10 @@ class SmsParams:
     mode: Mode = Mode.COAXIAL
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (
+                self.base_mass, self.arm_mass, self.base_inertia,
+                self.arm_inertia_cm, self.hinge_offset, self.arm_cm_offset))):
+            raise ValueError("masses, inertias and offsets must be finite")
         if self.base_mass <= 0 or self.arm_mass <= 0:
             raise ValueError("masses must be positive")
         if self.base_inertia < 0 or self.arm_inertia_cm < 0:
@@ -84,6 +88,8 @@ class PdGains:
     torque_limit: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.kp, self.kd, self.torque_limit))):
+            raise ValueError("gains and torque_limit must be finite")
         if self.kp < 0 or self.kd < 0:
             raise ValueError("gains must be non-negative")
         if self.torque_limit <= 0:
@@ -215,6 +221,43 @@ def _rk4_track(p, dt, state, t0, ref, ref_d, kp, kd, lo, hi):
     return history
 
 
+def _rk4_track_folded(p, dt, state, t0, ref, ref_d, kp, kd, lo, hi):
+    """`_rk4_track` for zero offsets: M is constant and h = 0, so stages
+    2-4 repeat stage 1's accelerations, which differ from the general
+    loop's only in the sign of a zero. The RK4 sums keep their order, so
+    from +0.0 rates (IEEE addition never reaches -0.0 from +0.0) the
+    history is bit-identical; `step_rk4`, given any rates, keeps the
+    general loop."""
+    ia = p.arm_inertia_cm
+    m11, m12, m22 = p.base_inertia + ia, ia, ia
+    det, lim = m11 * m22 - m12 * m12, DIVERGE_LIMIT
+    half, sixth = 0.5 * dt, dt / 6.0
+    a, th, ad, thd = map(float, state)
+    n = len(ref)
+    if n > 1 and abs(det) < 1e-300:
+        raise SingularMass("mass matrix not invertible")
+    history = np.empty((6, n))
+    phi_v, theta_v, phi_d_v, theta_d_v, tau_v, L_v = map(memoryview, history)
+    for i in range(n):
+        u = kp * (ref[i] - th) + kd * (ref_d[i] - thd)
+        u = min(max(u, lo), hi)
+        phi_v[i], theta_v[i], phi_d_v[i], theta_d_v[i], tau_v[i] = a, th, ad, thd, u
+        L_v[i] = m11 * ad + m12 * thd
+        if i == n - 1:
+            break
+        a1, b1 = -m12 * u / det, m11 * u / det
+        ad2, thd2 = ad + half * a1, thd + half * b1
+        ad4, thd4 = ad + dt * a1, thd + dt * b1
+        a, th, ad, thd = (a + sixth * (ad + 2 * ad2 + 2 * ad2 + ad4),
+                          th + sixth * (thd + 2 * thd2 + 2 * thd2 + thd4),
+                          ad + sixth * (a1 + 2 * a1 + 2 * a1 + a1),
+                          thd + sixth * (b1 + 2 * b1 + 2 * b1 + b1))
+        if not (abs(a) <= lim and abs(th) <= lim and abs(ad) <= lim
+                and abs(thd) <= lim):
+            raise Diverged(f"state blew up at t = {t0 + (i + 1) * dt:.3f} s")
+    return history
+
+
 def step_rk4(p, s, tau_joint, dt):
     """Classical 4th-order step with the joint torque held over the step.
 
@@ -264,21 +307,26 @@ def simulate_pd(p, joint_ref, gains, dt, base_angle0=math.pi,
     from the reference's first time to its last.
 
     The joint torque is clamped to the gains' torque limit; the base is
-    unactuated. Raises Diverged unless every state |x| <= DIVERGE_LIMIT.
+    unactuated. Raises OutOfDomain for a non-finite initial angle and
+    Diverged unless every state |x| <= DIVERGE_LIMIT.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
+    th0 = joint_ref.angle[0] if joint_angle0 is None else joint_angle0
+    if not (math.isfinite(base_angle0) and math.isfinite(th0)):
+        raise OutOfDomain(f"initial angles must be finite, got "
+                          f"{base_angle0:g} and {th0:g}")
     t0 = float(joint_ref.times[0])
     n = int(round((float(joint_ref.times[-1]) - t0) / dt)) + 1
     times = t0 + np.arange(n) * dt
     th_ref = np.interp(times, joint_ref.times, joint_ref.angle)
     thd_ref = np.zeros(n) if joint_ref.rate is None \
         else np.interp(times, joint_ref.times, joint_ref.rate)
-    th0 = joint_ref.angle[0] if joint_angle0 is None else joint_angle0
+    track = _rk4_track if p.hinge_offset or p.arm_cm_offset else _rk4_track_folded
     limit = gains.torque_limit
-    history = _rk4_track(p, dt, (base_angle0, th0, 0.0, 0.0), t0,
-                         memoryview(th_ref), memoryview(thd_ref),
-                         gains.kp, gains.kd, -limit, limit)
+    history = track(p, dt, (base_angle0, th0, 0.0, 0.0), t0,
+                    memoryview(th_ref), memoryview(thd_ref),
+                    gains.kp, gains.kd, -limit, limit)
     return SmsTrajectory(times, *history,
                          metadata={"mode": "pd", "kp": gains.kp,
                                    "kd": gains.kd,
@@ -352,6 +400,9 @@ def parse_config(text):
             cfg[key] = value
         else:
             cfg[key] = float(value)
+            if not math.isfinite(cfg[key]):
+                raise ValueError(f"config line {lineno}: {key} must be finite, "
+                                 f"got {value!r}")
     return cfg
 
 

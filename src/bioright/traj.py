@@ -6,6 +6,7 @@ import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BadWindow, NoStep, OutOfDomain, TooShort, Unreachable
 
@@ -78,15 +79,14 @@ def differentiate(traj):
 def smooth(traj, window):
     """Centered moving average; endpoints use shrinking windows."""
     n = len(traj.angle)
-    if window % 2 == 0 or window > n:
+    if window % 2 == 0 or not 1 <= window <= n:
         raise BadWindow(f"window must be odd and <= {n}, got {window}")
-    half = window // 2
+    x, half = traj.angle, window // 2
     out = np.empty(n)
-    for i in range(n):
-        lo = max(0, i - half)
-        hi = min(n, i + half + 1)
-        k = min(i - lo, hi - 1 - i)  # keep the endpoint windows centered
-        out[i] = np.mean(traj.angle[i - k:i + k + 1])
+    out[half:n - half] = sliding_window_view(x, window).mean(axis=1)
+    for i in [*range(half), *range(n - half, n)]:
+        k = min(i, n - 1 - i)  # keep the endpoint windows centered
+        out[i] = np.mean(x[i - k:i + k + 1])
     return replace(traj, angle=out, rate=None)
 
 
@@ -211,32 +211,17 @@ def synth_second_order(overshoot_pct, rise_time, duration, dt,
     """Underdamped 2nd-order step response matching an overshoot and a
     10-90% rise time, scaled to a 0 -> step_rad excursion.
 
-    The natural frequency is found by bisection (rise tolerance 1e-6 s)
-    around the 1/omega_n time-scaling estimate.
+    With zeta fixed the response is a function of omega_n t alone, so the
+    rise time scales exactly as 1/omega_n: omega_n = rise(zeta, 1) / rise_time.
     """
     zeta = damping_from_overshoot(overshoot_pct)
     if rise_time <= 0 or duration <= rise_time:
         raise Unreachable("need 0 < rise_time < duration")
-    r1 = _analytic_rise(zeta, 1.0)
-    wn = r1 / rise_time
-    lo, hi = 0.5 * wn, 2.0 * wn
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        r = _analytic_rise(zeta, mid)
-        if abs(r - rise_time) < 1e-6:
-            wn = mid
-            break
-        if r > rise_time:
-            lo = mid  # too slow, raise frequency
-        else:
-            hi = mid
-    else:
-        wn = 0.5 * (lo + hi)
+    wn = _analytic_rise(zeta, 1.0) / rise_time
     n = int(round(duration / dt)) + 1
     times = dt * np.arange(n)
     y = _step_response(times, zeta, wn)
     wd = wn * np.sqrt(1 - zeta ** 2)
-    phi = np.arccos(zeta)
     ydot = (wn / np.sqrt(1 - zeta ** 2)) * np.exp(-zeta * wn * times) * np.sin(wd * times)
     return JointTrajectory(times, step_rad * y, step_rad * ydot)
 

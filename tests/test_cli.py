@@ -317,3 +317,32 @@ class TestReconstructTypedErrors:
         assert proc.returncode == 4
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ")
+
+
+class TestZeroDt:
+    """`--dt 0` is rejected like a negative step, not replaced by 0.01 s."""
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--mode", "pd", "--output"], ["sweep", "--output"],
+        ["demo", "--output-dir"]], ids=["simulate", "sweep", "demo"])
+    def test_exit_2(self, tmp_path, argv):
+        proc = run_subprocess([*argv, str(tmp_path / "out"), "--dt", "0"])
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == "error: dt must be positive\n"
+        assert not any(tmp_path.iterdir())
+
+
+class TestNonFiniteConfig:
+    @pytest.mark.parametrize("line", ["torque_limit = nan", "kp = nan",
+                                      "base_inertia = inf", "dt = nan",
+                                      "hinge_offset = -inf"])
+    def test_exit_2_naming_line_and_key(self, tmp_path, capsys, line):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"# comment\n{line}\n")
+        code = run(["simulate", "--mode", "pd", "--config", str(config),
+                    "--output", str(tmp_path / "out.csv")])
+        assert code == 2
+        key = line.split()[0]
+        assert f"config line 2: {key} must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()

@@ -22,6 +22,12 @@ and on the benchmark recordings, and raise the same error class on the
 same line for each malformed input. The one intended difference is
 pinned: `float()` reads "1_0" and non-ASCII digits, the numpy parse does
 not.
+
+The general RK4 loop `smsdyn._rk4_track` is frozen as `oracle_rk4_track`:
+PD tracking on a zero-offset model runs a folded loop whose history must
+equal it byte for byte (`tobytes`, so the sign of a zero counts). The
+per-sample `traj.smooth` loop is frozen as `oracle_smooth`, and the
+windowed average must equal it.
 """
 
 import csv
@@ -39,7 +45,8 @@ import pytest
 from bioright import cli, frames, keypoints, objective, rotmath, smsdyn, traj
 from bioright.errors import (DegenerateAxes, Diverged, EmptyDataset,
                              GimbalLockWarning, MissingKeypoint, NoValidFrames,
-                             ParseError, SchemaError, SingularMass)
+                             OutOfDomain, ParseError, SchemaError,
+                             SingularMass)
 from bioright.frames import Segment
 from bioright.objective import ObjectiveContext
 from bioright.smsdyn import (DIVERGE_LIMIT, Mode, PdGains, SmsState,
@@ -307,6 +314,234 @@ def test_pd_singular_mass_like_oracle():
     with pytest.raises(SingularMass) as got:
         smsdyn.simulate_pd(p, surrogate(), GAINS, dt=0.05)
     assert str(got.value) == str(want.value)
+
+
+# -- frozen oracle: the general RK4 loop for zero-offset PD tracking ----------
+
+def oracle_rk4_track(p, dt, state, t0, ref, ref_d, kp, kd, lo, hi):
+    mu = p.reduced_mass
+    rh, d, ia = p.hinge_offset, p.arm_cm_offset, p.arm_inertia_cm
+    m11_0, m11_c, m11_k = p.base_inertia + ia, rh * rh + d * d, 2 * rh * d
+    m12_c, m12_k, m22, h_k = d * d, rh * d, ia + mu * d * d, -mu * rh * d
+    cos, sin, lim = math.cos, math.sin, DIVERGE_LIMIT
+    half, sixth = 0.5 * dt, dt / 6.0
+    a, th, ad, thd = map(float, state)
+    n = len(ref)
+    history = np.empty((6, n))
+    phi_v, theta_v, phi_d_v, theta_d_v, tau_v, L_v = map(memoryview, history)
+    for i in range(n):
+        u = kp * (ref[i] - th) + kd * (ref_d[i] - thd)
+        u = min(max(u, lo), hi)
+        c, h = cos(th), h_k * sin(th)
+        m11, m12 = m11_0 + mu * (m11_c + m11_k * c), ia + mu * (m12_c + m12_k * c)
+        phi_v[i], theta_v[i], phi_d_v[i], theta_d_v[i], tau_v[i] = a, th, ad, thd, u
+        L_v[i] = m11 * ad + m12 * thd
+        if i == n - 1:
+            break
+        det = m11 * m22 - m12 * m12
+        if abs(det) < 1e-300:
+            raise SingularMass("mass matrix not invertible")
+        r0, r1 = -(h * thd * ad + h * (ad + thd) * thd), u + h * ad * ad
+        a1, b1 = (m22 * r0 - m12 * r1) / det, (m11 * r1 - m12 * r0) / det
+        ad2, thd2 = ad + half * a1, thd + half * b1
+        x = th + half * thd
+        c, h = cos(x), h_k * sin(x)
+        m11, m12 = m11_0 + mu * (m11_c + m11_k * c), ia + mu * (m12_c + m12_k * c)
+        det = m11 * m22 - m12 * m12
+        if abs(det) < 1e-300:
+            raise SingularMass("mass matrix not invertible")
+        r0, r1 = -(h * thd2 * ad2 + h * (ad2 + thd2) * thd2), u + h * ad2 * ad2
+        a2, b2 = (m22 * r0 - m12 * r1) / det, (m11 * r1 - m12 * r0) / det
+        ad3, thd3 = ad + half * a2, thd + half * b2
+        x = th + half * thd2
+        c, h = cos(x), h_k * sin(x)
+        m11, m12 = m11_0 + mu * (m11_c + m11_k * c), ia + mu * (m12_c + m12_k * c)
+        det = m11 * m22 - m12 * m12
+        if abs(det) < 1e-300:
+            raise SingularMass("mass matrix not invertible")
+        r0, r1 = -(h * thd3 * ad3 + h * (ad3 + thd3) * thd3), u + h * ad3 * ad3
+        a3, b3 = (m22 * r0 - m12 * r1) / det, (m11 * r1 - m12 * r0) / det
+        ad4, thd4 = ad + dt * a3, thd + dt * b3
+        x = th + dt * thd3
+        c, h = cos(x), h_k * sin(x)
+        m11, m12 = m11_0 + mu * (m11_c + m11_k * c), ia + mu * (m12_c + m12_k * c)
+        det = m11 * m22 - m12 * m12
+        if abs(det) < 1e-300:
+            raise SingularMass("mass matrix not invertible")
+        r0, r1 = -(h * thd4 * ad4 + h * (ad4 + thd4) * thd4), u + h * ad4 * ad4
+        a4, b4 = (m22 * r0 - m12 * r1) / det, (m11 * r1 - m12 * r0) / det
+        a, th, ad, thd = (a + sixth * (ad + 2 * ad2 + 2 * ad3 + ad4),
+                          th + sixth * (thd + 2 * thd2 + 2 * thd3 + thd4),
+                          ad + sixth * (a1 + 2 * a2 + 2 * a3 + a4),
+                          thd + sixth * (b1 + 2 * b2 + 2 * b3 + b4))
+        if not (abs(a) <= lim and abs(th) <= lim and abs(ad) <= lim
+                and abs(thd) <= lim):
+            raise Diverged(f"state blew up at t = {t0 + (i + 1) * dt:.3f} s")
+    return history
+
+
+def oracle_track_pd(p, joint_ref, gains, dt, base_angle0=math.pi,
+                    joint_angle0=None):
+    """`simulate_pd`'s inputs to the general loop, and its history."""
+    t0 = float(joint_ref.times[0])
+    n = int(round((float(joint_ref.times[-1]) - t0) / dt)) + 1
+    times = t0 + np.arange(n) * dt
+    th_ref = np.interp(times, joint_ref.times, joint_ref.angle)
+    thd_ref = np.zeros(n) if joint_ref.rate is None \
+        else np.interp(times, joint_ref.times, joint_ref.rate)
+    th0 = joint_ref.angle[0] if joint_angle0 is None else joint_angle0
+    limit = gains.torque_limit
+    return np.vstack((times, oracle_rk4_track(
+        p, dt, (base_angle0, th0, 0.0, 0.0), t0, memoryview(th_ref),
+        memoryview(thd_ref), gains.kp, gains.kd, -limit, limit)))
+
+
+def coarse_reference():
+    t = 1.5 * np.arange(31)
+    angle = np.pi * (1 - np.cos(np.pi * t / t[-1])) / 2
+    return traj.differentiate(traj.JointTrajectory(t, angle))
+
+
+def replay_shaped_reference():
+    flip = traj.synth_second_order(13.85, 0.043, 0.150, 1e-3)
+    return traj.time_scale(traj.differentiate(
+        traj.JointTrajectory(flip.times, flip.angle)), 225.0)
+
+
+def zero_reference(zero):
+    t = np.linspace(0.0, 10.0, 11)
+    return traj.JointTrajectory(t, np.full(11, zero), np.full(11, zero))
+
+
+LIZARD = lizard_params()
+# (model, reference, gains, dt, base_angle0, joint_angle0); every model
+# here has zero offsets, so `simulate_pd` runs the folded loop.
+FOLDED_CASES = {
+    "surrogate": (ets7_params(), surrogate, GAINS, 0.05, math.pi, None),
+    "saturated": (ets7_params(), surrogate,
+                  PdGains(kp=2000.0, kd=20000.0, torque_limit=0.01), 0.05,
+                  math.pi, 0.0),
+    "coarse_grid": (ets7_params(), coarse_reference, GAINS, 0.05, 0.25, None),
+    "replay_shaped": (ets7_params(), replay_shaped_reference, GAINS, 0.01,
+                      math.pi, None),
+    "reduced_base": (ets7_params(reduced_base=True), surrogate, GAINS, 0.05,
+                     math.pi, None),
+    "joint_angle0_neg_zero": (ets7_params(), surrogate, GAINS, 0.05, math.pi,
+                              -0.0),
+    "base_angle0_neg_zero": (ets7_params(), surrogate, GAINS, 0.05, -0.0, None),
+    "zero_reference": (ets7_params(), lambda: zero_reference(0.0), GAINS, 0.5,
+                       0.0, 0.0),
+    "neg_zero_reference": (ets7_params(), lambda: zero_reference(-0.0), GAINS,
+                           0.5, -0.0, 0.0),
+    "lizard": (LIZARD, surrogate,
+               PdGains(kp=1e-6, kd=1e-5, torque_limit=1e-7), 0.05, 0.0, None),
+    "one_sample": (ets7_params(), lambda: traj.JointTrajectory([3.0], [1.0]),
+                   GAINS, 0.05, math.pi, None),
+    "planar_zero_offsets": (planar_params(hinge_offset=0.0, arm_cm_offset=0.0),
+                            surrogate, GAINS, 0.05, math.pi, None),
+}
+
+
+def pd_history(out):
+    return np.vstack((out.times, out.base_angle, out.joint_angle, out.base_rate,
+                      out.joint_rate, out.torque, out.momentum))
+
+
+@pytest.mark.parametrize("case", sorted(FOLDED_CASES))
+def test_folded_pd_bytes_equal_general_loop(case):
+    p, make_ref, gains, dt, phi0, th0 = FOLDED_CASES[case]
+    ref = make_ref()
+    out = smsdyn.simulate_pd(p, ref, gains, dt, base_angle0=phi0,
+                             joint_angle0=th0)
+    want = oracle_track_pd(p, ref, gains, dt, base_angle0=phi0, joint_angle0=th0)
+    assert pd_history(out).tobytes() == want.tobytes()
+
+
+def test_zero_offset_pd_runs_the_folded_loop(monkeypatch):
+    def general(*args):
+        raise AssertionError("general loop ran")
+    monkeypatch.setattr(smsdyn, "_rk4_track", general)
+    smsdyn.simulate_pd(ets7_params(), surrogate(), GAINS, 0.05)
+    with pytest.raises(AssertionError):
+        smsdyn.simulate_pd(MODELS["replay"], surrogate(), GAINS, 0.05)
+
+
+def test_folded_pd_diverges_like_general_loop():
+    t = np.linspace(0, 10, 11)
+    ref = traj.JointTrajectory(t, np.full(11, 1.0), np.zeros(11))
+    gains = PdGains(kp=2000.0, kd=0.0, torque_limit=1e9)
+    with pytest.raises(Diverged) as want:
+        oracle_track_pd(LIZARD, ref, gains, dt=1.0, joint_angle0=0.0)
+    with pytest.raises(Diverged) as got:
+        smsdyn.simulate_pd(LIZARD, ref, gains, dt=1.0, joint_angle0=0.0)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("samples", [1, 2, 11])
+def test_folded_pd_singular_mass_like_general_loop(samples):
+    # one sample takes no step, so neither loop inverts M
+    p = smsdyn.SmsParams(1.0, 1.0, 0.0, 0.0)
+    ref = zero_reference(0.5) if samples == 11 else traj.JointTrajectory(
+        np.arange(samples, dtype=float), np.full(samples, 0.5))
+    if samples == 1:
+        out = smsdyn.simulate_pd(p, ref, GAINS, dt=1.0)
+        want = oracle_track_pd(p, ref, GAINS, dt=1.0)
+        assert pd_history(out).tobytes() == want.tobytes()
+        return
+    with pytest.raises(SingularMass) as want:
+        oracle_track_pd(p, ref, GAINS, dt=1.0)
+    with pytest.raises(SingularMass) as got:
+        smsdyn.simulate_pd(p, ref, GAINS, dt=1.0)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+@pytest.mark.parametrize("angles", [(math.pi, math.inf), (math.pi, math.nan),
+                                    (-math.inf, 0.0), (math.nan, 0.0)],
+                         ids=["joint_inf", "joint_nan", "base_inf", "base_nan"])
+def test_non_finite_initial_angle_out_of_domain(name, angles):
+    with pytest.raises(OutOfDomain, match="finite"):
+        smsdyn.simulate_pd(MODELS[name], surrogate(), GAINS, 0.05,
+                           base_angle0=angles[0], joint_angle0=angles[1])
+
+
+# -- frozen oracle: per-sample smoothing, bisected surrogate frequency -------
+
+def oracle_smooth(angle, window):
+    n = len(angle)
+    half = window // 2
+    out = np.empty(n)
+    for i in range(n):
+        lo = max(0, i - half)
+        hi = min(n, i + half + 1)
+        k = min(i - lo, hi - 1 - i)
+        out[i] = np.mean(angle[i - k:i + k + 1])
+    return out
+
+
+@pytest.mark.parametrize("window", [1, 3, 51, 2001])
+def test_smooth_equal_to_oracle(window):
+    rng = np.random.default_rng(3)
+    t = np.arange(2001) * 0.01
+    angle = np.cumsum(rng.normal(0.0, 0.05, 2001))
+    got = traj.smooth(traj.JointTrajectory(t, angle), window)
+    assert np.array_equal(got.angle, oracle_smooth(angle, window))
+    assert got.rate is None
+
+
+@pytest.mark.parametrize("overshoot, rise, duration, dt", [
+    (13.85, 64.5, 225.0, 0.01), (13.85, 0.043, 0.150, 1e-3),
+    (5.0, 2.0, 20.0, 0.01), (30.0, 1.0, 10.0, 0.01)])
+def test_surrogate_rise_is_exact(monkeypatch, overshoot, rise, duration, dt):
+    calls = []
+    step_response = traj._step_response
+    monkeypatch.setattr(traj, "_step_response",
+                        lambda t, zeta, wn: calls.append((zeta, wn))
+                        or step_response(t, zeta, wn))
+    traj.synth_second_order(overshoot, rise, duration, dt)
+    zeta, wn = calls[-1]
+    monkeypatch.undo()
+    assert abs(traj._analytic_rise(zeta, wn) - rise) <= 1e-9
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bioright import objective, smsdyn, traj
-from bioright.errors import MissingTorque
+from bioright.errors import MissingTorque, OutOfDomain
 from bioright.objective import (ObjectiveContext, ObjectiveWeights, evaluate,
                                 phi_efficiency, phi_safety, phi_stability,
                                 simplex_grid, weight_sweep, write_report_csv)
@@ -154,6 +154,12 @@ class TestSimplexGrid:
     def test_resolution_guard(self):
         with pytest.raises(ValueError):
             simplex_grid(1)
+
+    def test_resolution_bound_before_allocating(self):
+        # C(10**9 + 2, 2) rows would never fit; the bound raises at once
+        for resolution in (objective.MAX_RESOLUTION + 1, 10 ** 9):
+            with pytest.raises(OutOfDomain, match="<= 1000"):
+                simplex_grid(resolution)
 
 
 class TestWeightSweep:

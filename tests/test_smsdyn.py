@@ -370,3 +370,21 @@ class TestReferenceStartTime:
                 simulate_pd(p, ref, gains, dt=1.0, joint_angle0=0.0)
             messages.append(float(str(info.value).split("t = ")[1].split()[0]))
         assert messages[1] == messages[0] + self.T0
+
+
+class TestNonFiniteFields:
+    @pytest.mark.parametrize("field", ["base_mass", "arm_mass", "base_inertia",
+                                       "arm_inertia_cm", "hinge_offset",
+                                       "arm_cm_offset"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_params_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            planar_params(**{field: value})
+
+    @pytest.mark.parametrize("field", ["kp", "kd", "torque_limit"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_gains_rejected(self, field, value):
+        kw = dict(kp=2000.0, kd=20000.0, torque_limit=10.0)
+        kw[field] = value
+        with pytest.raises(ValueError, match="finite"):
+            PdGains(**kw)
