@@ -118,18 +118,17 @@ def _read_trajectory(path):
     return traj.differentiate(trajectory) if trajectory.rate is None else trajectory
 
 
-def _check_dt(dt):
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-
-
 def _load_run(args):
-    """Config, model and reference (default: surrogate) of simulate/sweep."""
+    """Config, model and reference (default: surrogate) of simulate, sweep and
+    demo; every run argument is checked before the reference is built or read."""
     cfg = smsdyn.parse_config(Path(args.config).read_text()) if args.config \
         else dict(smsdyn.CONFIG_DEFAULTS)
     if args.dt is not None:
         cfg["dt"] = args.dt
-    _check_dt(cfg["dt"])
+    if not cfg["dt"] > 0:
+        raise ValueError("dt must be positive")
+    if args.resolution is not None:
+        objective.check_resolution(args.resolution)
     params = smsdyn.params_from_config(cfg)
     reference = _read_trajectory(args.reference) if args.reference is not None \
         else traj.synth_second_order(SURROGATE_OVERSHOOT, SURROGATE_RISE,
@@ -137,18 +136,26 @@ def _load_run(args):
     return cfg, params, reference
 
 
-def cmd_simulate(args):
-    cfg, params, reference = _load_run(args)
+def _simulate(mode, cfg, params, reference, output=None):
+    """Prescribed playback or PD tracking of the reference from cfg's base
+    angle (with its gains and dt), written to output when one is given."""
     phi0 = math.radians(cfg["base_angle0_deg"])
-    if args.mode == "prescribed":
+    if mode == "prescribed":
         result = smsdyn.simulate_prescribed(params, reference, L0=0.0,
                                             base_angle0=phi0)
     else:
-        gains = smsdyn.gains_from_config(cfg)
-        result = smsdyn.simulate_pd(params, reference, gains, cfg["dt"],
+        result = smsdyn.simulate_pd(params, reference,
+                                    smsdyn.gains_from_config(cfg), cfg["dt"],
                                     base_angle0=phi0)
-    with open(args.output, "w") as f:
-        smsdyn.write_trajectory_csv(result, f)
+    if output is not None:
+        with open(output, "w") as f:
+            smsdyn.write_trajectory_csv(result, f)
+    return result
+
+
+def cmd_simulate(args):
+    cfg, params, reference = _load_run(args)
+    result = _simulate(args.mode, cfg, params, reference, args.output)
     _write_manifest("simulate", [args.reference], [args.output], config=args.config)
     r2d = 180.0 / math.pi
     dphi = np.max(np.abs(result.base_angle - result.base_angle[0])) * r2d
@@ -159,7 +166,7 @@ def cmd_simulate(args):
     print(f"max|phi_rate|_deg_s={peak_rate:.6f}")
     print(f"momentum_drift={drift:.3e}")
     print(f"inertia_ratio={ratio:.4f}")
-    if abs(params.base_inertia - 6200.0) < 1e-9:
+    if abs(params.base_inertia - smsdyn.CONFIG_DEFAULTS["base_inertia"]) < 1e-9:
         # The published 0.056 is not reproducible from 360/6200; both shown.
         print("inertia_ratio_reported=0.056 "
               "(published value; derivation ambiguous, raw ratio is "
@@ -169,20 +176,18 @@ def cmd_simulate(args):
 
 def cmd_sweep(args):
     cfg, params, reference = _load_run(args)
-    gains = smsdyn.gains_from_config(cfg)
-    result = smsdyn.simulate_pd(params, reference, gains, cfg["dt"],
-                                base_angle0=math.radians(cfg["base_angle0_deg"]))
-    report = _sweep(args.resolution, result, gains, args.output)
+    pd_run = _simulate("pd", cfg, params, reference)
+    report = _sweep(args.resolution, pd_run, cfg, args.output)
     _write_manifest("sweep", [args.reference], [args.output], config=args.config)
     print(f"wrote {len(report.rows)} rows to {args.output}")
     return EXIT_OK
 
 
-def _sweep(resolution, pd_run, gains, path):
+def _sweep(resolution, pd_run, cfg, path):
     """Weight sweep of a PD run, scored against its final base angle."""
     context = objective.ObjectiveContext(rate_limit=math.radians(0.30),
                                          base_angle_target=pd_run.base_angle[-1],
-                                         torque_limit=gains.torque_limit)
+                                         torque_limit=cfg["torque_limit"])
     report = objective.weight_sweep(resolution, pd_run, context)
     with open(path, "w") as f:
         objective.write_report_csv(report, f)
@@ -190,15 +195,11 @@ def _sweep(resolution, pd_run, gains, path):
 
 
 def cmd_demo(args):
-    """Chain synth reference -> scale -> simulate -> sweep."""
-    dt = 0.01 if args.dt is None else args.dt
-    _check_dt(dt)
+    """`simulate` (both modes) and `sweep` on the defaults, into one directory."""
+    cfg, params, reference = _load_run(args)
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    reference = traj.synth_second_order(SURROGATE_OVERSHOOT, SURROGATE_RISE,
-                                        SURROGATE_DURATION, dt)
-    ref_path = out / "reference.csv"
-    with open(ref_path, "w") as f:
+    with open(out / "reference.csv", "w") as f:
         traj.write_trajectory_csv(reference, f)
     m = traj.step_metrics(reference, steady_time=SURROGATE_DURATION)
     print(f"surrogate: rise={m.rise_time:.2f}s settle={m.settling_time:.2f}s "
@@ -207,25 +208,20 @@ def cmd_demo(args):
           f"settle={PUBLISHED_SETTLE}s overshoot={SURROGATE_OVERSHOOT}% "
           "(settle not attainable by a 2nd-order fit; see README)")
 
-    params = smsdyn.ets7_params()
-    prescribed = smsdyn.simulate_prescribed(params, reference)
-    with open(out / "prescribed.csv", "w") as f:
-        smsdyn.write_trajectory_csv(prescribed, f)
+    prescribed = _simulate("prescribed", cfg, params, reference,
+                           out / "prescribed.csv")
     r2d = 180.0 / math.pi
     dphi = (prescribed.base_angle[-1] - prescribed.base_angle[0]) * r2d
     print(f"prescribed playback: delta_phi={dphi:.3f} deg "
           f"(closed form {smsdyn.base_reaction_estimate(params, math.pi) * r2d:.3f}"
           " deg for a 180 deg sweep)")
 
-    gains = smsdyn.gains_from_config(smsdyn.CONFIG_DEFAULTS)
-    pd_run = smsdyn.simulate_pd(params, reference, gains, dt)
-    with open(out / "pd.csv", "w") as f:
-        smsdyn.write_trajectory_csv(pd_run, f)
+    pd_run = _simulate("pd", cfg, params, reference, out / "pd.csv")
     peak_rate = np.max(np.abs(pd_run.base_rate)) * r2d
     print(f"pd tracking: peak base rate={peak_rate:.4f} deg/s "
           "(target < 0.15 deg/s)")
 
-    report = _sweep(args.resolution, pd_run, gains, out / "sweep.csv")
+    report = _sweep(args.resolution, pd_run, cfg, out / "sweep.csv")
     print(f"sweep: {len(report.rows)} weight vectors, "
           f"argmin J={report.argmin.J:.6g}")
     _write_manifest("demo", [], [out / "reference.csv", out / "prescribed.csv",
@@ -271,7 +267,7 @@ def build_parser():
     p.add_argument("--mode", choices=["prescribed", "pd"], default="prescribed")
     p.add_argument("--output", required=True)
     p.add_argument("--dt", type=float, default=None)
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=cmd_simulate, resolution=None)
 
     p = sub.add_parser("sweep", help="objective weight sweep")
     p.add_argument("--config", default=None)
@@ -285,7 +281,7 @@ def build_parser():
     p.add_argument("--output-dir", default="demo_out")
     p.add_argument("--resolution", type=int, default=4)
     p.add_argument("--dt", type=float, default=None)
-    p.set_defaults(func=cmd_demo)
+    p.set_defaults(func=cmd_demo, config=None, reference=None)
     return parser
 
 

@@ -106,14 +106,19 @@ def evaluate(weights, traj, context):
     return J, ObjectiveRow(weights, ps, pst, pe, J)
 
 
-def simplex_grid(resolution):
-    """All weight triples with components in {0, 1/n, ..., 1} summing to 1,
-    in lexicographic order. Count is C(n+2, 2); n is at most MAX_RESOLUTION."""
+def check_resolution(resolution):
+    """Raise unless 2 <= resolution <= MAX_RESOLUTION (above: OutOfDomain)."""
     if resolution < 2:
         raise ValueError("grid resolution must be >= 2")
     if resolution > MAX_RESOLUTION:
         raise OutOfDomain(f"grid resolution must be <= {MAX_RESOLUTION}, "
                           f"got {resolution}")
+
+
+def simplex_grid(resolution):
+    """All weight triples with components in {0, 1/n, ..., 1} summing to 1,
+    in lexicographic order. Count is C(n+2, 2); see `check_resolution`."""
+    check_resolution(resolution)
     n = resolution
     return [ObjectiveWeights(i / n, j / n, (n - i - j) / n)
             for i in range(n + 1) for j in range(n - i + 1)]

@@ -3,7 +3,7 @@ axis: mass matrix, Coriolis terms, momentum-conserving playback, RK4
 integration, and PD joint tracking. Gravity is zero throughout."""
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -97,14 +97,10 @@ class PdGains:
 
 
 def ets7_params(reduced_base=False):
-    """ETS-VII roll-axis model; reduced_base divides the base inertia by 20."""
-    return SmsParams(
-        base_mass=2550.0,
-        arm_mass=140.4,
-        base_inertia=6200.0 / 20.0 if reduced_base else 6200.0,
-        arm_inertia_cm=360.0,
-        mode=Mode.COAXIAL,
-    )
+    """ETS-VII roll-axis model, the one CONFIG_DEFAULTS describes;
+    reduced_base divides the base inertia by 20."""
+    p = params_from_config(CONFIG_DEFAULTS)
+    return replace(p, base_inertia=p.base_inertia / 20.0) if reduced_base else p
 
 
 def lizard_params():
@@ -364,6 +360,7 @@ def write_trajectory_csv(traj, stream):
 
 # Config file handling: `key = value` lines, '#' comments.
 
+#: The ETS-VII roll-axis model (`ets7_params`), PD gains and run settings.
 CONFIG_DEFAULTS = {
     "base_mass": 2550.0,
     "arm_mass": 140.4,
@@ -377,7 +374,6 @@ CONFIG_DEFAULTS = {
     "kd": 20000.0,
     "torque_limit": 10.0,
     "base_angle0_deg": 180.0,
-    "joint_angle0_deg": 180.0,
 }
 
 

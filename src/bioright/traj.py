@@ -31,15 +31,15 @@ class JointTrajectory:
         self.angle = np.asarray(self.angle, dtype=float)
         if self.rate is not None:
             self.rate = np.asarray(self.rate, dtype=float)
+        for label, x in (("times contain", self.times),
+                         ("angle contains", self.angle), ("rate contains", self.rate)):
+            if x is not None and not np.all(np.isfinite(x)):
+                raise ValueError(f"{label} non-finite values")
         if len(self.times) >= 2:
             steps = np.diff(self.times)
             tol = GRID_TOL + GRID_RTOL * np.max(np.abs(self.times))
             if np.max(np.abs(steps - steps[0])) > tol:
                 raise ValueError("time grid is not uniform")
-        if not np.all(np.isfinite(self.angle)):
-            raise ValueError("angle contains non-finite values")
-        if self.rate is not None and not np.all(np.isfinite(self.rate)):
-            raise ValueError("rate contains non-finite values")
 
     @property
     def dt(self):
@@ -235,13 +235,15 @@ def write_trajectory_csv(traj, stream):
 
 
 def read_trajectory_csv(stream):
-    lines = [ln.strip() for ln in stream if ln.strip()]
-    if not lines or lines[0] != "t,angle_deg,rate_deg_s":
+    """`t,angle_deg,rate_deg_s` rows in one parse; all-NaN rates read as none."""
+    lines = [ln for ln in stream if not ln.isspace()]
+    if not lines or lines[0].strip() != "t,angle_deg,rate_deg_s":
         raise ValueError("expected header t,angle_deg,rate_deg_s")
     if len(lines) < 2:
         raise TooShort("trajectory CSV has no data rows")
-    data = np.array([[float(x) if x != "nan" else np.nan for x in ln.split(",")]
-                     for ln in lines[1:]])
+    data = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2)
+    if data.shape[1] != 3:
+        raise ValueError(f"expected 3 columns, got {data.shape[1]}")
     rate = None if np.all(np.isnan(data[:, 2])) else np.radians(data[:, 2])
     return JointTrajectory(data[:, 0], np.radians(data[:, 1]), rate)
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bioright import cli, keypoints, traj
+from bioright import cli, keypoints, smsdyn, traj
 
 from conftest import REST_POSE, full_csv_dataset, csv_text
 
@@ -346,3 +346,85 @@ class TestNonFiniteConfig:
         key = line.split()[0]
         assert f"config line 2: {key} must be finite" in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
+
+
+class TestDemoIsSimulateAndSweep:
+    """`demo` runs the run path of `simulate` and `sweep` on the defaults."""
+
+    def test_same_bytes(self, tmp_path, capsys):
+        common = ["--dt", "0.05"]
+        assert run(["demo", "--output-dir", str(tmp_path / "demo"),
+                    "--resolution", "3", *common]) == 0
+        for mode in ("prescribed", "pd"):
+            assert run(["simulate", "--mode", mode, *common,
+                        "--output", str(tmp_path / f"{mode}.csv")]) == 0
+        assert run(["sweep", "--resolution", "3", *common,
+                    "--output", str(tmp_path / "sweep.csv")]) == 0
+        for name in ("prescribed.csv", "pd.csv", "sweep.csv"):
+            assert (tmp_path / "demo" / name).read_bytes() == \
+                (tmp_path / name).read_bytes(), name
+
+
+class TestResolutionCheckedFirst:
+    @pytest.mark.parametrize("resolution, code", [("1001", 4), ("1", 2)])
+    def test_demo_writes_nothing(self, tmp_path, capsys, resolution, code):
+        out = tmp_path / "demo"
+        assert run(["demo", "--resolution", resolution,
+                    "--output-dir", str(out)]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: grid resolution")
+        assert not out.exists()
+
+    def test_sweep_runs_nothing(self, tmp_path, monkeypatch):
+        calls = []
+
+        def spy(name):
+            return lambda *a, **k: calls.append(name)
+        monkeypatch.setattr(smsdyn, "simulate_pd", spy("simulate_pd"))
+        monkeypatch.setattr(traj, "synth_second_order", spy("synth"))
+        out = tmp_path / "sweep.csv"
+        assert run(["sweep", "--resolution", "1001", "--output", str(out)]) == 4
+        assert calls == []
+        assert not out.exists()
+
+
+class TestJointAngleKeyRemoved:
+    def test_unknown_key_exit_2(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("joint_angle0_deg = 0\n")
+        code = run(["simulate", "--mode", "pd", "--config", str(config),
+                    "--output", str(tmp_path / "out.csv")])
+        assert code == 2
+        assert "unknown key 'joint_angle0_deg'" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+
+class TestBadTrajectoryCsvExit2:
+    """Malformed reference rows exit 2 with one error line, no traceback."""
+
+    @pytest.mark.parametrize("rates", ["nan", "1"], ids=["no_rate", "rate"])
+    @pytest.mark.parametrize("bad", ["inf", "nan"])
+    @pytest.mark.parametrize("command", ["scale", "simulate"])
+    def test_non_finite_time(self, tmp_path, command, bad, rates):
+        src = tmp_path / "ref.csv"
+        src.write_text("t,angle_deg,rate_deg_s\n" + "".join(
+            f"{t},{i},{rates}\n" for i, t in enumerate(["0", "0.01", bad, "0.03"])))
+        argv = (["scale", "--input", str(src), "--target-duration", "225"]
+                if command == "scale" else
+                ["simulate", "--mode", "pd", "--reference", str(src)])
+        proc = run_subprocess([*argv, "--output", str(tmp_path / "out.csv")])
+        assert proc.returncode == 2
+        assert proc.stderr == "error: times contain non-finite values\n"
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("body", ["0,1\n1,2\n2,3\n", "0,1,2,3\n1,2,3,4\n"],
+                             ids=["two_columns", "four_columns"])
+    def test_wrong_column_count(self, tmp_path, body):
+        src = tmp_path / "ref.csv"
+        src.write_text("t,angle_deg,rate_deg_s\n" + body)
+        proc = run_subprocess(["scale", "--input", str(src), "--output",
+                               str(tmp_path / "out.csv"), "--target-duration", "225"])
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: expected 3 columns")

@@ -161,6 +161,14 @@ class TestSimplexGrid:
             with pytest.raises(OutOfDomain, match="<= 1000"):
                 simplex_grid(resolution)
 
+    @pytest.mark.parametrize("resolution, error", [
+        (1, ValueError), (objective.MAX_RESOLUTION + 1, OutOfDomain)])
+    def test_check_resolution_is_the_grid_bound(self, resolution, error):
+        objective.check_resolution(2)
+        objective.check_resolution(objective.MAX_RESOLUTION)
+        with pytest.raises(error):
+            objective.check_resolution(resolution)
+
 
 class TestWeightSweep:
     def _traj(self):

@@ -38,6 +38,14 @@ class TestParams:
         assert p.base_inertia == pytest.approx(310.0)
         assert inertia_ratio(p) == pytest.approx(360.0 / 310.0)
 
+    def test_ets7_values(self):
+        # the ETS-VII numbers, now derived from CONFIG_DEFAULTS
+        assert ets7_params() == SmsParams(2550.0, 140.4, 6200.0, 360.0,
+                                          mode=Mode.COAXIAL)
+        assert ets7_params(reduced_base=True) == SmsParams(
+            2550.0, 140.4, 6200.0 / 20.0, 360.0, mode=Mode.COAXIAL)
+        assert ets7_params() == smsdyn.params_from_config(smsdyn.CONFIG_DEFAULTS)
+
     def test_lizard_inertia_ratio(self):
         assert inertia_ratio(lizard_params()) == pytest.approx(0.8015, abs=2e-4)
 

@@ -250,3 +250,61 @@ class TestDomainErrors:
         with pytest.raises(errors.OutOfDomain) as info:
             call(make_traj(t, t * t, 2 * t))
         assert not isinstance(info.value, ValueError)
+
+
+HEADER = "t,angle_deg,rate_deg_s\n"
+
+
+class TestTrajectoryCsvColumns:
+    """Exactly three columns; what the per-token parse accepted still reads."""
+
+    @pytest.mark.parametrize("body", ["0,1\n1,2\n", "0,1,2,3\n1,2,3,4\n",
+                                      "0,1,2\n1,2\n", "0,1,2\n1,2,3,4\n"],
+                             ids=["two", "four", "short_row", "long_row"])
+    def test_wrong_column_count_rejected(self, body):
+        with pytest.raises(ValueError, match="column"):
+            traj.read_trajectory_csv(io.StringIO(HEADER + body))
+
+    def test_blank_lines_and_whitespace(self):
+        text = ("\n  " + HEADER + "\n 0 , 10 , nan \n   \n0.5,20,nan\n"
+                "\t1,30,nan\r\n")
+        got = traj.read_trajectory_csv(io.StringIO(text))
+        assert got.times.tolist() == [0.0, 0.5, 1.0]
+        assert np.allclose(np.degrees(got.angle), [10.0, 20.0, 30.0],
+                           rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("token", ["inf", "-inf", "nan", "1e400"])
+    def test_non_finite_tokens_parse(self, token):
+        # the parse reads them; the trajectory then rejects the rate
+        with pytest.raises(ValueError, match="^rate contains non-finite"):
+            traj.read_trajectory_csv(io.StringIO(HEADER + f"0,1,2\n1,2,{token}\n"))
+
+    def test_all_nan_rates_read_as_none(self):
+        got = traj.read_trajectory_csv(io.StringIO(HEADER + "0,1,nan\n1,2,NaN\n"))
+        assert got.rate is None
+
+    def test_same_values_as_per_token_float(self):
+        rows = ["0,-0.0,1e-300", "0.25,1.5E+2,-7", "0.5,+3,.5", "0.75,4.,1e-5",
+                " 1 ,\t-5e-324 ,2"]
+        got = traj.read_trajectory_csv(io.StringIO(HEADER + "\n".join(rows)))
+        want = np.array([[float(x) for x in row.split(",")] for row in rows])
+        assert np.array_equal(got.angle, np.radians(want[:, 1]))
+        assert np.array_equal(got.rate, np.radians(want[:, 2]))
+
+    @pytest.mark.parametrize("token, value", [("1_0", 10.0), ("\u0663", 3.0)])
+    def test_rejects_tokens_python_float_accepts(self, token, value):
+        # The one intended difference: float() reads digit groups ("1_0") and
+        # non-ASCII digits (ARABIC-INDIC DIGIT THREE); the numpy parse does not.
+        assert float(token) == value
+        with pytest.raises(ValueError):
+            traj.read_trajectory_csv(io.StringIO(HEADER + f"0,{token},0\n1,1,0\n"))
+
+
+class TestNonFiniteTimes:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("rate", [None, np.zeros(5)], ids=["no_rate", "rate"])
+    def test_rejected_naming_times(self, bad, rate):
+        t = np.linspace(0.0, 0.04, 5)
+        t[2] = bad
+        with pytest.raises(ValueError, match="^times contain non-finite"):
+            make_traj(t, np.zeros(5), rate)
