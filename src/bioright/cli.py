@@ -154,6 +154,9 @@ def _simulate(mode, cfg, params, reference, output=None):
 
 
 def cmd_simulate(args):
+    if args.mode == "prescribed" and args.reference is not None and args.dt is not None:
+        raise ValueError("--dt does not apply to prescribed playback of a --reference "
+                         "file: playback runs on the file's own time grid")
     cfg, params, reference = _load_run(args)
     result = _simulate(args.mode, cfg, params, reference, args.output)
     _write_manifest("simulate", [args.reference], [args.output], config=args.config)

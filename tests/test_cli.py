@@ -10,6 +10,7 @@ import pytest
 from bioright import cli, keypoints, smsdyn, traj
 
 from conftest import REST_POSE, full_csv_dataset, csv_text
+from test_keypoints import yawing_lizard
 
 
 def run(argv):
@@ -428,3 +429,55 @@ class TestBadTrajectoryCsvExit2:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: expected 3 columns")
+
+
+class TestKeypointFileBoundary:
+    """CSV and JSON, any line ending: the file's header decides layout and unit."""
+
+    def test_stray_cr_metrics_exit_0(self, tmp_path, tracked_csv):
+        stray = tmp_path / "stray.csv"
+        stray.write_bytes(tracked_csv.read_bytes().replace(b"\n", b"\r", 3))
+        for src, out in ((tracked_csv, "lf.csv"), (stray, "stray_cr.csv")):
+            proc = run_subprocess(["metrics", "--input", str(src), "--frame-rate",
+                                   "1000", "--output", str(tmp_path / out)])
+            assert proc.returncode == 0
+            assert "Traceback" not in proc.stderr
+        assert (tmp_path / "lf.csv").read_bytes() == \
+            (tmp_path / "stray_cr.csv").read_bytes()
+
+    def test_3d_csv_reconstructs_like_its_json_twin(self, tmp_path):
+        ds = yawing_lizard()
+        out = {}
+        for fmt in ("csv", "json"):
+            with open(tmp_path / f"rec.{fmt}", "w") as f:
+                keypoints.save_dataset(ds, f, format=fmt)
+            assert run(["reconstruct", "--input", str(tmp_path / f"rec.{fmt}"),
+                        "--output", str(tmp_path / f"body_{fmt}.csv"),
+                        "--segment", "Body", "--frame-rate", "1000"]) == 0
+            out[fmt] = (tmp_path / f"body_{fmt}.csv").read_bytes()
+        assert out["csv"] == out["json"]
+        # 0.4 rad of yaw at frame 4 and no roll: not flipped by a pixel map
+        assert out["csv"].endswith(b"\n0.004000,22.9183,0.0000,0.0000,1\n")
+
+    def test_frame_beyond_bound_exit_2(self, tmp_path):
+        src = tmp_path / "far.csv"
+        src.write_text(csv_text([(0, 1, 1.0, 2.0, 1), (10**12, 1, 1.0, 2.0, 1)]))
+        proc = run_subprocess(["metrics", "--input", str(src), "--frame-rate", "1000",
+                               "--output", str(tmp_path / "r.csv")])
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ") and "MAX_FRAMES" in proc.stderr
+        assert not (tmp_path / "r.csv").exists()
+
+
+class TestPrescribedPlaybackDt:
+    def test_explicit_dt_exit_2(self, tmp_path):
+        src = tmp_path / "ref.csv"
+        src.write_text("t,angle_deg,rate_deg_s\n0,0,nan\n0.01,1,nan\n0.02,2,nan\n")
+        out = tmp_path / "out.csv"
+        proc = run_subprocess(["simulate", "--mode", "prescribed", "--reference",
+                               str(src), "--dt", "0.5", "--output", str(out)])
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ") and "time grid" in proc.stderr
+        assert not out.exists()

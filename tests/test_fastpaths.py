@@ -36,6 +36,7 @@ import io
 import json
 import math
 import re
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -986,7 +987,7 @@ def oracle_parse_number(token, what, kind):
 
 def oracle_load_csv(text, frame_rate=1000.0, unit="pixel"):
     """The per-row loader: one csv.reader row, int()/float() per token."""
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(text, newline=None))  # universal newlines
     try:
         header = next(reader)
     except StopIteration:
@@ -1152,6 +1153,10 @@ MALFORMED = [
     ("z_missing", H3 + "0,1,Neck,1.0,2.0,3.0,1\n1,1,Neck,1.0,2.0,1\n", ParseError, 3),
     ("z_bad_token", H3 + "0,1,Neck,1.0,2.0,zz,1\n", ParseError, 2),
     ("z_nan_visible", H3 + "0,1,Neck,1.0,2.0,nan,1\n", ParseError, 2),
+    ("bad_number_cr", (H2 + "0,1,Neck,1.0,2.0,1\n0,2,Eye_Left,abc,2.0,1\n")
+     .replace("\n", "\r"), ParseError, 3),
+    ("duplicate_cr", (H2 + "0,1,Neck,1.0,2.0,1\n1,1,Neck,1,2,1\n0,1,Neck,3.0,4.0,0\n")
+     .replace("\n", "\r"), SchemaError, 4),
 ]
 
 
@@ -1175,6 +1180,23 @@ def test_csv_bad_row_deep_in_a_recording_names_its_line(tmp_path):
     lines.insert(20000, "")
     with pytest.raises(ParseError, match=r"^line 30002: "):
         load_new("\n".join(lines))
+
+
+def test_json_load_peak_memory_is_a_few_times_the_text(tmp_path):
+    # one decoded str and the parsed document: about 4.5x the text length,
+    # where an extra io.StringIO copy of the text took it to about 8.3x
+    dataset = load_new(benchmark_recording(tmp_path, 11))
+    buf = io.StringIO()
+    keypoints.save_dataset(dataset, buf, format="json")
+    path = tmp_path / "rec.json"
+    path.write_text(buf.getvalue())
+    tracemalloc.start()
+    try:
+        keypoints.load_dataset(path, format="json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6.0 * len(buf.getvalue())
 
 
 @pytest.mark.parametrize("token, value", [("1_0", 10.0), ("\u0663", 3.0)])

@@ -12,7 +12,8 @@ from bioright.keypoints import (KeypointTrack, PlanarCalibration,
                                 pixel_to_world, reassociate_identities,
                                 save_dataset)
 
-from conftest import csv_text, full_csv_dataset, load_csv
+from conftest import (REST_POSE, csv_text, dataset_from_poses, full_csv_dataset,
+                      load_csv, rotate_pose)
 
 
 def make_track(positions, visible=None, kid=1):
@@ -376,3 +377,70 @@ def test_save_dataset_without_tracks():
     assert buf.getvalue() == "frame,keypoint_id,keypoint_name,x,y,visible\n"
     with pytest.raises(EmptyDataset):
         load_csv(buf.getvalue())
+
+
+def yawing_lizard(frame_count=5):
+    """3D meter dataset: the rest pose turning 0.1 rad per frame about z."""
+    poses = []
+    for f in range(frame_count):
+        c, s = np.cos(0.1 * f), np.sin(0.1 * f)
+        poses.append(rotate_pose(REST_POSE, np.array([[c, -s, 0.0], [s, c, 0.0],
+                                                      [0.0, 0.0, 1.0]])))
+    return dataset_from_poses(poses)
+
+
+def assert_equal_datasets(got, want):
+    assert (got.frame_rate, got.frame_count, got.unit) == \
+        (want.frame_rate, want.frame_count, want.unit)
+    assert list(got.tracks) == list(want.tracks)
+    for kid, track in want.tracks.items():
+        assert np.array_equal(got.tracks[kid].visible, track.visible)
+        assert np.array_equal(got.tracks[kid].positions, track.positions,
+                              equal_nan=True)
+
+
+class TestSources:
+    """Every kind of source gives the saved dataset and unit back; a 3D CSV
+    reads back in meters."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_paths_and_streams_agree(self, tmp_path, fmt, dim):
+        ds = load_csv(full_csv_dataset(6)) if dim == 2 else yawing_lizard()
+        path = tmp_path / f"rec.{fmt}"
+        with open(path, "w") as f:
+            save_dataset(ds, f, format=fmt)
+        kwargs = {"frame_rate": ds.frame_rate} if fmt == "csv" else {}
+        with open(path) as text, open(path, "rb") as binary:
+            loaded = [load_dataset(source, format=fmt, **kwargs)
+                      for source in (str(path), path, text, binary)]
+        for other in loaded:
+            assert_equal_datasets(other, ds)
+
+    def test_str_is_always_a_path(self):
+        with pytest.raises(FileNotFoundError):
+            load_dataset("frame,keypoint_id,keypoint_name,x,y,visible\n",
+                         format="csv", frame_rate=1000.0)
+
+
+class TestLineEndings:
+    @pytest.mark.parametrize("newline", ["\r", "\r\n"], ids=["cr", "crlf"])
+    def test_same_dataset_as_lf(self, tmp_path, newline):
+        text = full_csv_dataset(8)
+        want = load_csv(text)
+        path = tmp_path / "rec.csv"
+        path.write_bytes(text.replace("\n", newline).encode())
+        assert_equal_datasets(load_csv(text.replace("\n", newline)), want)
+        assert_equal_datasets(load_dataset(path, frame_rate=1000.0), want)
+
+
+class TestFrameBound:
+    """A frame grid beyond MAX_FRAMES is refused before it is allocated."""
+
+    def test_csv_frame(self):
+        with pytest.raises(SchemaError, match="1000000000001 frames"):
+            load_csv(csv_text([(0, 1, 1.0, 2.0, 1), (10**12, 1, 1.0, 2.0, 1)]))
+
+    def test_json_frame_count(self):
+        with pytest.raises(SchemaError, match=f"MAX_FRAMES = {keypoints.MAX_FRAMES}"):
+            load_json(json_text({1: [(0, 1.0, 2.0, True)]}, 10**12))
