@@ -144,12 +144,12 @@ def load_dataset(source, format="csv", frame_rate=None):
 
 
 def _as_text(source):
-    """The whole file as one str: UTF-8, with \\r\\n and \\r read as \\n."""
+    """The whole file as one UTF-8 str, less a leading BOM; \\r\\n and \\r end lines."""
     if isinstance(source, (str, os.PathLike)):
         with open(source, "rb") as f:
             return _as_text(f)
     data = source.read()
-    data = data.decode("utf-8") if isinstance(data, bytes) else data
+    data = (data.decode() if isinstance(data, bytes) else data).removeprefix("\ufeff")
     if "\r" in data:  # a test is 25x faster than a replace that finds nothing
         data = data.replace("\r\n", "\n").replace("\r", "\n")
     if (nul := data.find("\0")) >= 0:  # numpy drops a trailing NUL from a text field
@@ -270,6 +270,8 @@ def _load_json(source):
         frame_rate, frame_count = float(obj["frame_rate"]), int(obj["frame_count"])
         first = next((t["samples"][0] for t in obj["tracks"] if t["samples"]), {})
         axes = ("x", "y", "z") if "z" in first else ("x", "y")
+        if len(axes) == 3 and obj["unit"] == "pixel":
+            raise SchemaError("samples carry z, so the unit must be meter, not pixel")
         coords = operator.itemgetter(*axes)
         for t in obj["tracks"]:
             kid, name, track = t["id"], t["name"], t["samples"]

@@ -9,6 +9,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import Diverged, ModeUnsupported, OutOfDomain, SingularMass
+from .traj import write_rows
 
 DIVERGE_LIMIT = 1e6
 
@@ -219,11 +220,11 @@ def _rk4_track(p, dt, state, t0, ref, ref_d, kp, kd, lo, hi):
 
 def _rk4_track_folded(p, dt, state, t0, ref, ref_d, kp, kd, lo, hi):
     """`_rk4_track` for zero offsets: M is constant and h = 0, so stages
-    2-4 repeat stage 1's accelerations, which differ from the general
-    loop's only in the sign of a zero. The RK4 sums keep their order, so
-    from +0.0 rates (IEEE addition never reaches -0.0 from +0.0) the
-    history is bit-identical; `step_rk4`, given any rates, keeps the
-    general loop."""
+    2-4 repeat stage 1's accelerations (up to the sign of a zero), and u
+    feeds back through the joint alone: the base follows the scalar joint
+    loop in whole-array passes (`np.add.accumulate` adds in order). With
+    the RK4 sums in their order, +0.0 rates (IEEE sums never reach -0.0
+    from +0.0) give a bit-identical history; `step_rk4` keeps `_rk4_track`."""
     ia = p.arm_inertia_cm
     m11, m12, m22 = p.base_inertia + ia, ia, ia
     det, lim = m11 * m22 - m12 * m12, DIVERGE_LIMIT
@@ -233,24 +234,33 @@ def _rk4_track_folded(p, dt, state, t0, ref, ref_d, kp, kd, lo, hi):
     if n > 1 and abs(det) < 1e-300:
         raise SingularMass("mass matrix not invertible")
     history = np.empty((6, n))
-    phi_v, theta_v, phi_d_v, theta_d_v, tau_v, L_v = map(memoryview, history)
+    _, theta_v, _, theta_d_v, tau_v, _ = map(memoryview, history)
+    bad = n  # the first sample out of the limit
     for i in range(n):
         u = kp * (ref[i] - th) + kd * (ref_d[i] - thd)
-        u = min(max(u, lo), hi)
-        phi_v[i], theta_v[i], phi_d_v[i], theta_d_v[i], tau_v[i] = a, th, ad, thd, u
-        L_v[i] = m11 * ad + m12 * thd
+        u = lo if u < lo else hi if u > hi else u  # min(max(u, lo), hi), lo <= hi
+        theta_v[i], theta_d_v[i], tau_v[i] = th, thd, u
         if i == n - 1:
             break
-        a1, b1 = -m12 * u / det, m11 * u / det
-        ad2, thd2 = ad + half * a1, thd + half * b1
-        ad4, thd4 = ad + dt * a1, thd + dt * b1
-        a, th, ad, thd = (a + sixth * (ad + 2 * ad2 + 2 * ad2 + ad4),
-                          th + sixth * (thd + 2 * thd2 + 2 * thd2 + thd4),
-                          ad + sixth * (a1 + 2 * a1 + 2 * a1 + a1),
-                          thd + sixth * (b1 + 2 * b1 + 2 * b1 + b1))
-        if not (abs(a) <= lim and abs(th) <= lim and abs(ad) <= lim
-                and abs(thd) <= lim):
-            raise Diverged(f"state blew up at t = {t0 + (i + 1) * dt:.3f} s")
+        b1 = m11 * u / det
+        thd2, thd4 = thd + half * b1, thd + dt * b1
+        th, thd = (th + sixth * (thd + 2 * thd2 + 2 * thd2 + thd4),
+                   thd + sixth * (b1 + 2 * b1 + 2 * b1 + b1))
+        if not (abs(th) <= lim and abs(thd) <= lim):
+            bad = i + 1
+            break
+    with np.errstate(over="ignore", invalid="ignore"):
+        a1 = -m12 * history[4, :min(bad, n - 1)] / det
+        rate = np.add.accumulate(np.r_[ad, sixth * (a1 + 2 * a1 + 2 * a1 + a1)])
+        ad1 = rate[:-1]
+        ad2, ad4 = ad1 + half * a1, ad1 + dt * a1
+        angle = np.add.accumulate(np.r_[a, sixth * (ad1 + 2 * ad2 + 2 * ad2 + ad4)])
+        beyond = ~((np.abs(angle[1:]) <= lim) & (np.abs(rate[1:]) <= lim))
+    if beyond.any():
+        bad = min(bad, int(beyond.argmax()) + 1)
+    if bad < n:
+        raise Diverged(f"state blew up at t = {t0 + bad * dt:.3f} s")
+    history[0], history[2], history[5] = angle, rate, m11 * rate + m12 * history[3]
     return history
 
 
@@ -351,11 +361,9 @@ def write_trajectory_csv(traj, stream):
     """Emit `t,phi_deg,theta_deg,phi_rate_deg_s,theta_rate_deg_s,tau_Nm,L`."""
     stream.write("t,phi_deg,theta_deg,phi_rate_deg_s,theta_rate_deg_s,tau_Nm,L\n")
     r2d = 180.0 / math.pi
-    columns = map(memoryview, (
+    write_rows(stream, "%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%.9g\n", (
         traj.times, traj.base_angle * r2d, traj.joint_angle * r2d,
         traj.base_rate * r2d, traj.joint_rate * r2d, traj.torque, traj.momentum))
-    stream.writelines("%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%.9g\n" % row
-                      for row in zip(*columns))
 
 
 # Config file handling: `key = value` lines, '#' comments.

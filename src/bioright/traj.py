@@ -17,6 +17,9 @@ GRID_TOL, GRID_RTOL = 1e-9, 2e-8
 #: Minimum step magnitude for metrics, radians.
 STEP_EPS = 1e-12
 
+#: Rows per formatting call of `write_rows`, which bounds its memory.
+WRITE_BLOCK = 1024
+
 
 @dataclass
 class JointTrajectory:
@@ -226,12 +229,19 @@ def synth_second_order(overshoot_pct, rise_time, duration, dt,
     return JointTrajectory(times, step_rad * y, step_rad * ydot)
 
 
+def write_rows(stream, row_format, columns):
+    """Write `row_format % row` for each row of the columns, WRITE_BLOCK rows a call."""
+    for start in range(0, len(columns[0]), WRITE_BLOCK):
+        block = np.column_stack([c[start:start + WRITE_BLOCK] for c in columns])
+        stream.write((row_format * len(block)) % tuple(block.ravel().tolist()))
+
+
 def write_trajectory_csv(traj, stream):
     """Emit `t,angle_deg,rate_deg_s`."""
     stream.write("t,angle_deg,rate_deg_s\n")
     rate = traj.rate if traj.rate is not None else np.full(len(traj.times), np.nan)
-    columns = map(memoryview, (traj.times, np.degrees(traj.angle), np.degrees(rate)))
-    stream.writelines("%.9g,%.9g,%.9g\n" % row for row in zip(*columns))
+    write_rows(stream, "%.9g,%.9g,%.9g\n",
+               (traj.times, np.degrees(traj.angle), np.degrees(rate)))
 
 
 def read_trajectory_csv(stream):

@@ -445,6 +445,30 @@ class TestKeypointFileBoundary:
         assert (tmp_path / "lf.csv").read_bytes() == \
             (tmp_path / "stray_cr.csv").read_bytes()
 
+    def test_byte_order_mark_metrics_equal(self, tmp_path, tracked_csv):
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + tracked_csv.read_bytes())
+        for src, out in ((tracked_csv, "plain.csv"), (bom, "bom_report.csv")):
+            proc = run_subprocess(["metrics", "--input", str(src), "--frame-rate",
+                                   "1000", "--output", str(tmp_path / out)])
+            assert proc.returncode == 0
+            assert "Traceback" not in proc.stderr
+        assert (tmp_path / "plain.csv").read_bytes() == \
+            (tmp_path / "bom_report.csv").read_bytes()
+
+    def test_3d_json_in_pixels_exit_2(self, tmp_path):
+        src = tmp_path / "rec.json"
+        with open(src, "w") as f:
+            keypoints.save_dataset(yawing_lizard(), f, format="json")
+        src.write_text(src.read_text().replace('"unit": "meter"', '"unit": "pixel"'))
+        out = tmp_path / "body.csv"
+        proc = run_subprocess(["reconstruct", "--input", str(src), "--output",
+                               str(out), "--segment", "Body"])
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ") and "unit must be meter" in proc.stderr
+        assert not out.exists()
+
     def test_3d_csv_reconstructs_like_its_json_twin(self, tmp_path):
         ds = yawing_lizard()
         out = {}

@@ -39,6 +39,7 @@ import re
 import tracemalloc
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -478,6 +479,40 @@ def test_folded_pd_diverges_like_general_loop():
     assert str(got.value) == str(want.value)
 
 
+def late_reference():
+    t = 3.0 + np.arange(11.0)
+    return traj.JointTrajectory(t, np.full(11, 1.0), np.zeros(11))
+
+
+# (model, reference, gains, dt, base_angle0, joint_angle0, the time Diverged
+# names). The folded loop steps the base after the joint, so each case
+# pins which of the two leaves DIVERGE_LIMIT first.
+DIVERGING = {
+    # the base turns back 0.055 rad per joint rad and passes the limit
+    # when the joint reaches 0.91 rad, at 34.7 s
+    "base_after_many_steps": (ets7_params(), surrogate, GAINS, 0.05,
+                              -(DIVERGE_LIMIT - 0.05), None, "34.700"),
+    # sample 0 is never checked, so the first step is the one that fails
+    "base_beyond_at_start": (ets7_params(), late_reference, GAINS, 0.5,
+                             2 * DIVERGE_LIMIT, 0.0, "3.500"),
+    # the base turns 1e-9 times as far as the joint, so only the joint fails
+    "joint_first": (smsdyn.SmsParams(1.0, 1.0, 1e3, 1e-6), late_reference,
+                    PdGains(kp=1e-4, kd=0.0, torque_limit=1e3), 1.0, 0.0, 0.0,
+                    "7.000"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DIVERGING))
+def test_folded_pd_diverges_at_the_general_loops_sample(case):
+    p, make_ref, gains, dt, phi0, th0, when = DIVERGING[case]
+    ref = make_ref()
+    with pytest.raises(Diverged) as want:
+        oracle_track_pd(p, ref, gains, dt, base_angle0=phi0, joint_angle0=th0)
+    with pytest.raises(Diverged) as got:
+        smsdyn.simulate_pd(p, ref, gains, dt, base_angle0=phi0, joint_angle0=th0)
+    assert str(got.value) == str(want.value) == f"state blew up at t = {when} s"
+
+
 @pytest.mark.parametrize("samples", [1, 2, 11])
 def test_folded_pd_singular_mass_like_general_loop(samples):
     # one sample takes no step, so neither loop inverts M
@@ -629,6 +664,33 @@ def test_traj_writer_byte_identical(with_rate):
     buf = io.StringIO()
     traj.write_trajectory_csv(tr, buf)
     assert buf.getvalue() == oracle_traj_csv(tr)
+
+
+def special_columns(rows, count, seed):
+    """`count` columns of `rows` random cells; every 7th cell is NaN, +-inf,
+    +-0.0 or subnormal in turn."""
+    rng = np.random.default_rng(seed)
+    cells = rng.standard_normal((count, rows)) * 10.0 ** rng.integers(-8, 9, (count, rows))
+    special = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, -2.5e-310, 0.0])
+    flat = cells.reshape(-1)
+    flat[::7] = np.resize(special, flat[::7].shape)
+    return list(cells)
+
+
+@pytest.mark.parametrize("rows", [0, 1, traj.WRITE_BLOCK - 1, traj.WRITE_BLOCK,
+                                  traj.WRITE_BLOCK + 1, 2 * traj.WRITE_BLOCK + 1])
+def test_block_writers_byte_identical_to_per_row(rows):
+    assert traj.WRITE_BLOCK == 1024
+    tr = SmsTrajectory(*special_columns(rows, 7, rows))
+    buf = io.StringIO()
+    smsdyn.write_trajectory_csv(tr, buf)
+    assert buf.getvalue() == oracle_sms_csv(tr)
+    times, angle, rate = special_columns(rows, 3, rows + 1)
+    for tr in (SimpleNamespace(times=times, angle=angle, rate=rate),
+               SimpleNamespace(times=times, angle=angle, rate=None)):
+        buf = io.StringIO()
+        traj.write_trajectory_csv(tr, buf)
+        assert buf.getvalue() == oracle_traj_csv(tr)
 
 
 def test_report_writer_byte_identical():

@@ -434,6 +434,42 @@ class TestLineEndings:
         assert_equal_datasets(load_dataset(path, frame_rate=1000.0), want)
 
 
+class TestByteOrderMark:
+    """A leading UTF-8 byte-order mark, as spreadsheet exports write it, is
+    not part of the first header field or the JSON document."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_same_dataset_as_without(self, tmp_path, fmt):
+        ds = load_csv(full_csv_dataset(6))
+        plain, bom = tmp_path / f"plain.{fmt}", tmp_path / f"bom.{fmt}"
+        with open(plain, "w") as f:
+            save_dataset(ds, f, format=fmt)
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        kwargs = {"frame_rate": ds.frame_rate} if fmt == "csv" else {}
+        with open(bom, encoding="utf-8") as text, open(bom, "rb") as binary:
+            assert text.read(1) == "\ufeff"
+            text.seek(0)
+            for source in (bom, text, binary):
+                assert_equal_datasets(load_dataset(source, format=fmt, **kwargs), ds)
+
+    def test_only_a_leading_mark_is_dropped(self):
+        text = full_csv_dataset(2).replace("Neck", "\ufeffNeck", 1)
+        with pytest.raises(SchemaError, match="unknown keypoint name"):
+            load_csv("\ufeff" + text)
+
+
+class TestJsonUnitMatchesAxes:
+    def test_3d_pixel_rejected(self):
+        doc = json.loads(json_text({1: [(0, 1.0, 2.0, True)]}, 1))
+        doc["tracks"][0]["samples"][0]["z"] = 3.0
+        with pytest.raises(SchemaError, match="unit must be meter"):
+            load_json(json.dumps(doc))
+        doc["unit"] = "meter"
+        ds = load_json(json.dumps(doc))
+        assert ds.unit == "meter"
+        assert ds.tracks[1].positions.tolist() == [[1.0, 2.0, 3.0]]
+
+
 class TestFrameBound:
     """A frame grid beyond MAX_FRAMES is refused before it is allocated."""
 
