@@ -155,29 +155,35 @@ def _rk4_track(p, dt, state, t0, ref, ref_d, kp, kd, lo, hi):
     theta_d, u, L. The stages are written out over scalar floats with the
     constants of `mass_matrix` and `coriolis` hoisted in their operation
     order, so both modes run this loop exactly; stage 1's mass-matrix row
-    is the momentum row. Raises SingularMass at any stage, and Diverged
-    (dated from t0) unless every |state| <= DIVERGE_LIMIT after a step."""
+    is the momentum row. A step calls only `cos` and `sin` and multiplies
+    only floats; its clamp and range tests are comparisons (NaN fails them).
+    Raises SingularMass at any stage, and Diverged (dated from t0) unless
+    every |state| <= DIVERGE_LIMIT after a step."""
     mu = p.reduced_mass
     rh, d, ia = p.hinge_offset, p.arm_cm_offset, p.arm_inertia_cm
     m11_0, m11_c, m11_k = p.base_inertia + ia, rh * rh + d * d, 2 * rh * d
     m12_c, m12_k, m22, h_k = d * d, rh * d, ia + mu * d * d, -mu * rh * d
-    cos, sin, lim = math.cos, math.sin, DIVERGE_LIMIT
+    cos, sin, lim, nlim = math.cos, math.sin, DIVERGE_LIMIT, -DIVERGE_LIMIT
     half, sixth = 0.5 * dt, dt / 6.0
     a, th, ad, thd = map(float, state)
     n = len(ref)
     history = np.empty((6, n))
     phi_v, theta_v, phi_d_v, theta_d_v, tau_v, L_v = map(memoryview, history)
-    for i in range(n):
-        u = kp * (ref[i] - th) + kd * (ref_d[i] - thd)
-        u = min(max(u, lo), hi)  # NaN stays NaN, as with np.clip
+    for i, r, rd in zip(range(n), ref, ref_d):
+        u = kp * (r - th) + kd * (rd - thd)
+        u = lo if u < lo else hi if u > hi else u  # min(max(u, lo), hi), lo <= hi
         c, h = cos(th), h_k * sin(th)
         m11, m12 = m11_0 + mu * (m11_c + m11_k * c), ia + mu * (m12_c + m12_k * c)
-        phi_v[i], theta_v[i], phi_d_v[i], theta_d_v[i], tau_v[i] = a, th, ad, thd, u
+        phi_v[i] = a
+        theta_v[i] = th
+        phi_d_v[i] = ad
+        theta_d_v[i] = thd
+        tau_v[i] = u
         L_v[i] = m11 * ad + m12 * thd
         if i == n - 1:
             break
         det = m11 * m22 - m12 * m12
-        if abs(det) < 1e-300:
+        if -1e-300 < det < 1e-300:
             raise SingularMass("mass matrix not invertible")
         r0, r1 = -(h * thd * ad + h * (ad + thd) * thd), u + h * ad * ad
         a1, b1 = (m22 * r0 - m12 * r1) / det, (m11 * r1 - m12 * r0) / det
@@ -186,7 +192,7 @@ def _rk4_track(p, dt, state, t0, ref, ref_d, kp, kd, lo, hi):
         c, h = cos(x), h_k * sin(x)
         m11, m12 = m11_0 + mu * (m11_c + m11_k * c), ia + mu * (m12_c + m12_k * c)
         det = m11 * m22 - m12 * m12
-        if abs(det) < 1e-300:
+        if -1e-300 < det < 1e-300:
             raise SingularMass("mass matrix not invertible")
         r0, r1 = -(h * thd2 * ad2 + h * (ad2 + thd2) * thd2), u + h * ad2 * ad2
         a2, b2 = (m22 * r0 - m12 * r1) / det, (m11 * r1 - m12 * r0) / det
@@ -195,7 +201,7 @@ def _rk4_track(p, dt, state, t0, ref, ref_d, kp, kd, lo, hi):
         c, h = cos(x), h_k * sin(x)
         m11, m12 = m11_0 + mu * (m11_c + m11_k * c), ia + mu * (m12_c + m12_k * c)
         det = m11 * m22 - m12 * m12
-        if abs(det) < 1e-300:
+        if -1e-300 < det < 1e-300:
             raise SingularMass("mass matrix not invertible")
         r0, r1 = -(h * thd3 * ad3 + h * (ad3 + thd3) * thd3), u + h * ad3 * ad3
         a3, b3 = (m22 * r0 - m12 * r1) / det, (m11 * r1 - m12 * r0) / det
@@ -204,16 +210,16 @@ def _rk4_track(p, dt, state, t0, ref, ref_d, kp, kd, lo, hi):
         c, h = cos(x), h_k * sin(x)
         m11, m12 = m11_0 + mu * (m11_c + m11_k * c), ia + mu * (m12_c + m12_k * c)
         det = m11 * m22 - m12 * m12
-        if abs(det) < 1e-300:
+        if -1e-300 < det < 1e-300:
             raise SingularMass("mass matrix not invertible")
         r0, r1 = -(h * thd4 * ad4 + h * (ad4 + thd4) * thd4), u + h * ad4 * ad4
         a4, b4 = (m22 * r0 - m12 * r1) / det, (m11 * r1 - m12 * r0) / det
-        a, th, ad, thd = (a + sixth * (ad + 2 * ad2 + 2 * ad3 + ad4),
-                          th + sixth * (thd + 2 * thd2 + 2 * thd3 + thd4),
-                          ad + sixth * (a1 + 2 * a2 + 2 * a3 + a4),
-                          thd + sixth * (b1 + 2 * b2 + 2 * b3 + b4))
-        if not (abs(a) <= lim and abs(th) <= lim and abs(ad) <= lim
-                and abs(thd) <= lim):
+        a, th, ad, thd = (a + sixth * (ad + 2.0 * ad2 + 2.0 * ad3 + ad4),
+                          th + sixth * (thd + 2.0 * thd2 + 2.0 * thd3 + thd4),
+                          ad + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4),
+                          thd + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4))
+        if not (nlim <= a <= lim and nlim <= th <= lim and nlim <= ad <= lim
+                and nlim <= thd <= lim):
             raise Diverged(f"state blew up at t = {t0 + (i + 1) * dt:.3f} s")
     return history
 
@@ -227,7 +233,7 @@ def _rk4_track_folded(p, dt, state, t0, ref, ref_d, kp, kd, lo, hi):
     from +0.0) give a bit-identical history; `step_rk4` keeps `_rk4_track`."""
     ia = p.arm_inertia_cm
     m11, m12, m22 = p.base_inertia + ia, ia, ia
-    det, lim = m11 * m22 - m12 * m12, DIVERGE_LIMIT
+    det, lim, nlim = m11 * m22 - m12 * m12, DIVERGE_LIMIT, -DIVERGE_LIMIT
     half, sixth = 0.5 * dt, dt / 6.0
     a, th, ad, thd = map(float, state)
     n = len(ref)
@@ -236,17 +242,17 @@ def _rk4_track_folded(p, dt, state, t0, ref, ref_d, kp, kd, lo, hi):
     history = np.empty((6, n))
     _, theta_v, _, theta_d_v, tau_v, _ = map(memoryview, history)
     bad = n  # the first sample out of the limit
-    for i in range(n):
-        u = kp * (ref[i] - th) + kd * (ref_d[i] - thd)
+    for i, r, rd in zip(range(n), ref, ref_d):
+        u = kp * (r - th) + kd * (rd - thd)
         u = lo if u < lo else hi if u > hi else u  # min(max(u, lo), hi), lo <= hi
         theta_v[i], theta_d_v[i], tau_v[i] = th, thd, u
         if i == n - 1:
             break
         b1 = m11 * u / det
         thd2, thd4 = thd + half * b1, thd + dt * b1
-        th, thd = (th + sixth * (thd + 2 * thd2 + 2 * thd2 + thd4),
-                   thd + sixth * (b1 + 2 * b1 + 2 * b1 + b1))
-        if not (abs(th) <= lim and abs(thd) <= lim):
+        th, thd = (th + sixth * (thd + 2.0 * thd2 + 2.0 * thd2 + thd4),
+                   thd + sixth * (b1 + 2.0 * b1 + 2.0 * b1 + b1))
+        if not (nlim <= th <= lim and nlim <= thd <= lim):
             bad = i + 1
             break
     with np.errstate(over="ignore", invalid="ignore"):

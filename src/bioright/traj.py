@@ -40,6 +40,8 @@ class JointTrajectory:
                 raise ValueError(f"{label} non-finite values")
         if len(self.times) >= 2:
             steps = np.diff(self.times)
+            if not steps.min() > 0:
+                raise ValueError("time grid must increase")
             tol = GRID_TOL + GRID_RTOL * np.max(np.abs(self.times))
             if np.max(np.abs(steps - steps[0])) > tol:
                 raise ValueError("time grid is not uniform")

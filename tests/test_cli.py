@@ -505,3 +505,26 @@ class TestPrescribedPlaybackDt:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ") and "time grid" in proc.stderr
         assert not out.exists()
+
+
+class TestNonIncreasingReferenceExit2:
+    """A reference whose times go down or repeat is rejected before any
+    output is written."""
+
+    @pytest.mark.parametrize("times", [("2", "1", "0"), ("0", "0")],
+                             ids=["descending", "repeated"])
+    @pytest.mark.parametrize("argv", [["simulate", "--mode", "pd"],
+                                      ["simulate", "--mode", "prescribed"],
+                                      ["sweep", "--resolution", "4"]],
+                             ids=["pd", "prescribed", "sweep"])
+    def test_exit_2_writes_nothing(self, tmp_path, argv, times):
+        src = tmp_path / "ref.csv"
+        src.write_text("t,angle_deg,rate_deg_s\n" + "".join(
+            f"{t},{10 * i},nan\n" for i, t in enumerate(times)))
+        out = tmp_path / "out.csv"
+        proc = run_subprocess([*argv, "--reference", str(src), "--output", str(out)])
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == "error: time grid must increase\n"
+        assert not out.exists()
+        assert not (tmp_path / "out.manifest.json").exists()

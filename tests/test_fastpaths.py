@@ -24,8 +24,9 @@ pinned: `float()` reads "1_0" and non-ASCII digits, the numpy parse does
 not.
 
 The general RK4 loop `smsdyn._rk4_track` is frozen as `oracle_rk4_track`:
-PD tracking on a zero-offset model runs a folded loop whose history must
-equal it byte for byte (`tobytes`, so the sign of a zero counts). The
+PD tracking on a zero-offset model runs a folded loop, and on a
+PlanarOffset model the general loop itself, and either history must equal
+it byte for byte (`tobytes`, so the sign of a zero counts). The
 per-sample `traj.smooth` loop is frozen as `oracle_smooth`, and the
 windowed average must equal it.
 """
@@ -539,6 +540,110 @@ def test_non_finite_initial_angle_out_of_domain(name, angles):
     with pytest.raises(OutOfDomain, match="finite"):
         smsdyn.simulate_pd(MODELS[name], surrogate(), GAINS, 0.05,
                            base_angle0=angles[0], joint_angle0=angles[1])
+
+
+# -- the general loop on PlanarOffset models ---------------------------------
+
+def light_reference():
+    # the 151-sample flip stretched to 2 s: rates of a few rad/s on LIGHT
+    flip = traj.synth_second_order(13.85, 0.043, 0.150, 1e-3)
+    return traj.time_scale(traj.differentiate(
+        traj.JointTrajectory(flip.times, flip.angle)), 2.0)
+
+
+REPLAY = MODELS["replay"]
+# (model, reference, gains, dt, base_angle0, joint_angle0); every model
+# here has offsets, so `simulate_pd` runs the general loop.
+GENERAL_CASES = {
+    "planar_offset": (MODELS["planar_offset"], surrogate, GAINS, 0.05,
+                      math.pi, None),
+    "coarse_grid": (REPLAY, coarse_reference, GAINS, 0.05, 0.25, None),
+    "replay_shaped": (REPLAY, replay_shaped_reference, GAINS, 0.01, math.pi,
+                      None),
+    # the torque sits at exactly +1 and at exactly -1 for many samples
+    "saturated_both_signs": (REPLAY, surrogate,
+                             PdGains(kp=2000.0, kd=20000.0, torque_limit=1.0),
+                             0.05, math.pi, 0.0),
+    "joint_angle0_neg_zero": (REPLAY, surrogate, GAINS, 0.05, math.pi, -0.0),
+    "base_angle0_neg_zero": (REPLAY, surrogate, GAINS, 0.05, -0.0, None),
+    "zero_reference": (REPLAY, lambda: zero_reference(0.0), GAINS, 0.5, 0.0,
+                       0.0),
+    "neg_zero_reference": (REPLAY, lambda: zero_reference(-0.0), GAINS, 0.5,
+                           -0.0, -0.0),
+    # rates of a few rad/s, so the Coriolis terms move the result
+    "light": (LIGHT, light_reference,
+              PdGains(kp=5.0, kd=1.0, torque_limit=2.0), 0.002, math.pi, None),
+    "one_sample": (REPLAY, lambda: traj.JointTrajectory([3.0], [1.0]), GAINS,
+                   0.05, math.pi, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GENERAL_CASES))
+def test_general_pd_bytes_equal_oracle(case):
+    p, make_ref, gains, dt, phi0, th0 = GENERAL_CASES[case]
+    ref = make_ref()
+    out = smsdyn.simulate_pd(p, ref, gains, dt, base_angle0=phi0,
+                             joint_angle0=th0)
+    want = oracle_track_pd(p, ref, gains, dt, base_angle0=phi0, joint_angle0=th0)
+    assert pd_history(out).tobytes() == want.tobytes()
+
+
+def test_general_pd_saturates_at_exactly_the_limit():
+    p, make_ref, gains, dt, phi0, th0 = GENERAL_CASES["saturated_both_signs"]
+    out = smsdyn.simulate_pd(p, make_ref(), gains, dt, base_angle0=phi0,
+                             joint_angle0=th0)
+    assert (out.torque == 1.0).sum() > 100 and (out.torque == -1.0).sum() > 100
+    assert np.abs(out.torque).max() == 1.0
+
+
+# (model, reference, gains, dt, base_angle0, joint_angle0, the time Diverged
+# names). The general loop checks all four states after every step.
+GENERAL_DIVERGING = {
+    # the base turns back about 0.075 rad per joint rad and passes the
+    # limit when the joint reaches 0.67 rad, at 28.85 s
+    "base_after_many_steps": (REPLAY, surrogate, GAINS, 0.05,
+                              -(DIVERGE_LIMIT - 0.05), None, "28.850"),
+    # sample 0 is never checked, so the first step is the one that fails
+    "base_beyond_at_start": (REPLAY, late_reference, GAINS, 0.5,
+                             2 * DIVERGE_LIMIT, 0.0, "3.500"),
+    # the joint rate reaches -1.9e6 while the base stays within 10 rad
+    "joint_first": (smsdyn.SmsParams(1.0, 1.0, 1e3, 1e-6, 1e-3, 1e-3,
+                                     Mode.PLANAR_OFFSET), late_reference,
+                    PdGains(kp=1e-4, kd=0.0, torque_limit=1e3), 1.0, 0.0, 0.0,
+                    "7.000"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GENERAL_DIVERGING))
+def test_general_pd_diverges_like_oracle(case):
+    p, make_ref, gains, dt, phi0, th0, when = GENERAL_DIVERGING[case]
+    ref = make_ref()
+    with pytest.raises(Diverged) as want:
+        oracle_track_pd(p, ref, gains, dt, base_angle0=phi0, joint_angle0=th0)
+    with pytest.raises(Diverged) as got:
+        smsdyn.simulate_pd(p, ref, gains, dt, base_angle0=phi0, joint_angle0=th0)
+    assert str(got.value) == str(want.value) == f"state blew up at t = {when} s"
+
+
+@pytest.mark.parametrize("p", [*MODELS.values(), LIGHT],
+                         ids=[*MODELS, "planar_light"])
+@pytest.mark.parametrize("tau", [0.0, -0.0], ids=["pos_zero", "neg_zero"])
+def test_rk4_step_signed_zero_torque(p, tau):
+    # lo = hi = tau: the clamp holds a zero torque as min(max(u, lo), hi) did
+    rng = np.random.default_rng(13)
+    states = [SmsState(0.0, 0.0, 0.0, 0.0), SmsState(-0.0, -0.0, -0.0, -0.0),
+              SmsState(math.pi, -0.0, 0.0, -0.0, 2.0)]
+    states += [SmsState(*rng.uniform(-4.0, 4.0, 2), *rng.uniform(-3.0, 3.0, 2))
+               for _ in range(50)]
+    for s in states:
+        got = smsdyn.step_rk4(p, s, tau, 0.05)
+        assert np.array_equal(got.as_array(),
+                              oracle_step_rk4(p, s, tau, 0.05).as_array())
+        ref, ref_d = (s.joint_angle,) * 2, (s.joint_rate,) * 2
+        want = oracle_rk4_track(p, 0.05, (s.base_angle, s.joint_angle,
+                                          s.base_rate, s.joint_rate), s.t,
+                                ref, ref_d, 0.0, 0.0, tau, tau)
+        assert got.as_array().tobytes() == want[:4, 1].tobytes()
 
 
 # -- frozen oracle: per-sample smoothing, bisected surrogate frequency -------

@@ -232,6 +232,16 @@ class TestScaledCsvRoundTrip:
             make_traj(times, np.zeros(151))
 
 
+class TestNonIncreasingTimes:
+    @pytest.mark.parametrize("times", [[2.0, 1.0, 0.0], [0.0, 0.0],
+                                       [5.0, 5.0, 5.0]],
+                             ids=["descending", "repeated", "all_repeated"])
+    def test_rejected(self, times):
+        # uniform steps, but not forward in time
+        with pytest.raises(ValueError, match="time grid must increase"):
+            make_traj(times, np.zeros(len(times)))
+
+
 class TestDomainErrors:
     """Arguments outside an operation's domain raise OutOfDomain, which the
     CLI maps to exit 4; a ValueError would map to exit 2."""
