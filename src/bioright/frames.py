@@ -7,7 +7,7 @@ from enum import Enum
 
 import numpy as np
 
-from . import keypoints, rotmath
+from . import keypoints, rotmath, traj
 from .errors import (BadWindow, DegenerateAxes, EmptyWindow, GimbalLockWarning,
                      MissingKeypoint, NoValidFrames, SchemaError,
                      TimeGridMismatch)
@@ -107,11 +107,6 @@ def body_frame(positions):
     return segment_frame(Segment.BODY, positions)
 
 
-def tail_frame(positions):
-    """C_TN: x along vent->tail tip, x-y plane through the hip line."""
-    return segment_frame(Segment.TAIL, positions)
-
-
 def leg_frame(segment, positions):
     """C_LiN for one leg.
 
@@ -202,10 +197,10 @@ def righting_window(series, t_start, t_end):
 
 
 def write_series_csv(series, stream):
-    """Emit `t,yaw_deg,pitch_deg,roll_deg,valid` with 4-decimal degrees."""
+    """Emit `t,yaw_deg,pitch_deg,roll_deg,valid`: 4-decimal degrees, blank if invalid."""
     stream.write("t,yaw_deg,pitch_deg,roll_deg,valid\n")
-    stream.writelines(
-        f"{t:.6f},{y:.4f},{p:.4f},{r:.4f},1\n" if ok else f"{t:.6f},,,,0\n"
-        for t, (y, p, r), ok in zip(series.times.tolist(),
-                                    np.degrees(series.euler).tolist(),
-                                    series.valid.tolist()))
+    ypr = np.where(series.valid[:, None], np.degrees(series.euler), np.nan)
+    # only an invalid row ends in ",0\n", and its angles are all NaN
+    stream.writelines(block.replace(",nan,nan,nan,0\n", ",,,,0\n") for block in
+                      traj.format_rows("%.6f,%.4f,%.4f,%.4f,%d\n",
+                                       (series.times, *ypr.T, series.valid)))

@@ -12,6 +12,7 @@ import numpy as np
 
 from .errors import (AlreadyWorldUnits, EmptyDataset, ParseError, SchemaError,
                      TooSparse)
+from .traj import format_rows
 
 #: Canonical keypoint names, id 1..23.
 KEYPOINT_NAMES = {
@@ -299,14 +300,13 @@ def save_dataset(dataset, stream, format="csv"):
     """Write a dataset back out; inverse of load_dataset on valid data."""
     if format == "csv":
         dim = next((t.dim for t in dataset.tracks.values()), 2)
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(["frame", "keypoint_id", "keypoint_name", *"xyz"[:dim], "visible"])
+        stream.write(f"frame,keypoint_id,keypoint_name,{','.join('xyz'[:dim])},visible\n")
         for kid in sorted(dataset.tracks):
             track = dataset.tracks[kid]
-            writer.writerows(
-                [f, kid, track.name, *(map(repr, p) if v else ["nan"] * track.dim), int(v)]
-                for f, p, v in zip(track.frames.tolist(), track.positions.tolist(),
-                                   track.visible.tolist()))
+            # the name is one of KEYPOINT_NAMES: no comma, quote or %
+            row = f"%d,{kid},{track.name}" + ",%r" * track.dim + ",%d\n"
+            coords = np.where(track.visible[:, None], track.positions, np.nan)
+            stream.writelines(format_rows(row, (track.frames, *coords.T, track.visible)))
     elif format == "json":
         head = json.dumps({"frame_rate": dataset.frame_rate,
                            "frame_count": dataset.frame_count,

@@ -1,11 +1,12 @@
 """Forward evaluation of the three-term behavioral cost on simulated
 trajectories and enumeration of the weight simplex."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import MissingTorque, OutOfDomain
+from .traj import format_rows
 
 # numpy < 2.0 names the same trapezoid rule np.trapz.
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -62,9 +63,8 @@ class ObjectiveRow:
 
 @dataclass
 class ObjectiveReport:
-    rows: list
-    argmin: ObjectiveRow
-    definitions: dict = field(default_factory=lambda: dict(FUNCTIONAL_DEFINITIONS))
+    rows: np.ndarray  # (C(n+2, 2), 7): the CSV's columns, w_safety to J
+    argmin: ObjectiveRow  # the first row of least J
 
 
 def phi_safety(traj, rate_limit):
@@ -107,44 +107,46 @@ def evaluate(weights, traj, context):
 
 
 def check_resolution(resolution):
-    """Raise unless 2 <= resolution <= MAX_RESOLUTION (above: OutOfDomain)."""
-    if resolution < 2:
-        raise ValueError("grid resolution must be >= 2")
-    if resolution > MAX_RESOLUTION:
-        raise OutOfDomain(f"grid resolution must be <= {MAX_RESOLUTION}, "
+    """Raise OutOfDomain unless 2 <= resolution <= MAX_RESOLUTION."""
+    if not 2 <= resolution <= MAX_RESOLUTION:
+        raise OutOfDomain(f"grid resolution must be >= 2 and <= {MAX_RESOLUTION}, "
                           f"got {resolution}")
+
+
+def _grid(n):
+    """(C(n+2, 2), 3) weights (i/n, j/n, (n-i-j)/n) over i, then j, ascending."""
+    check_resolution(n)
+    i, c = np.triu_indices(n + 1)
+    return np.column_stack((i, c - i, n - c)) / n
 
 
 def simplex_grid(resolution):
     """All weight triples with components in {0, 1/n, ..., 1} summing to 1,
     in lexicographic order. Count is C(n+2, 2); see `check_resolution`."""
-    check_resolution(resolution)
-    n = resolution
-    return [ObjectiveWeights(i / n, j / n, (n - i - j) / n)
-            for i in range(n + 1) for j in range(n - i + 1)]
+    return [ObjectiveWeights(*w) for w in _grid(resolution).tolist()]
 
 
 def weight_sweep(resolution, traj, context):
     """Evaluate the cost over the weight simplex, in `evaluate`'s arithmetic."""
-    grid = simplex_grid(resolution)
-    ps = phi_safety(traj, context.rate_limit)
-    pst = phi_stability(traj, context.base_angle_target)
-    pe = phi_efficiency(traj, context.torque_limit)
-    W = np.array([w.as_tuple() for w in grid])
-    J = W[:, 0] * ps + W[:, 1] * pst + W[:, 2] * pe
-    rows = [ObjectiveRow(w, ps, pst, pe, j) for w, j in zip(grid, J.tolist())]
-    return ObjectiveReport(rows, rows[int(np.argmin(J))])
+    W = _grid(resolution)
+    phi = (phi_safety(traj, context.rate_limit),
+           phi_stability(traj, context.base_angle_target),
+           phi_efficiency(traj, context.torque_limit))
+    J = W[:, 0] * phi[0] + W[:, 1] * phi[1] + W[:, 2] * phi[2]
+    k = int(np.argmin(J))
+    return ObjectiveReport(
+        np.column_stack((W, np.broadcast_to(phi, W.shape), J)),
+        ObjectiveRow(ObjectiveWeights(*W[k].tolist()), *phi, float(J[k])))
 
 
 def write_report_csv(report, stream):
     """Emit the sweep rows plus an argmin footer."""
-    for name, definition in sorted(report.definitions.items()):
+    for name, definition in sorted(FUNCTIONAL_DEFINITIONS.items()):
         stream.write(f"# {name}: {definition}\n")
     stream.write("w_safety,w_stability,w_efficiency,"
                  "phi_safety,phi_stability,phi_efficiency,J\n")
-    stream.writelines("%.6f,%.6f,%.6f,%.9g,%.9g,%.9g,%.9g\n" % (
-        *row.weights.as_tuple(), row.phi_safety, row.phi_stability,
-        row.phi_efficiency, row.J) for row in report.rows)
+    stream.writelines(format_rows("%.6f,%.6f,%.6f,%.9g,%.9g,%.9g,%.9g\n",
+                                  report.rows.T))
     a = report.argmin
     stream.write(f"# argmin,{a.weights.w_safety:.6f},"
                  f"{a.weights.w_stability:.6f},{a.weights.w_efficiency:.6f},"

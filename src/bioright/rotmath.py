@@ -15,9 +15,6 @@ from .errors import DegenerateAxes, GimbalLockWarning
 #: Degeneracy threshold for axis construction, in input units.
 EPS_LEN = 1e-9
 
-#: Orthonormality tolerance for rotation validation, per element.
-EPS_ORTHO = 1e-10
-
 #: Pitch margin below +/-pi/2 at which gimbal lock is declared.
 GIMBAL_MARGIN = 1e-6
 
@@ -29,18 +26,6 @@ class EulerYPR:
     yaw: float
     pitch: float
     roll: float
-
-    def as_array(self):
-        return np.array([self.yaw, self.pitch, self.roll])
-
-
-def is_rotation(R, tol=EPS_ORTHO):
-    """True when R is orthonormal with determinant +1 within tol."""
-    R = np.asarray(R, dtype=float)
-    if R.shape != (3, 3):
-        return False
-    return (np.abs(R @ R.T - np.eye(3)).max() <= tol
-            and abs(np.linalg.det(R) - 1.0) <= tol)
 
 
 def dcms_from_axes(x_raw, y_temp):
@@ -119,11 +104,3 @@ def relative_rotation(C_AN, C_BN):
     for single (3, 3) rotations or stacks of them."""
     return np.einsum("...ij,...kj->...ik", np.asarray(C_AN, dtype=float),
                      np.asarray(C_BN, dtype=float))
-
-
-def unwrap_angles(series):
-    """Remove 2*pi jumps so consecutive differences stay within pi."""
-    series = np.asarray(series, dtype=float)
-    if series.size == 0:
-        raise ValueError("empty angle series")
-    return np.unwrap(series)

@@ -9,7 +9,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import Diverged, ModeUnsupported, OutOfDomain, SingularMass
-from .traj import write_rows
+from .traj import format_rows
 
 DIVERGE_LIMIT = 1e6
 
@@ -359,17 +359,13 @@ def inertia_ratio(p):
     return p.arm_inertia_cm / p.base_inertia
 
 
-def mass_ratio(p):
-    return p.arm_mass / p.base_mass
-
-
 def write_trajectory_csv(traj, stream):
     """Emit `t,phi_deg,theta_deg,phi_rate_deg_s,theta_rate_deg_s,tau_Nm,L`."""
     stream.write("t,phi_deg,theta_deg,phi_rate_deg_s,theta_rate_deg_s,tau_Nm,L\n")
     r2d = 180.0 / math.pi
-    write_rows(stream, "%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%.9g\n", (
+    stream.writelines(format_rows("%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%.9g\n", (
         traj.times, traj.base_angle * r2d, traj.joint_angle * r2d,
-        traj.base_rate * r2d, traj.joint_rate * r2d, traj.torque, traj.momentum))
+        traj.base_rate * r2d, traj.joint_rate * r2d, traj.torque, traj.momentum)))
 
 
 # Config file handling: `key = value` lines, '#' comments.

@@ -1,6 +1,6 @@
 """Angle-trajectory utilities: differentiation, smoothing, time-scaling,
-resampling, step-response characterization, and a second-order surrogate
-generator used as the canonical reference input for simulation."""
+step-response characterization, a second-order surrogate generator used
+as the canonical reference input for simulation, and CSV row blocks."""
 
 import json
 from dataclasses import dataclass, field, replace
@@ -17,7 +17,7 @@ GRID_TOL, GRID_RTOL = 1e-9, 2e-8
 #: Minimum step magnitude for metrics, radians.
 STEP_EPS = 1e-12
 
-#: Rows per formatting call of `write_rows`, which bounds its memory.
+#: Rows per formatting call of `format_rows`, which bounds its memory.
 WRITE_BLOCK = 1024
 
 
@@ -104,19 +104,6 @@ def time_scale(traj, target_duration):
     k = target_duration / traj.duration
     rate = traj.rate / k if traj.rate is not None else None
     return JointTrajectory(traj.times * k, traj.angle.copy(), rate)
-
-
-def resample(traj, dt):
-    """Linear interpolation onto a new grid spanning the same interval."""
-    if dt <= 0:
-        raise OutOfDomain("dt must be positive")
-    t0, t1 = traj.times[0], traj.times[-1]
-    n = int(np.floor((t1 - t0) / dt + 0.5)) + 1
-    times = t0 + dt * np.arange(n)
-    times = times[times <= t1 + GRID_TOL]
-    angle = np.interp(times, traj.times, traj.angle)
-    rate = np.interp(times, traj.times, traj.rate) if traj.rate is not None else None
-    return JointTrajectory(times, angle, rate)
 
 
 def _first_crossing(times, y, level):
@@ -231,19 +218,20 @@ def synth_second_order(overshoot_pct, rise_time, duration, dt,
     return JointTrajectory(times, step_rad * y, step_rad * ydot)
 
 
-def write_rows(stream, row_format, columns):
-    """Write `row_format % row` for each row of the columns, WRITE_BLOCK rows a call."""
+def format_rows(row_format, columns):
+    """Yield `row_format % row` for each row of the columns, as one string
+    per WRITE_BLOCK rows; cells are Python floats, so `%r` is `repr`."""
     for start in range(0, len(columns[0]), WRITE_BLOCK):
         block = np.column_stack([c[start:start + WRITE_BLOCK] for c in columns])
-        stream.write((row_format * len(block)) % tuple(block.ravel().tolist()))
+        yield (row_format * len(block)) % tuple(block.ravel().tolist())
 
 
 def write_trajectory_csv(traj, stream):
     """Emit `t,angle_deg,rate_deg_s`."""
     stream.write("t,angle_deg,rate_deg_s\n")
     rate = traj.rate if traj.rate is not None else np.full(len(traj.times), np.nan)
-    write_rows(stream, "%.9g,%.9g,%.9g\n",
-               (traj.times, np.degrees(traj.angle), np.degrees(rate)))
+    stream.writelines(format_rows("%.9g,%.9g,%.9g\n", (
+        traj.times, np.degrees(traj.angle), np.degrees(rate))))
 
 
 def read_trajectory_csv(stream):

@@ -367,7 +367,7 @@ class TestDemoIsSimulateAndSweep:
 
 
 class TestResolutionCheckedFirst:
-    @pytest.mark.parametrize("resolution, code", [("1001", 4), ("1", 2)])
+    @pytest.mark.parametrize("resolution, code", [("1001", 4), ("1", 4)])
     def test_demo_writes_nothing(self, tmp_path, capsys, resolution, code):
         out = tmp_path / "demo"
         assert run(["demo", "--resolution", resolution,

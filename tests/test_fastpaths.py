@@ -12,8 +12,10 @@ to 1e-12 relative.
 The frame layer and the dataset writers have frozen oracles too: the
 per-frame `segment_series` and `relative_leg_series` with their scalar
 axis, leg and Euler formulas, the per-sample `json.dump` writer and the
-per-row CSV writer. The batched series must match them to 1e-12 with
-equal validity, and the writers byte for byte.
+per-row CSV writers of datasets and segment series. The batched series
+must match them to 1e-12 with equal validity, and the writers byte for
+byte. The weight grid comprehension is frozen as `oracle_simplex_grid`,
+and the array grid must equal it byte for byte.
 
 The tracker-CSV loader has a frozen oracle as well: the per-row
 `csv.reader` loader with `int()`/`float()` per token. The whole-column
@@ -163,10 +165,23 @@ def oracle_simulate_prescribed(p, joint_traj, L0=0.0, base_angle0=math.pi):
                          theta_d.copy(), tau, L)
 
 
+def oracle_simplex_grid(resolution):
+    """The weight triples of the per-point comprehension, as tuples."""
+    n = resolution
+    return [(i / n, j / n, (n - i - j) / n)
+            for i in range(n + 1) for j in range(n - i + 1)]
+
+
 def oracle_weight_sweep(resolution, tr, context):
-    rows = [objective.evaluate(w, tr, context)[1]
-            for w in objective.simplex_grid(resolution)]
+    rows = [objective.evaluate(objective.ObjectiveWeights(*w), tr, context)[1]
+            for w in oracle_simplex_grid(resolution)]
     return rows, min(rows, key=lambda r: r.J)
+
+
+def oracle_row_array(rows):
+    """ObjectiveRows as an (n, 7) array in the sweep CSV's column order."""
+    return np.array([[*r.weights.as_tuple(), r.phi_safety, r.phi_stability,
+                      r.phi_efficiency, r.J] for r in rows]).reshape(-1, 7)
 
 
 def oracle_sms_csv(tr):
@@ -191,19 +206,19 @@ def oracle_traj_csv(tr):
     return stream.getvalue()
 
 
-def oracle_report_csv(report):
+def oracle_report_csv(rows, argmin):
     stream = io.StringIO()
-    for name, definition in sorted(report.definitions.items()):
+    for name, definition in sorted(objective.FUNCTIONAL_DEFINITIONS.items()):
         stream.write(f"# {name}: {definition}\n")
     stream.write("w_safety,w_stability,w_efficiency,"
                  "phi_safety,phi_stability,phi_efficiency,J\n")
-    for row in report.rows:
+    for row in rows:
         w = row.weights
         stream.write(f"{w.w_safety:.6f},{w.w_stability:.6f},"
                      f"{w.w_efficiency:.6f},{row.phi_safety:.9g},"
                      f"{row.phi_stability:.9g},{row.phi_efficiency:.9g},"
                      f"{row.J:.9g}\n")
-    a = report.argmin
+    a = argmin
     stream.write(f"# argmin,{a.weights.w_safety:.6f},"
                  f"{a.weights.w_stability:.6f},{a.weights.w_efficiency:.6f},"
                  f"J={a.J:.9g}\n")
@@ -728,14 +743,20 @@ def pd_run():
     return smsdyn.simulate_pd(ets7_params(), surrogate(), GAINS, dt=0.05)
 
 
+def first_row_of(report, row):
+    """Index of the first sweep row holding exactly `row`'s values."""
+    return int(np.flatnonzero((report.rows == oracle_row_array([row])).all(axis=1))[0])
+
+
 @pytest.mark.parametrize("resolution", [2, 4, 50])
 def test_weight_sweep_equals_evaluate(resolution):
     tr = pd_run()
     report = objective.weight_sweep(resolution, tr, CONTEXT)
     rows, argmin = oracle_weight_sweep(resolution, tr, CONTEXT)
-    assert report.rows == rows
+    assert report.rows.shape == (len(rows), 7)
+    assert report.rows.tobytes() == oracle_row_array(rows).tobytes()
     assert report.argmin == argmin
-    assert report.rows.index(report.argmin) == rows.index(argmin)
+    assert first_row_of(report, report.argmin) == rows.index(argmin)
 
 
 def test_weight_sweep_tie_picks_first():
@@ -746,9 +767,30 @@ def test_weight_sweep_tie_picks_first():
                        zeros)
     report = objective.weight_sweep(4, tr, CONTEXT)
     rows, argmin = oracle_weight_sweep(4, tr, CONTEXT)
-    assert all(r.J == 0.0 for r in report.rows)
-    assert report.argmin is report.rows[0]
-    assert report.argmin == argmin
+    assert report.rows.tobytes() == oracle_row_array(rows).tobytes()
+    assert np.all(report.rows[:, 6] == 0.0)
+    assert report.argmin == argmin == rows[0]
+    assert first_row_of(report, report.argmin) == 0
+
+
+def test_grid_bytes_equal_comprehension():
+    for n in [*range(2, 50), 199, 499, objective.MAX_RESOLUTION]:
+        want = np.array(oracle_simplex_grid(n))
+        assert objective._grid(n).tobytes() == want.tobytes()
+    assert [w.as_tuple() for w in objective.simplex_grid(7)] == oracle_simplex_grid(7)
+
+
+def test_weight_sweep_peak_memory_at_the_resolution_bound():
+    # one (501 501, 7) float array is 26.8 MiB; a dataclass per row took 172.5
+    tr = pd_run()
+    tracemalloc.start()
+    try:
+        report = objective.weight_sweep(objective.MAX_RESOLUTION, tr, CONTEXT)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(report.rows) == 501501
+    assert peak < 100 * 2 ** 20
 
 
 # -- writers -----------------------------------------------------------------
@@ -796,13 +838,45 @@ def test_block_writers_byte_identical_to_per_row(rows):
         buf = io.StringIO()
         traj.write_trajectory_csv(tr, buf)
         assert buf.getvalue() == oracle_traj_csv(tr)
+    # segment series: invalid frames whose angles hold any value
+    yaw, pitch, roll, flag = special_columns(rows, 4, rows + 2)
+    series = SimpleNamespace(times=times, euler=np.column_stack((yaw, pitch, roll)),
+                             valid=flag > 0)
+    buf = io.StringIO()
+    frames.write_series_csv(series, buf)
+    assert buf.getvalue() == oracle_series_csv(series)
+    # datasets: invisible samples that hold finite positions
+    for dim, unit in ((2, "pixel"), (3, "meter")):
+        tracks = {}
+        for kid in (1, 23):
+            *coords, flag = special_columns(rows, dim + 1, rows + dim + kid)
+            tracks[kid] = keypoints.KeypointTrack(
+                kid, keypoints.KEYPOINT_NAMES[kid], 3 * np.arange(rows),
+                np.column_stack(coords), flag > 0)
+        ds = keypoints.KeypointDataset(tracks, 1000.0, 3 * rows, unit)
+        want, got = io.StringIO(), io.StringIO()
+        oracle_save_csv(ds, want)
+        keypoints.save_dataset(ds, got, format="csv")
+        assert got.getvalue() == want.getvalue()
+    # sweep report: the oracle's per-row writer over the same cells
+    cells = special_columns(rows, 7, rows + 5)
+    oracle_rows = [objective.ObjectiveRow(SimpleNamespace(
+        w_safety=a, w_stability=b, w_efficiency=c), d, e, f, g)
+        for a, b, c, d, e, f, g in zip(*cells)]
+    argmin = objective.ObjectiveRow(objective.ObjectiveWeights(0.0, 0.0, 1.0),
+                                    0.5, -0.0, 5e-324, -np.inf)
+    buf = io.StringIO()
+    objective.write_report_csv(
+        objective.ObjectiveReport(np.column_stack(cells), argmin), buf)
+    assert buf.getvalue() == oracle_report_csv(oracle_rows, argmin)
 
 
 def test_report_writer_byte_identical():
-    report = objective.weight_sweep(50, pd_run(), CONTEXT)
+    tr = pd_run()
+    report = objective.weight_sweep(50, tr, CONTEXT)
     buf = io.StringIO()
     objective.write_report_csv(report, buf)
-    assert buf.getvalue() == oracle_report_csv(report)
+    assert buf.getvalue() == oracle_report_csv(*oracle_weight_sweep(50, tr, CONTEXT))
 
 
 # -- frozen oracle: per-frame segment frames, per-sample JSON writer ---------
@@ -938,6 +1012,17 @@ def oracle_save_json(dataset, stream):
             samples.append(s)
         obj["tracks"].append({"id": kid, "name": track.name, "samples": samples})
     json.dump(obj, stream)
+
+
+def oracle_series_csv(series):
+    stream = io.StringIO()
+    stream.write("t,yaw_deg,pitch_deg,roll_deg,valid\n")
+    for t, (y, p, r), ok in zip(series.times.tolist(),
+                                np.degrees(series.euler).tolist(),
+                                series.valid.tolist()):
+        stream.write(f"{t:.6f},{y:.4f},{p:.4f},{r:.4f},1\n" if ok
+                     else f"{t:.6f},,,,0\n")
+    return stream.getvalue()
 
 
 def oracle_save_csv(dataset, stream):
@@ -1083,6 +1168,18 @@ def test_absent_track_no_valid_frames_like_oracle():
         oracle_segment_series(ds, Segment.LEFT_FRONT_LEG)
     with pytest.raises(NoValidFrames):
         frames.segment_series(ds, Segment.LEFT_FRONT_LEG)
+
+
+def test_series_writer_byte_identical():
+    ds = awkward_dataset()
+    for segment in Segment:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", GimbalLockWarning)
+            series = frames.segment_series(ds, segment)
+        assert not series.valid.all()
+        buf = io.StringIO()
+        frames.write_series_csv(series, buf)
+        assert buf.getvalue() == oracle_series_csv(series)
 
 
 # -- keypoints: JSON writer and JSON ingest ----------------------------------

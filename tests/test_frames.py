@@ -42,7 +42,7 @@ class TestBodyFrame:
 class TestTailFrame:
     def test_straight_tail_flipped_frame(self):
         # tail x points vent->tip (-x inertial): a yaw-pi frame
-        R = frames.tail_frame(rest_positions())
+        R = frames.segment_frame(Segment.TAIL, rest_positions())
         expected = np.diag([-1.0, -1.0, 1.0])
         assert np.allclose(R, expected, atol=1e-12)
 
@@ -52,8 +52,9 @@ class TestTailFrame:
         roll30 = roll_matrix(np.radians(30))
         for kid in (19, 20, 21, 23):
             pose[kid] = roll30 @ pose[kid]
-        tail = frames.tail_frame(pose)
-        rel = rotmath.relative_rotation(tail, frames.tail_frame(rest_positions()))
+        tail = frames.segment_frame(Segment.TAIL, pose)
+        rest = frames.segment_frame(Segment.TAIL, rest_positions())
+        rel = rotmath.relative_rotation(tail, rest)
         e = rotmath.dcm_to_euler321(rel)
         assert e.roll == pytest.approx(np.radians(-30), abs=1e-12) or \
             e.roll == pytest.approx(np.radians(30), abs=1e-12)
@@ -63,7 +64,7 @@ class TestTailFrame:
         pose[19] = np.array([-0.1, 0.0, 0.0])
         pose[20] = np.array([-0.2, 0.0, 0.0])
         with pytest.raises(DegenerateAxes):
-            frames.tail_frame(pose)
+            frames.segment_frame(Segment.TAIL, pose)
 
 
 class TestLegFrame:

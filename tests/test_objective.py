@@ -152,7 +152,7 @@ class TestSimplexGrid:
         assert len(set(tuples)) == len(tuples)
 
     def test_resolution_guard(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(OutOfDomain, match="<= 1000"):
             simplex_grid(1)
 
     def test_resolution_bound_before_allocating(self):
@@ -162,7 +162,7 @@ class TestSimplexGrid:
                 simplex_grid(resolution)
 
     @pytest.mark.parametrize("resolution, error", [
-        (1, ValueError), (objective.MAX_RESOLUTION + 1, OutOfDomain)])
+        (1, OutOfDomain), (objective.MAX_RESOLUTION + 1, OutOfDomain)])
     def test_check_resolution_is_the_grid_bound(self, resolution, error):
         objective.check_resolution(2)
         objective.check_resolution(objective.MAX_RESOLUTION)
@@ -184,7 +184,9 @@ class TestWeightSweep:
 
     def test_argmin_is_minimum(self):
         report = weight_sweep(5, self._traj(), CONTEXT)
-        assert report.argmin.J == min(r.J for r in report.rows)
+        k = int(np.argmin(report.rows[:, 6]))
+        assert report.argmin.J == report.rows[:, 6].min() == report.rows[k, 6]
+        assert report.argmin.weights.as_tuple() == tuple(report.rows[k, :3])
 
     def test_argmin_puts_weight_on_smallest_functional(self):
         tr = self._traj()

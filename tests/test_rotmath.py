@@ -4,8 +4,7 @@ import pytest
 from bioright import rotmath
 from bioright.errors import DegenerateAxes, GimbalLockWarning
 from bioright.rotmath import (EulerYPR, dcm_from_axes, dcm_to_euler321,
-                              euler321_to_dcm, is_rotation,
-                              relative_rotation, unwrap_angles)
+                              euler321_to_dcm, relative_rotation)
 
 from conftest import random_rotation
 
@@ -37,7 +36,8 @@ class TestDcmFromAxes:
             if np.linalg.norm(np.cross(x, y)) <= rotmath.EPS_LEN:
                 continue
             R = dcm_from_axes(x, y)
-            assert is_rotation(R, tol=1e-10)
+            assert np.abs(R @ R.T - np.eye(3)).max() <= 1e-10
+            assert abs(np.linalg.det(R) - 1.0) <= 1e-10
 
 
 class TestEulerConversions:
@@ -107,25 +107,3 @@ class TestRelativeRotation:
             C_BN = random_rotation(rng)
             assert np.allclose(relative_rotation(C_AB @ C_BN, C_BN), C_AB,
                                atol=1e-12)
-
-
-class TestUnwrap:
-    def test_small_series_unchanged(self):
-        assert np.allclose(unwrap_angles([0, 0.1, 0.2]), [0, 0.1, 0.2])
-
-    def test_two_pi_shift(self):
-        out = unwrap_angles([3.0, -3.0])
-        assert np.allclose(out, [3.0, -3.0 + 2 * np.pi], atol=1e-12)
-
-    def test_monotone_ramp_stays_monotone(self):
-        ramp = np.linspace(0, 7 * np.pi, 400)
-        wrapped = np.mod(ramp + np.pi, 2 * np.pi) - np.pi
-        out = unwrap_angles(wrapped)
-        assert np.all(np.diff(out) > 0)
-
-    def test_mod_two_pi_preserved(self):
-        rng = np.random.default_rng(17)
-        series = rng.uniform(-np.pi, np.pi, size=200)
-        out = unwrap_angles(series)
-        diff = np.mod(out - series + np.pi, 2 * np.pi) - np.pi
-        assert np.max(np.abs(diff)) < 1e-12

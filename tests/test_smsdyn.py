@@ -11,7 +11,7 @@ from bioright.smsdyn import (Mode, PdGains, SmsParams, SmsState,
                              angular_momentum, base_reaction_estimate,
                              coriolis, ets7_params, inertia_ratio,
                              kinetic_energy, lizard_params, mass_matrix,
-                             mass_ratio, simulate_pd, simulate_prescribed,
+                             simulate_pd, simulate_prescribed,
                              step_rk4)
 
 
@@ -31,7 +31,6 @@ class TestParams:
     def test_ets7_ratios(self):
         p = ets7_params()
         assert inertia_ratio(p) == pytest.approx(360.0 / 6200.0)
-        assert mass_ratio(p) == pytest.approx(140.4 / 2550.0)
 
     def test_reduced_base(self):
         p = ets7_params(reduced_base=True)

@@ -6,7 +6,7 @@ import pytest
 from bioright import errors, traj
 from bioright.errors import BadWindow, NoStep, TooShort, Unreachable
 from bioright.traj import (JointTrajectory, damping_from_overshoot,
-                           differentiate, resample, smooth, step_metrics,
+                           differentiate, smooth, step_metrics,
                            synth_second_order, time_scale)
 
 
@@ -88,28 +88,6 @@ class TestTimeScale:
         a = differentiate(time_scale(tr, k))
         b = time_scale(differentiate(tr), k)
         assert np.max(np.abs(a.rate - b.rate)) < 1e-9
-
-
-class TestResample:
-    def test_own_grid_identity(self):
-        t = np.linspace(0, 1, 11)
-        tr = make_traj(t, np.sin(t))
-        out = resample(tr, tr.dt)
-        assert np.max(np.abs(out.angle - tr.angle)) < 1e-12
-
-    def test_linear_ramp_exact(self):
-        t = np.linspace(0, 1, 11)
-        tr = make_traj(t, 3.0 * t)
-        out = resample(tr, 0.037)
-        assert np.max(np.abs(out.angle - 3.0 * out.times)) < 1e-12
-
-    def test_sine_interpolation_error(self):
-        dt = 0.05
-        t = np.arange(0, 2 * np.pi, dt)
-        tr = make_traj(t, np.sin(t))
-        out = resample(tr, dt / 10)
-        err = np.max(np.abs(out.angle - np.sin(out.times)))
-        assert err < dt ** 2  # linear interpolation is O(dt^2)
 
 
 class TestStepMetrics:
@@ -249,12 +227,9 @@ class TestDomainErrors:
     @pytest.mark.parametrize("call", [
         lambda tr: time_scale(tr, -1.0),
         lambda tr: time_scale(tr, 0.0),
-        lambda tr: resample(tr, 0.0),
-        lambda tr: resample(tr, -0.1),
         lambda tr: step_metrics(tr, steady_time=-0.5),
         lambda tr: step_metrics(tr, steady_time=1.5),
-    ], ids=["scale_negative", "scale_zero", "resample_zero",
-            "resample_negative", "steady_before", "steady_after"])
+    ], ids=["scale_negative", "scale_zero", "steady_before", "steady_after"])
     def test_out_of_domain(self, call):
         t = np.linspace(0.0, 1.0, 11)
         with pytest.raises(errors.OutOfDomain) as info:
