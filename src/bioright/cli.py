@@ -105,7 +105,7 @@ def cmd_scale(args):
         for key, value in m.as_dict().items():
             print(f"{key}={value}")
         metrics_path = Path(args.output).with_suffix(".metrics.json")
-        metrics_path.write_text(traj.metrics_to_json(m) + "\n")
+        metrics_path.write_text(json.dumps(m.as_dict(), indent=2) + "\n")
         outputs.append(metrics_path)
     _write_manifest("scale", [args.input], outputs)
     return EXIT_OK
@@ -125,6 +125,8 @@ def _load_run(args):
         else dict(smsdyn.CONFIG_DEFAULTS)
     if args.dt is not None:
         cfg["dt"] = args.dt
+    if not math.isfinite(cfg["dt"]):
+        raise ValueError(f"dt must be finite, got {cfg['dt']}")
     if not cfg["dt"] > 0:
         raise ValueError("dt must be positive")
     if args.resolution is not None:

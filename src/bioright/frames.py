@@ -57,7 +57,7 @@ class SegmentFrameSeries:
 
     segment: Segment
     times: np.ndarray
-    rotations: list
+    rotations: np.ndarray  # (N, 3, 3) C_SN; NaN where invalid
     euler: np.ndarray  # (N, 3) yaw, pitch, roll; NaN where invalid
     valid: np.ndarray
     metadata: dict = field(default_factory=dict)
@@ -121,24 +121,22 @@ def leg_frame(segment, positions):
 
 
 def _series(segment, times, rotations, valid, metadata):
-    """Series from the (n, 3, 3) rotations of the n valid frames; gimbal
-    lock warns once and its frame count goes in metadata."""
-    ypr, lock = rotmath.dcms_to_euler321(rotations)
+    """Series from the (n, 3, 3) rotations of the n valid frames, scattered
+    into NaN rows (whose angles come out NaN); gimbal lock warns once and
+    its frame count goes in metadata."""
+    stack = np.full((len(valid), 3, 3), np.nan)
+    stack[valid] = rotations
+    euler, lock = rotmath.dcms_to_euler321(stack)
     locked = int(lock.sum())
     if locked:
         warnings.warn(f"{segment.value}: pitch at +/-90 deg on {locked} frames: "
                       "roll set to 0, free angle in yaw", GimbalLockWarning,
                       stacklevel=3)
-    euler = np.full((len(valid), 3), np.nan)
-    euler[valid] = ypr
     edges = np.flatnonzero(np.diff(np.concatenate(([0], valid, [0]))))
     for i, j in zip(edges[::2], edges[1::2]):
         euler[i:j] = np.unwrap(euler[i:j], axis=0)
-    stacked = iter(rotations)
-    per_frame = [next(stacked) if ok else None for ok in valid.tolist()]
-    return SegmentFrameSeries(segment, np.asarray(times, dtype=float),
-                              per_frame, euler, valid,
-                              {**metadata, "gimbal_lock_frames": locked})
+    return SegmentFrameSeries(segment, np.asarray(times, dtype=float), stack,
+                              euler, valid, {**metadata, "gimbal_lock_frames": locked})
 
 
 def segment_series(dataset, segment):
@@ -170,12 +168,9 @@ def relative_leg_series(leg, body):
             leg.times, body.times, rtol=0, atol=1e-12):
         raise TimeGridMismatch("leg and body series on different time grids")
     valid = leg.valid & body.valid
-    idx = np.flatnonzero(valid).tolist()
-    rotations = rotmath.relative_rotation(
-        *(np.array([s.rotations[i] for i in idx], dtype=float).reshape(-1, 3, 3)
-          for s in (leg, body)))
-    return _series(leg.segment, leg.times, rotations, valid,
-                   {**leg.metadata, "relative_to": "Body"})
+    return _series(leg.segment, leg.times,
+                   rotmath.relative_rotation(leg.rotations[valid], body.rotations[valid]),
+                   valid, {**leg.metadata, "relative_to": "Body"})
 
 
 def righting_window(series, t_start, t_end):
@@ -185,15 +180,9 @@ def righting_window(series, t_start, t_end):
     mask = (series.times >= t_start) & (series.times <= t_end)
     if not mask.any():
         raise EmptyWindow(f"no samples in [{t_start}, {t_end}] s")
-    idx = np.flatnonzero(mask)
-    return SegmentFrameSeries(
-        series.segment,
-        series.times[idx] - t_start,
-        [series.rotations[i] for i in idx],
-        series.euler[idx],
-        series.valid[idx],
-        dict(series.metadata),
-    )
+    return SegmentFrameSeries(series.segment, series.times[mask] - t_start,
+                              series.rotations[mask], series.euler[mask],
+                              series.valid[mask], dict(series.metadata))
 
 
 def write_series_csv(series, stream):

@@ -112,7 +112,6 @@ class PlanarCalibration:
 
     scale: float
     origin_pixel: tuple
-    image_y_down: bool = True
 
     def __post_init__(self):
         if self.scale <= 0:
@@ -426,13 +425,13 @@ def interpolate_gaps(track, max_gap):
 def pixel_to_world(dataset, calib):
     """Map a 2D pixel dataset into a planar world frame in meters.
 
-    The world x-y plane is the image plane (y flipped when the image y
-    axis points down); z = 0 for every point.
+    The world x-y plane is the image plane, with y flipped because the
+    image y axis points down; z = 0 for every point.
     """
     if dataset.unit != "pixel":
         raise AlreadyWorldUnits("dataset already in meters")
     ox, oy = calib.origin_pixel
-    gain = (calib.scale, (-1.0 if calib.image_y_down else 1.0) * calib.scale)
+    gain = (calib.scale, -calib.scale)
     tracks = {}
     for kid, track in dataset.tracks.items():
         world = np.zeros((len(track.frames), 3))

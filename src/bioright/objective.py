@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MissingTorque, OutOfDomain
+from .errors import MissingTorque, OutOfDomain, TooShort
 from .traj import format_rows
 
 # numpy < 2.0 names the same trapezoid rule np.trapz.
@@ -33,11 +33,6 @@ class ObjectiveWeights:
             raise ValueError("weights must be non-negative")
         if self.w_safety + self.w_stability + self.w_efficiency <= 0:
             raise ValueError("weights must not all be zero")
-
-    def normalized(self):
-        s = self.w_safety + self.w_stability + self.w_efficiency
-        return ObjectiveWeights(self.w_safety / s, self.w_stability / s,
-                                self.w_efficiency / s)
 
     def as_tuple(self):
         return (self.w_safety, self.w_stability, self.w_efficiency)
@@ -67,6 +62,14 @@ class ObjectiveReport:
     argmin: ObjectiveRow  # the first row of least J
 
 
+def _duration(traj):
+    """The run's time span; TooShort for a run of zero duration."""
+    duration = float(traj.times[-1] - traj.times[0])
+    if not duration > 0:
+        raise TooShort("a run of zero duration cannot be scored")
+    return duration
+
+
 def phi_safety(traj, rate_limit):
     """Fraction of the base-rate safety budget consumed; may exceed 1."""
     if rate_limit <= 0:
@@ -79,11 +82,11 @@ def phi_stability(traj, base_angle_target):
 
     Zero only when the base sits motionless at the target.
     """
+    duration = _duration(traj)
     terminal = abs(float(traj.base_angle[-1]) - base_angle_target) / np.pi
     peak = float(np.max(np.abs(traj.base_rate)))
     if peak == 0.0:
         return terminal
-    duration = float(traj.times[-1] - traj.times[0])
     motion = float(_trapezoid(np.abs(traj.base_rate), traj.times)) / duration
     return terminal + motion / peak
 
@@ -92,7 +95,7 @@ def phi_efficiency(traj, torque_limit):
     """Torque-squared integral normalized by the saturated-torque budget."""
     if traj.torque is None:
         raise MissingTorque("trajectory carries no torque series")
-    duration = float(traj.times[-1] - traj.times[0])
+    duration = _duration(traj)
     integral = float(_trapezoid(traj.torque ** 2, traj.times))
     return integral / (torque_limit ** 2 * duration)
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateAxes, GimbalLockWarning
+from .errors import GimbalLockWarning
 
 #: Degeneracy threshold for axis construction, in input units.
 EPS_LEN = 1e-9
@@ -29,8 +29,9 @@ class EulerYPR:
 
 
 def dcms_from_axes(x_raw, y_temp):
-    """dcm_from_axes over (..., 3) inputs: (..., 3, 3) rotations and a
-    mask, False where it would raise (those rows hold NaN or inf)."""
+    """(..., 3, 3) rotations with x along x_raw, z normal to the plane of x
+    and y_temp, y completing the triad; the mask is False where the (..., 3)
+    inputs are near zero or near parallel (those rows hold NaN or inf)."""
     x_raw = np.asarray(x_raw, dtype=float)
     y_temp = np.asarray(y_temp, dtype=float)
     nx = np.linalg.norm(x_raw, axis=-1)
@@ -42,19 +43,6 @@ def dcms_from_axes(x_raw, y_temp):
         z = np.cross(x, y_temp)
         z /= np.linalg.norm(z, axis=-1)[..., None]
     return np.stack([x, np.cross(z, x), z], axis=-2), ok
-
-
-def dcm_from_axes(x_raw, y_temp):
-    """Build a rotation from a primary x-axis and an in-plane companion.
-
-    x is the normalized x_raw; z is normal to the plane of x and y_temp;
-    y completes the right-handed triad. Raises DegenerateAxes when the
-    inputs are near-zero or near-parallel (occluded/collinear keypoints).
-    """
-    R, ok = dcms_from_axes(x_raw, y_temp)
-    if not ok:
-        raise DegenerateAxes("x axis vector near zero, or axes near parallel")
-    return R
 
 
 def euler321_to_dcm(e):

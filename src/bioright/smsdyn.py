@@ -3,7 +3,7 @@ axis: mass matrix, Coriolis terms, momentum-conserving playback, RK4
 integration, and PD joint tracking. Gravity is zero throughout."""
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -97,11 +97,9 @@ class PdGains:
             raise ValueError("torque_limit must be positive")
 
 
-def ets7_params(reduced_base=False):
-    """ETS-VII roll-axis model, the one CONFIG_DEFAULTS describes;
-    reduced_base divides the base inertia by 20."""
-    p = params_from_config(CONFIG_DEFAULTS)
-    return replace(p, base_inertia=p.base_inertia / 20.0) if reduced_base else p
+def ets7_params():
+    """ETS-VII roll-axis model, the one CONFIG_DEFAULTS describes."""
+    return params_from_config(CONFIG_DEFAULTS)
 
 
 def lizard_params():
@@ -273,11 +271,12 @@ def _rk4_track_folded(p, dt, state, t0, ref, ref_d, kp, kd, lo, hi):
 def step_rk4(p, s, tau_joint, dt):
     """Classical 4th-order step with the joint torque held over the step.
 
-    Raises OutOfDomain for a non-finite torque and Diverged unless every
-    component of the new state satisfies |x| <= DIVERGE_LIMIT."""
+    Raises OutOfDomain for a dt that is not finite and positive or a
+    non-finite torque, and Diverged unless every component of the new state
+    satisfies |x| <= DIVERGE_LIMIT."""
     tau = float(tau_joint)
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not 0 < dt < math.inf:
+        raise OutOfDomain(f"dt must be finite and positive, got {dt:g}")
     if not math.isfinite(tau):
         raise OutOfDomain(f"joint torque must be finite, got {tau!r}")
     # zero gains and lo = hi = tau hold tau over the one step
@@ -319,11 +318,12 @@ def simulate_pd(p, joint_ref, gains, dt, base_angle0=math.pi,
     from the reference's first time to its last.
 
     The joint torque is clamped to the gains' torque limit; the base is
-    unactuated. Raises OutOfDomain for a non-finite initial angle and
-    Diverged unless every state |x| <= DIVERGE_LIMIT.
+    unactuated. Raises OutOfDomain for a dt that is not finite and positive
+    or a non-finite initial angle, and Diverged unless every state
+    |x| <= DIVERGE_LIMIT.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not 0 < dt < math.inf:
+        raise OutOfDomain(f"dt must be finite and positive, got {dt:g}")
     th0 = joint_ref.angle[0] if joint_angle0 is None else joint_angle0
     if not (math.isfinite(base_angle0) and math.isfinite(th0)):
         raise OutOfDomain(f"initial angles must be finite, got "

@@ -72,22 +72,6 @@ def visibility(track, frame_count):
     return 100.0 * float(track.visible.sum()) / frame_count
 
 
-def normalized_movement(dataset):
-    """Per-track average movement divided by the dataset maximum."""
-    movements = {}
-    for kid, track in dataset.tracks.items():
-        try:
-            movements[kid] = average_movement(track)
-        except TooSparse:
-            continue
-    if not movements:
-        raise TooSparse("no track has a computable average movement")
-    peak = max(movements.values())
-    if peak == 0.0:
-        return {kid: 1.0 for kid in movements}
-    return {kid: m / peak for kid, m in movements.items()}
-
-
 def max_gap_length(track):
     """Longest run of invisible frames from frame 0 to the track's last
     frame; leading/trailing runs count, and so do frames without a sample."""
@@ -139,40 +123,35 @@ def classify_stability(m, frame_count, variance_median=math.inf):
     return StabilityCategory.STABLE
 
 
-def compute_metrics(track, frame_count, norm_movement):
-    return KeypointMetrics(
-        id=track.id,
-        average_movement=average_movement(track),
-        normalized_movement=norm_movement,
-        visibility=visibility(track, frame_count),
-        max_gap_length=max_gap_length(track),
-        position_variance=position_variance(track),
-        drift_score=drift_score(track),
-    )
-
-
 def stability_report(dataset):
     """One ReportRow per keypoint, ordered by id.
 
-    Per-track failures become null-metric rows with a reason code rather
-    than aborting the report.
+    Movement is normalized by the dataset's peak (1 when the peak is 0) and
+    variance compared with the median over every track that has one. A
+    track without both, or too sparse for a drift score, gets a null-metric
+    row with a reason code rather than aborting the report.
     """
-    try:
-        norm = normalized_movement(dataset)
-    except TooSparse:
-        norm = {}
-    variances = []
-    for track in dataset.tracks.values():
-        try:
-            variances.append(position_variance(track))
-        except TooSparse:
-            pass
-    variance_median = float(np.median(variances)) if variances else math.inf
+    movement, variance = {}, {}
+    for kid, track in dataset.tracks.items():
+        for measure, values in ((average_movement, movement),
+                                (position_variance, variance)):
+            try:
+                values[kid] = measure(track)
+            except TooSparse:
+                pass
+    peak = max(movement.values(), default=0.0)
+    variance_median = float(np.median(list(variance.values()))) if variance else math.inf
     rows = []
     for kid in sorted(dataset.tracks):
         track = dataset.tracks[kid]
         try:
-            m = compute_metrics(track, dataset.frame_count, norm.get(kid, 0.0))
+            if kid not in movement or kid not in variance:
+                raise TooSparse(f"track {kid}: no movement or no variance")
+            m = KeypointMetrics(kid, movement[kid],
+                                movement[kid] / peak if peak != 0.0 else 1.0,
+                                visibility(track, dataset.frame_count),
+                                max_gap_length(track), variance[kid],
+                                drift_score(track))
         except TooSparse:
             rows.append(ReportRow(kid, track.name, reason="too_sparse"))
             continue

@@ -2,7 +2,6 @@
 step-response characterization, a second-order surrogate generator used
 as the canonical reference input for simulation, and CSV row blocks."""
 
-import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -16,6 +15,9 @@ GRID_TOL, GRID_RTOL = 1e-9, 2e-8
 
 #: Minimum step magnitude for metrics, radians.
 STEP_EPS = 1e-12
+
+#: Half-width of the settling band, as a fraction of the step.
+SETTLE_BAND = 0.05
 
 #: Rows per formatting call of `format_rows`, which bounds its memory.
 WRITE_BLOCK = 1024
@@ -45,10 +47,6 @@ class JointTrajectory:
             tol = GRID_TOL + GRID_RTOL * np.max(np.abs(self.times))
             if np.max(np.abs(steps - steps[0])) > tol:
                 raise ValueError("time grid is not uniform")
-
-    @property
-    def dt(self):
-        return float(self.times[1] - self.times[0])
 
     @property
     def duration(self):
@@ -119,16 +117,14 @@ def _first_crossing(times, y, level):
     return float(t0 + (level - y0) / (y1 - y0) * (t1 - t0))
 
 
-def step_metrics(traj, steady_time, settle_band=0.05):
+def step_metrics(traj, steady_time):
     """Characterize a step response.
 
     Rise time is the 10-90% interval; settling time is the last time the
-    signal exits the +/-settle_band * |step| band around the final value;
+    signal exits the +/-SETTLE_BAND * |step| band around the final value;
     overshoot is the peak excursion beyond the final value in percent of
     the step.
     """
-    if not (0 < settle_band < 0.5):
-        raise OutOfDomain("settle_band must be in (0, 0.5)")
     if steady_time < traj.times[0] or steady_time > traj.times[-1]:
         raise OutOfDomain("steady_time outside the trajectory span")
     initial = float(traj.angle[0])
@@ -142,12 +138,12 @@ def step_metrics(traj, steady_time, settle_band=0.05):
     if t10 is None or t90 is None:
         raise NoStep("response never traverses the 10-90% band")
     rise = t90 - t10
-    outside = np.abs(y - 1.0) > settle_band
+    outside = np.abs(y - 1.0) > SETTLE_BAND
     if outside.any():
         i = int(np.max(np.nonzero(outside)))
         if i + 1 < len(y):
             # interpolate the re-entry into the band
-            lvl = 1.0 + settle_band * np.sign(y[i] - 1.0)
+            lvl = 1.0 + SETTLE_BAND * np.sign(y[i] - 1.0)
             t0, t1 = traj.times[i], traj.times[i + 1]
             y0, y1 = y[i], y[i + 1]
             settle = float(t0 + (lvl - y0) / (y1 - y0) * (t1 - t0))
@@ -159,7 +155,7 @@ def step_metrics(traj, steady_time, settle_band=0.05):
     return StepResponseMetrics(rise, settle, overshoot, final,
                                float(steady_time),
                                metadata={"rise_convention": "10-90%",
-                                         "settle_band": settle_band,
+                                         "settle_band": SETTLE_BAND,
                                          "settle_semantics": "last-exit"})
 
 
@@ -178,10 +174,9 @@ def _step_response(t, zeta, wn):
     return 1.0 - np.exp(-zeta * wn * t) / np.sqrt(1 - zeta ** 2) * np.sin(wd * t + phi)
 
 
-def _analytic_rise(zeta, wn, grid=40001):
+def _analytic_rise(zeta, wn):
     """10-90% rise time of the analytic response, refined by bisection."""
-    span = 12.0 / wn
-    t = np.linspace(0.0, span, grid)
+    t = np.linspace(0.0, 12.0 / wn, 40001)
     y = _step_response(t, zeta, wn)
 
     def crossing(level):
@@ -198,10 +193,9 @@ def _analytic_rise(zeta, wn, grid=40001):
     return crossing(0.9) - crossing(0.1)
 
 
-def synth_second_order(overshoot_pct, rise_time, duration, dt,
-                       step_rad=np.pi):
+def synth_second_order(overshoot_pct, rise_time, duration, dt):
     """Underdamped 2nd-order step response matching an overshoot and a
-    10-90% rise time, scaled to a 0 -> step_rad excursion.
+    10-90% rise time, scaled to a 0 -> pi excursion.
 
     With zeta fixed the response is a function of omega_n t alone, so the
     rise time scales exactly as 1/omega_n: omega_n = rise(zeta, 1) / rise_time.
@@ -215,7 +209,7 @@ def synth_second_order(overshoot_pct, rise_time, duration, dt,
     y = _step_response(times, zeta, wn)
     wd = wn * np.sqrt(1 - zeta ** 2)
     ydot = (wn / np.sqrt(1 - zeta ** 2)) * np.exp(-zeta * wn * times) * np.sin(wd * times)
-    return JointTrajectory(times, step_rad * y, step_rad * ydot)
+    return JointTrajectory(times, np.pi * y, np.pi * ydot)
 
 
 def format_rows(row_format, columns):
@@ -246,7 +240,3 @@ def read_trajectory_csv(stream):
         raise ValueError(f"expected 3 columns, got {data.shape[1]}")
     rate = None if np.all(np.isnan(data[:, 2])) else np.radians(data[:, 2])
     return JointTrajectory(data[:, 0], np.radians(data[:, 1]), rate)
-
-
-def metrics_to_json(metrics):
-    return json.dumps(metrics.as_dict(), indent=2)

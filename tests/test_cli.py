@@ -334,6 +334,39 @@ class TestZeroDt:
         assert not any(tmp_path.iterdir())
 
 
+class TestNonFiniteDt:
+    """`--dt inf` and `--dt nan` exit 2 before a reference is built, with no
+    numpy warning, traceback or divergence report."""
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--mode", "pd", "--output"], ["sweep", "--output"],
+        ["demo", "--output-dir"]], ids=["simulate", "sweep", "demo"])
+    def test_exit_2(self, tmp_path, argv, value):
+        proc = run_subprocess([*argv, str(tmp_path / "out"), "--dt", value])
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: dt must be finite, got {value}\n"
+        assert not any(tmp_path.iterdir())
+
+
+class TestSweepSingleRow:
+    """A one-row reference gives a PD run of zero duration, which the
+    objective cannot score: exit 3 as a one-row `scale` does, not a
+    ZeroDivisionError, and nothing is written."""
+
+    def test_exit_3_writes_nothing(self, tmp_path):
+        src = tmp_path / "one.csv"
+        src.write_text("t,angle_deg,rate_deg_s\n0,10,0\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        proc = run_subprocess(["sweep", "--reference", str(src),
+                               "--output", str(out / "sweep.csv")])
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert not any(out.iterdir())
+
+
 class TestNonFiniteConfig:
     @pytest.mark.parametrize("line", ["torque_limit = nan", "kp = nan",
                                       "base_inertia = inf", "dt = nan",

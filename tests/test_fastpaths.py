@@ -11,10 +11,14 @@ to 1e-12 relative.
 
 The frame layer and the dataset writers have frozen oracles too: the
 per-frame `segment_series` and `relative_leg_series` with their scalar
-axis, leg and Euler formulas, the per-sample `json.dump` writer and the
-per-row CSV writers of datasets and segment series. The batched series
-must match them to 1e-12 with equal validity, and the writers byte for
-byte. The weight grid comprehension is frozen as `oracle_simplex_grid`,
+axis, leg and Euler formulas and a rotation or None per frame, the
+per-sample `json.dump` writer and the per-row CSV writers of datasets and
+segment series. The batched series must match them to 1e-12 with equal
+validity and all-NaN rotations where the oracle has None, and the writers
+byte for byte. The three-pass stability report, which measured each
+track's movement and variance twice, is frozen as
+`oracle_stability_report`, and the one-pass report must equal it row for
+row. The weight grid comprehension is frozen as `oracle_simplex_grid`,
 and the array grid must equal it byte for byte.
 
 The tracker-CSV loader has a frozen oracle as well: the per-row
@@ -41,17 +45,19 @@ import math
 import re
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from bioright import cli, frames, keypoints, objective, rotmath, smsdyn, traj
+from bioright import (cli, frames, keypoints, objective, rotmath, smsdyn,
+                      track_quality, traj)
 from bioright.errors import (DegenerateAxes, Diverged, EmptyDataset,
                              GimbalLockWarning, MissingKeypoint, NoValidFrames,
                              OutOfDomain, ParseError, SchemaError,
-                             SingularMass)
+                             SingularMass, TooSparse)
 from bioright.frames import Segment
 from bioright.objective import ObjectiveContext
 from bioright.smsdyn import (DIVERGE_LIMIT, Mode, PdGains, SmsState,
@@ -442,8 +448,8 @@ FOLDED_CASES = {
     "coarse_grid": (ets7_params(), coarse_reference, GAINS, 0.05, 0.25, None),
     "replay_shaped": (ets7_params(), replay_shaped_reference, GAINS, 0.01,
                       math.pi, None),
-    "reduced_base": (ets7_params(reduced_base=True), surrogate, GAINS, 0.05,
-                     math.pi, None),
+    "reduced_base": (replace(ets7_params(), base_inertia=6200.0 / 20.0),
+                     surrogate, GAINS, 0.05, math.pi, None),
     "joint_angle0_neg_zero": (ets7_params(), surrogate, GAINS, 0.05, math.pi,
                               -0.0),
     "base_angle0_neg_zero": (ets7_params(), surrogate, GAINS, 0.05, -0.0, None),
@@ -1097,10 +1103,9 @@ def assert_series_match(got, want):
     assert np.nanmax(np.abs(got.euler - want.euler)) <= 1e-12
     for i, ok in enumerate(want.valid):
         if ok:
-            assert np.max(np.abs(np.asarray(got.rotations[i])
-                                 - want.rotations[i])) <= 1e-12
+            assert np.max(np.abs(got.rotations[i] - want.rotations[i])) <= 1e-12
         else:
-            assert got.rotations[i] is None
+            assert np.isnan(got.rotations[i]).all()
 
 
 # -- frames ------------------------------------------------------------------
@@ -1147,8 +1152,8 @@ def test_relative_leg_series_equal_to_oracle(leg):
 
 def test_relative_series_gimbal_lock_warns_once():
     n = 6
-    rots = [np.eye(3)] * n
-    locked = [rotmath.euler321_to_dcm(rotmath.EulerYPR(0.2, np.pi / 2, 0.1))] * n
+    rots = np.array([np.eye(3)] * n)
+    locked = np.array([rotmath.euler321_to_dcm(rotmath.EulerYPR(0.2, np.pi / 2, 0.1))] * n)
     times = np.arange(n) / 1000.0
     body = frames.SegmentFrameSeries(Segment.BODY, times, rots,
                                      np.zeros((n, 3)), np.ones(n, bool), {})
@@ -1180,6 +1185,101 @@ def test_series_writer_byte_identical():
         buf = io.StringIO()
         frames.write_series_csv(series, buf)
         assert buf.getvalue() == oracle_series_csv(series)
+
+
+# -- frozen oracle: the three-pass stability report -------------------------
+
+def oracle_normalized_movement(dataset):
+    movements = {}
+    for kid, track in dataset.tracks.items():
+        try:
+            movements[kid] = track_quality.average_movement(track)
+        except TooSparse:
+            continue
+    if not movements:
+        raise TooSparse("no track has a computable average movement")
+    peak = max(movements.values())
+    if peak == 0.0:
+        return {kid: 1.0 for kid in movements}
+    return {kid: m / peak for kid, m in movements.items()}
+
+
+def oracle_compute_metrics(track, frame_count, norm_movement):
+    tq = track_quality
+    return tq.KeypointMetrics(
+        id=track.id,
+        average_movement=tq.average_movement(track),
+        normalized_movement=norm_movement,
+        visibility=tq.visibility(track, frame_count),
+        max_gap_length=tq.max_gap_length(track),
+        position_variance=tq.position_variance(track),
+        drift_score=tq.drift_score(track),
+    )
+
+
+def oracle_stability_report(dataset):
+    try:
+        norm = oracle_normalized_movement(dataset)
+    except TooSparse:
+        norm = {}
+    variances = []
+    for track in dataset.tracks.values():
+        try:
+            variances.append(track_quality.position_variance(track))
+        except TooSparse:
+            pass
+    variance_median = float(np.median(variances)) if variances else math.inf
+    rows = []
+    for kid in sorted(dataset.tracks):
+        track = dataset.tracks[kid]
+        try:
+            m = oracle_compute_metrics(track, dataset.frame_count, norm.get(kid, 0.0))
+        except TooSparse:
+            rows.append(track_quality.ReportRow(kid, track.name, reason="too_sparse"))
+            continue
+        cat = track_quality.classify_stability(m, dataset.frame_count, variance_median)
+        rows.append(track_quality.ReportRow(kid, track.name, metrics=m, category=cat))
+    return rows
+
+
+def report_datasets(tmp_path):
+    """The awkward fixture, the benchmark recording, and three edge cases:
+    every track too sparse, every track stationary, and tracks gliding at
+    speeds that set each one's variance. Among these, track 5 has a variance
+    (the largest) but no movement, and track 6 the peak movement but no
+    drift score: both rows are too sparse, yet 5 moves the variance median
+    across a track's variance and 6 sets every norm_movement."""
+    n = 12
+    one_visible = {kid: np.arange(n) == kid % n for kid in keypoints.KEYPOINT_NAMES}
+    speed = {kid: 0.01 * kid for kid in keypoints.KEYPOINT_NAMES}
+    speed.update({5: 1.0, 6: 2.0})
+    gliding = [{kid: np.asarray(p) + (speed[kid] * f, 0.0, 0.0)
+                for kid, p in REST_POSE.items()} for f in range(n)]
+    return {
+        "awkward": awkward_dataset(),
+        "recording": load_new(benchmark_recording(tmp_path, 11)),
+        "all_too_sparse": dataset_from_poses([REST_POSE] * n, visible=one_visible),
+        "all_stationary": dataset_from_poses([REST_POSE] * n),
+        "variance_without_movement": dataset_from_poses(
+            gliding, visible={5: np.isin(np.arange(n), (0, 6)),
+                              6: np.isin(np.arange(n), (3, 4))}),
+    }
+
+
+def test_stability_report_equal_to_oracle(tmp_path):
+    for name, ds in report_datasets(tmp_path).items():
+        got = track_quality.stability_report(ds)
+        assert got == oracle_stability_report(ds), name
+        sparse = {row.id for row in got if row.metrics is None}
+        if name == "all_too_sparse":
+            assert sparse == set(ds.tracks)
+        if name == "all_stationary":
+            assert {row.metrics.normalized_movement for row in got} == {1.0}
+        if name == "variance_without_movement":
+            assert sparse == {5, 6}
+            categories = {row.category for row in got if row.metrics is not None}
+            assert categories == {track_quality.StabilityCategory.STABLE,
+                                  track_quality.StabilityCategory.MODERATELY_STABLE}
 
 
 # -- keypoints: JSON writer and JSON ingest ----------------------------------

@@ -145,8 +145,10 @@ class TestRelativeLegSeries:
             if R is not None:
                 e = rotmath.dcm_to_euler321(R)
                 euler[i] = (e.yaw, e.pitch, e.roll)
+        stack = np.array([np.full((3, 3), np.nan) if R is None else R
+                          for R in rotations])
         return frames.SegmentFrameSeries(Segment.LEFT_FRONT_LEG,
-                                         np.asarray(times), list(rotations),
+                                         np.asarray(times), stack,
                                          euler, valid, {})
 
     def test_equal_series_identity(self):

@@ -136,8 +136,7 @@ class TestInterpolateGaps:
 class TestPixelToWorld:
     def test_linear_map_y_down(self):
         ds = load_csv(csv_text([(0, 1, 100.0, 200.0, 1)]))
-        calib = PlanarCalibration(scale=0.001, origin_pixel=(0.0, 0.0),
-                                  image_y_down=True)
+        calib = PlanarCalibration(scale=0.001, origin_pixel=(0.0, 0.0))
         world = pixel_to_world(ds, calib)
         assert world.unit == "meter"
         assert np.allclose(world.tracks[1].positions[0], (0.1, -0.2, 0.0))
@@ -153,8 +152,7 @@ class TestPixelToWorld:
         rows = [(f, 1, float(x), float(y), 1)
                 for f, (x, y) in enumerate(rng.uniform(0, 1000, size=(20, 2)))]
         ds = load_csv(csv_text(rows))
-        calib = PlanarCalibration(scale=0.0013, origin_pixel=(320.0, 240.0),
-                                  image_y_down=True)
+        calib = PlanarCalibration(scale=0.0013, origin_pixel=(320.0, 240.0))
         world = pixel_to_world(ds, calib)
         back_x = world.tracks[1].positions[:, 0] / calib.scale + 320.0
         back_y = -world.tracks[1].positions[:, 1] / calib.scale + 240.0

@@ -6,7 +6,7 @@ import pytest
 
 from bioright import smsdyn, traj
 from bioright.errors import (BiorightError, Diverged, ModeUnsupported,
-                             SingularMass)
+                             OutOfDomain, SingularMass)
 from bioright.smsdyn import (Mode, PdGains, SmsParams, SmsState,
                              angular_momentum, base_reaction_estimate,
                              coriolis, ets7_params, inertia_ratio,
@@ -32,17 +32,10 @@ class TestParams:
         p = ets7_params()
         assert inertia_ratio(p) == pytest.approx(360.0 / 6200.0)
 
-    def test_reduced_base(self):
-        p = ets7_params(reduced_base=True)
-        assert p.base_inertia == pytest.approx(310.0)
-        assert inertia_ratio(p) == pytest.approx(360.0 / 310.0)
-
     def test_ets7_values(self):
         # the ETS-VII numbers, now derived from CONFIG_DEFAULTS
         assert ets7_params() == SmsParams(2550.0, 140.4, 6200.0, 360.0,
                                           mode=Mode.COAXIAL)
-        assert ets7_params(reduced_base=True) == SmsParams(
-            2550.0, 140.4, 6200.0 / 20.0, 360.0, mode=Mode.COAXIAL)
         assert ets7_params() == smsdyn.params_from_config(smsdyn.CONFIG_DEFAULTS)
 
     def test_lizard_inertia_ratio(self):
@@ -161,7 +154,7 @@ class TestRk4:
             step_rk4(p, SmsState(0.0, 0.0, 0.0, 0.0), 1.0, 0.01)
 
     def test_bad_dt(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(OutOfDomain):
             step_rk4(ets7_params(), SmsState(0, 0, 0, 0), 0.0, -0.1)
 
 
@@ -341,6 +334,24 @@ class TestNonFiniteTorque:
         with pytest.raises(BiorightError, match="finite") as info:
             step_rk4(ets7_params(), SmsState(0.1, 0.2, 0.0, 0.0), tau, 0.01)
         assert not isinstance(info.value, ValueError)
+
+
+class TestDtDomain:
+    """A dt that is not finite and positive is OutOfDomain in both entry
+    points, the family `traj.time_scale` uses for a non-positive duration;
+    NaN once read as a divergence and inf as a one-row NaN history."""
+
+    @pytest.mark.parametrize("dt", [0.0, -0.1, np.nan, np.inf])
+    def test_step_rk4(self, dt):
+        with pytest.raises(OutOfDomain, match="dt must be finite and positive"):
+            step_rk4(ets7_params(), SmsState(0.1, 0.2, 0.0, 0.0), 1.0, dt)
+
+    @pytest.mark.parametrize("dt", [0.0, -0.1, np.nan, np.inf])
+    def test_simulate_pd(self, dt):
+        ref = traj.synth_second_order(13.85, 64.5, 225.0, 0.5)
+        gains = PdGains(kp=2000.0, kd=20000.0, torque_limit=10.0)
+        with pytest.raises(OutOfDomain, match="dt must be finite and positive"):
+            simulate_pd(ets7_params(), ref, gains, dt)
 
 
 class TestReferenceStartTime:

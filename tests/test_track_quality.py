@@ -79,28 +79,28 @@ class TestVisibility:
 
 
 class TestNormalizedMovement:
-    def _dataset(self, movements):
+    """The report's norm_movement column: movement over the dataset peak."""
+
+    def _norm(self, movements):
         tracks = {}
         for kid, speed in movements.items():
             tracks[kid] = make_track([(speed * i, 0.0) for i in range(10)],
                                      kid=kid)
         from bioright.keypoints import KeypointDataset
-        return KeypointDataset(tracks, 100.0, 10, "pixel")
+        rows = tq.stability_report(KeypointDataset(tracks, 100.0, 10, "pixel"))
+        return {row.id: row.metrics.normalized_movement for row in rows}
 
     def test_single_track(self):
-        ds = self._dataset({1: 2.5})
-        assert tq.normalized_movement(ds) == {1: 1.0}
+        assert self._norm({1: 2.5}) == {1: 1.0}
 
     def test_published_maximum(self):
-        ds = self._dataset({1: 1.0, 20: 4.35})
-        norm = tq.normalized_movement(ds)
+        norm = self._norm({1: 1.0, 20: 4.35})
         assert norm[20] == 1.0
         assert norm[1] == pytest.approx(1.0 / 4.35, abs=1e-4)
         assert norm[1] == pytest.approx(0.2299, abs=0.0001)
 
     def test_all_equal(self):
-        ds = self._dataset({1: 2.0, 2: 2.0, 3: 2.0})
-        assert all(v == 1.0 for v in tq.normalized_movement(ds).values())
+        assert all(v == 1.0 for v in self._norm({1: 2.0, 2: 2.0, 3: 2.0}).values())
 
 
 class TestMaxGap:
