@@ -43,10 +43,7 @@ LEG_AXES = {
 REQUIRED_KEYPOINTS = {
     Segment.BODY: (NECK, VENT, SHOULDER_RIGHT, SHOULDER_LEFT),
     Segment.TAIL: (TAIL_TIP, VENT, HIP_RIGHT, HIP_LEFT),
-    Segment.LEFT_FRONT_LEG: LEG_AXES[Segment.LEFT_FRONT_LEG],
-    Segment.LEFT_HIND_LEG: LEG_AXES[Segment.LEFT_HIND_LEG],
-    Segment.RIGHT_FRONT_LEG: LEG_AXES[Segment.RIGHT_FRONT_LEG],
-    Segment.RIGHT_HIND_LEG: LEG_AXES[Segment.RIGHT_HIND_LEG],
+    **LEG_AXES,
 }
 
 
@@ -63,19 +60,6 @@ class SegmentFrameSeries:
     metadata: dict = field(default_factory=dict)
 
 
-def _leg_dcms(y_raw):
-    """leg_frame over (..., 3) limb vectors; the mask is False for a
-    zero-length limb or one parallel to the inertial x axis."""
-    ny = np.linalg.norm(y_raw, axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        y = y_raw / ny[..., None]
-        z = np.cross(X_INERTIAL, y)
-        nz = np.linalg.norm(z, axis=-1)
-        z /= nz[..., None]
-    ok = ~((ny <= rotmath.EPS_LEN) | (nz <= rotmath.EPS_LEN))
-    return np.stack([np.cross(y, z), y, z], axis=-2), ok
-
-
 def _segment_dcms(segment, p):
     """Rotations C_SN and their validity mask from the positions p[kid]
     of the segment's keypoints, each (3,) or (F, 3)."""
@@ -86,7 +70,11 @@ def _segment_dcms(segment, p):
         return rotmath.dcms_from_axes(p[TAIL_TIP] - p[VENT],
                                       p[HIP_RIGHT] - p[HIP_LEFT])
     a, b = LEG_AXES[segment]
-    return _leg_dcms(p[b] - p[a])
+    # the limb as x and -x_N as y_temp give the leg's y (row 0) and z (row 2);
+    # x is y cross z, as leg_frame defines it (minus row 1 flips signed zeros)
+    R, ok = rotmath.dcms_from_axes(p[b] - p[a], -X_INERTIAL)
+    y, z = R[..., 0, :], R[..., 2, :]
+    return np.stack([np.cross(y, z), y, z], axis=-2), ok
 
 
 def segment_frame(segment, positions):

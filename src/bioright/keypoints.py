@@ -3,6 +3,7 @@ re-association, gap interpolation, and the planar pixel-to-world map."""
 
 import csv
 import json
+import math
 import operator
 import os
 import warnings
@@ -91,8 +92,8 @@ class KeypointDataset:
     def __post_init__(self):
         if self.unit not in ("pixel", "meter"):
             raise SchemaError(f"unknown unit {self.unit!r}")
-        if self.frame_rate <= 0:
-            raise SchemaError("frame_rate must be positive")
+        if not 0 < self.frame_rate < math.inf:
+            raise SchemaError(f"frame_rate must be finite and positive, got {self.frame_rate}")
         for kid, track in self.tracks.items():
             if kid != track.id:
                 raise SchemaError(f"track map key {kid} != track id {track.id}")
@@ -114,8 +115,8 @@ class PlanarCalibration:
     origin_pixel: tuple
 
     def __post_init__(self):
-        if self.scale <= 0:
-            raise SchemaError("scale must be positive")
+        if not (0 < self.scale < math.inf and all(map(math.isfinite, self.origin_pixel))):
+            raise SchemaError("scale must be finite and positive, the origin finite")
 
 
 @dataclass(frozen=True)
@@ -265,9 +266,11 @@ def _load_json(source):
             raise ParseError(f"missing top-level key {key!r}")
     if not obj["tracks"]:
         raise EmptyDataset("no tracks")
+    if type(obj["frame_count"]) is not int:  # bool, 2.5 and 1e400 are not counts
+        raise ParseError(f"frame_count must be a JSON integer, got {obj['frame_count']!r}")
     names, samples = {}, []  # samples: (id, frames, positions, visible) per track
     try:
-        frame_rate, frame_count = float(obj["frame_rate"]), int(obj["frame_count"])
+        frame_rate, frame_count = float(obj["frame_rate"]), obj["frame_count"]
         first = next((t["samples"][0] for t in obj["tracks"] if t["samples"]), {})
         axes = ("x", "y", "z") if "z" in first else ("x", "y")
         if len(axes) == 3 and obj["unit"] == "pixel":
@@ -279,17 +282,21 @@ def _load_json(source):
                 raise SchemaError(f"duplicate keypoint id {kid}")
             if kid not in KEYPOINT_NAMES or not isinstance(kid, int):
                 raise SchemaError(f"keypoint id {kid!r} out of range 1-23")
-            frames = np.array([s["frame"] for s in track], dtype=int)
+            frames, visible = [s["frame"] for s in track], [s["visible"] for s in track]
+            if not {*map(type, frames)} <= {int}:
+                raise ParseError(f"track {kid}: frame must be a JSON integer")
+            if not ({*map(type, visible)} <= {bool, int} and {*visible} <= {0, 1}):
+                raise ParseError(f"track {kid}: visible must be true, false, 0 or 1")
+            frames, visible = np.array(frames, dtype=int), np.array(visible, dtype=bool)
             positions = np.array([coords(s) for s in track],
                                  dtype=float).reshape(len(track), len(axes))
-            visible = np.array([bool(s["visible"]) for s in track], dtype=bool)
             if np.any(np.diff(frames) <= 0):
                 raise SchemaError(f"track {kid}: frame indices not strictly increasing")
             if not np.isfinite(positions[visible]).all():
                 raise ParseError(f"track {kid}: non-finite coordinate on a visible sample")
             names[kid] = name
             samples.append((np.full(len(track), kid), frames, positions, visible))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ParseError(f"malformed track or sample, missing or bad {exc}") from None
     tracks = _scatter(names, *map(np.concatenate, zip(*samples)), frame_count)
     return KeypointDataset(tracks, frame_rate, frame_count, obj["unit"])
@@ -351,18 +358,20 @@ def reassociate_identities(dataset, max_jump):
     Offending detections in a frame are greedily reassigned (in id order)
     to the offending track whose last-known position is nearest, ties to
     the lower id. The per-frame multiset of detections is preserved.
-    Returns (new dataset, list of SwapEvent).
+    Returns (new dataset, SwapEvents sorted by (frame_start, from_id)).
     """
     ids = sorted(dataset.tracks)
     positions, visible = dense_stack(dataset, ids)
     if positions.shape[2] != 2:
         raise SchemaError("re-association is defined for 2D datasets")
     last = np.full((len(ids), 2), np.nan)  # NaN: no visible sample yet
-    raw_events = []  # (frame, from_id, to_id, kind)
+    # a frame's events come in id order, so episodes open in the order returned
+    events, latest = [], {}  # latest: (from, to, kind) -> its newest episode
     for f in range(dataset.frame_count):
         pos, vis = positions[f], visible[f]
         jump = np.linalg.norm(pos - last, axis=1)
         offenders = np.flatnonzero(vis & (jump > max_jump)).tolist()
+        found = []  # (from_id, to_id, kind) of this frame
         if len(offenders) >= 2:
             free = list(offenders)
             # pos[offenders] is a copy, so the writes below keep each det
@@ -371,35 +380,22 @@ def reassociate_identities(dataset, max_jump):
                 free.remove(target)
                 if target != j:
                     pos[target] = det
-                    raw_events.append((f, ids[j], ids[target], "swap"))
+                    found.append((ids[j], ids[target], "swap"))
         elif len(offenders) == 1:
-            raw_events.append((f, ids[offenders[0]], ids[offenders[0]], "jump"))
+            found.append((ids[offenders[0]], ids[offenders[0]], "jump"))
+        for key in found:
+            episode = latest.get(key)
+            if episode is not None and episode[3] == f - 1:
+                episode[3] = f
+            else:
+                latest[key] = episode = [key[0], key[1], f, f, key[2]]
+                events.append(episode)
         last[vis] = pos[vis]
-    events = _merge_events(raw_events)
     tracks = {kid: replace(dataset.tracks[kid],
                            positions=positions[dataset.tracks[kid].frames, j])
               for j, kid in enumerate(ids)}
     return KeypointDataset(tracks, dataset.frame_rate, dataset.frame_count,
-                           dataset.unit), events
-
-
-def _merge_events(raw):
-    """Collapse per-frame events into per-episode SwapEvents."""
-    events = []
-    open_events = {}  # (from, to, kind) -> [start, end]
-    for f, src, dst, kind in sorted(raw):
-        key = (src, dst, kind)
-        span = open_events.get(key)
-        if span is not None and span[1] == f - 1:
-            span[1] = f
-        else:
-            if span is not None:
-                events.append(SwapEvent(src, dst, span[0], span[1], kind))
-            open_events[key] = [f, f]
-    for (src, dst, kind), span in open_events.items():
-        events.append(SwapEvent(src, dst, span[0], span[1], kind))
-    events.sort(key=lambda e: (e.frame_start, e.from_id))
-    return events
+                           dataset.unit), [SwapEvent(*episode) for episode in events]
 
 
 def interpolate_gaps(track, max_gap):

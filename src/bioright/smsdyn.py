@@ -9,7 +9,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import Diverged, ModeUnsupported, OutOfDomain, SingularMass
-from .traj import format_rows
+from .traj import format_rows, time_grid
 
 DIVERGE_LIMIT = 1e6
 
@@ -318,21 +318,18 @@ def simulate_pd(p, joint_ref, gains, dt, base_angle0=math.pi,
     from the reference's first time to its last.
 
     The joint torque is clamped to the gains' torque limit; the base is
-    unactuated. Raises OutOfDomain for a dt that is not finite and positive
-    or a non-finite initial angle, and Diverged unless every state
+    unactuated. Raises OutOfDomain for a dt that traj.time_grid refuses or
+    a non-finite initial angle, and Diverged unless every state
     |x| <= DIVERGE_LIMIT.
     """
-    if not 0 < dt < math.inf:
-        raise OutOfDomain(f"dt must be finite and positive, got {dt:g}")
+    t0 = float(joint_ref.times[0])
+    times = time_grid(t0, float(joint_ref.times[-1]) - t0, dt)
     th0 = joint_ref.angle[0] if joint_angle0 is None else joint_angle0
     if not (math.isfinite(base_angle0) and math.isfinite(th0)):
         raise OutOfDomain(f"initial angles must be finite, got "
                           f"{base_angle0:g} and {th0:g}")
-    t0 = float(joint_ref.times[0])
-    n = int(round((float(joint_ref.times[-1]) - t0) / dt)) + 1
-    times = t0 + np.arange(n) * dt
     th_ref = np.interp(times, joint_ref.times, joint_ref.angle)
-    thd_ref = np.zeros(n) if joint_ref.rate is None \
+    thd_ref = np.zeros_like(times) if joint_ref.rate is None \
         else np.interp(times, joint_ref.times, joint_ref.rate)
     track = _rk4_track if p.hinge_offset or p.arm_cm_offset else _rk4_track_folded
     limit = gains.torque_limit

@@ -2,6 +2,7 @@
 step-response characterization, a second-order surrogate generator used
 as the canonical reference input for simulation, and CSV row blocks."""
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -18,6 +19,9 @@ STEP_EPS = 1e-12
 
 #: Half-width of the settling band, as a fraction of the step.
 SETTLE_BAND = 0.05
+
+#: Most samples a time grid may hold: 10 000 s at 1 kHz.
+MAX_SAMPLES = 10_000_000
 
 #: Rows per formatting call of `format_rows`, which bounds its memory.
 WRITE_BLOCK = 1024
@@ -95,8 +99,8 @@ def smooth(traj, window):
 
 def time_scale(traj, target_duration):
     """Stretch the time axis to target_duration; rates divide by the factor."""
-    if target_duration <= 0:
-        raise OutOfDomain("target_duration must be positive")
+    if not 0 < target_duration < math.inf:
+        raise OutOfDomain(f"target_duration must be finite and positive, got {target_duration}")
     if traj.duration <= 0:
         raise TooShort("trajectory duration must be positive to scale")
     k = target_duration / traj.duration
@@ -204,12 +208,21 @@ def synth_second_order(overshoot_pct, rise_time, duration, dt):
     if rise_time <= 0 or duration <= rise_time:
         raise Unreachable("need 0 < rise_time < duration")
     wn = _analytic_rise(zeta, 1.0) / rise_time
-    n = int(round(duration / dt)) + 1
-    times = dt * np.arange(n)
+    times = time_grid(0.0, duration, dt)
     y = _step_response(times, zeta, wn)
     wd = wn * np.sqrt(1 - zeta ** 2)
     ydot = (wn / np.sqrt(1 - zeta ** 2)) * np.exp(-zeta * wn * times) * np.sin(wd * times)
     return JointTrajectory(times, np.pi * y, np.pi * ydot)
+
+
+def time_grid(t0, span, dt):
+    """t0 + dt * k for k = 0..round(span / dt). Raises OutOfDomain for a dt
+    that is not finite and positive or a grid of more than MAX_SAMPLES."""
+    if not 0 < dt < math.inf:
+        raise OutOfDomain(f"dt must be finite and positive, got {dt:g}")
+    if not span / dt <= MAX_SAMPLES - 1:  # before round(): 1e-320 makes it inf
+        raise OutOfDomain(f"{span:g} s at dt = {dt:g} s exceeds MAX_SAMPLES = {MAX_SAMPLES}")
+    return t0 + np.arange(int(round(span / dt)) + 1) * dt
 
 
 def format_rows(row_format, columns):

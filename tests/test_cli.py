@@ -561,3 +561,60 @@ class TestNonIncreasingReferenceExit2:
         assert proc.stderr == "error: time grid must increase\n"
         assert not out.exists()
         assert not (tmp_path / "out.manifest.json").exists()
+
+
+class TestNonFiniteScalarArguments:
+    """A NaN, infinite or tiny scalar argument is refused with its exit code
+    before anything is written."""
+
+    @pytest.mark.parametrize("args", [["--frame-rate", "nan"], ["--frame-rate", "inf"],
+                                      ["--frame-rate", "1000", "--scale", "nan"],
+                                      ["--frame-rate", "1000", "--scale", "inf"]],
+                             ids=["rate_nan", "rate_inf", "scale_nan", "scale_inf"])
+    def test_reconstruct_exit_2(self, tmp_path, tracked_csv, capsys, args):
+        out = tmp_path / "body.csv"
+        assert run(["reconstruct", "--input", str(tracked_csv), "--segment", "Body",
+                    "--output", str(out), *args]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("duration", ["nan", "inf"])
+    def test_scale_exit_4(self, tmp_path, capsys, duration):
+        src, out = tmp_path / "flip.csv", tmp_path / "out.csv"
+        with open(src, "w") as f:
+            traj.write_trajectory_csv(traj.synth_second_order(13.85, 0.043, 0.150,
+                                                              1e-3), f)
+        assert run(["scale", "--input", str(src), "--output", str(out),
+                    "--target-duration", duration]) == 4
+        assert capsys.readouterr().err.startswith(
+            "error: target_duration must be finite and positive")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dt", ["1e-9", "1e-300", "1e-320"])
+    def test_sweep_tiny_dt_exit_4(self, tmp_path, capsys, dt):
+        out = tmp_path / "sweep.csv"
+        assert run(["sweep", "--dt", dt, "--output", str(out)]) == 4
+        assert "MAX_SAMPLES" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_simulate_long_reference_exit_4(self, tmp_path, capsys):
+        src, out = tmp_path / "long.csv", tmp_path / "pd.csv"
+        src.write_text("t,angle_deg,rate_deg_s\n0,0,0\n1e300,10,0\n")
+        assert run(["simulate", "--mode", "pd", "--reference", str(src),
+                    "--output", str(out)]) == 4
+        assert "MAX_SAMPLES" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestJsonIntegerFieldsExit2:
+    @pytest.mark.parametrize("token", ["1e400", "Infinity", "2.5"])
+    def test_frame_count(self, tmp_path, token):
+        src, out = tmp_path / "rec.json", tmp_path / "r.csv"
+        src.write_text('{"frame_rate": 1000.0, "frame_count": %s, "unit": "pixel", '
+                       '"tracks": [{"id": 1, "name": "Neck", "samples": '
+                       '[{"frame": 0, "x": 1.0, "y": 2.0, "visible": true}]}]}' % token)
+        proc = run_subprocess(["metrics", "--input", str(src), "--output", str(out)])
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: frame_count must be a JSON integer")
+        assert not out.exists()

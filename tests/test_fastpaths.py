@@ -35,6 +35,16 @@ PlanarOffset model the general loop itself, and either history must equal
 it byte for byte (`tobytes`, so the sign of a zero counts). The
 per-sample `traj.smooth` loop is frozen as `oracle_smooth`, and the
 windowed average must equal it.
+
+Legs build their triad with `rotmath.dcms_from_axes`, as the body and the
+tail do; the leg's own routine is frozen as `oracle_leg_dcms`, and where
+both call a limb valid the rotations must be equal byte for byte. The
+validity rule is the one intended change: a limb is degenerate when its
+tip lies within EPS_LEN of the inertial x axis through its base, no longer
+when its direction does, pinned by two limbs. Re-association merges its
+episodes as it finds them; the raw event list and its sorted second pass
+are frozen as `oracle_reassociate`, and the episodes must be equal on the
+benchmark recording and on random event streams.
 """
 
 import csv
@@ -1611,3 +1621,160 @@ def test_dataset_json_writer_non_finite_and_empty_tracks():
     oracle_save_json(ds, want)
     keypoints.save_dataset(ds, got, format="json")
     assert got.getvalue() == want.getvalue()
+
+
+# -- frozen oracle: the leg's own axis routine, the second event pass --------
+
+def oracle_leg_dcms(y_raw):
+    """The leg triad before legs used rotmath.dcms_from_axes: degenerate
+    when the limb's direction is within EPS_LEN of the inertial x axis."""
+    ny = np.linalg.norm(y_raw, axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        y = y_raw / ny[..., None]
+        z = np.cross(frames.X_INERTIAL, y)
+        nz = np.linalg.norm(z, axis=-1)
+        z /= nz[..., None]
+    ok = ~((ny <= rotmath.EPS_LEN) | (nz <= rotmath.EPS_LEN))
+    return np.stack([np.cross(y, z), y, z], axis=-2), ok
+
+
+def oracle_merge_events(raw):
+    events = []
+    open_events = {}  # (from, to, kind) -> [start, end]
+    for f, src, dst, kind in sorted(raw):
+        key = (src, dst, kind)
+        span = open_events.get(key)
+        if span is not None and span[1] == f - 1:
+            span[1] = f
+        else:
+            if span is not None:
+                events.append(keypoints.SwapEvent(src, dst, span[0], span[1], kind))
+            open_events[key] = [f, f]
+    for (src, dst, kind), span in open_events.items():
+        events.append(keypoints.SwapEvent(src, dst, span[0], span[1], kind))
+    events.sort(key=lambda e: (e.frame_start, e.from_id))
+    return events
+
+
+def oracle_reassociate(dataset, max_jump):
+    """reassociate_identities as it was: a raw (frame, from, to, kind) list
+    sorted and merged into episodes by a second pass."""
+    ids = sorted(dataset.tracks)
+    positions, visible = keypoints.dense_stack(dataset, ids)
+    last = np.full((len(ids), 2), np.nan)
+    raw_events = []
+    for f in range(dataset.frame_count):
+        pos, vis = positions[f], visible[f]
+        jump = np.linalg.norm(pos - last, axis=1)
+        offenders = np.flatnonzero(vis & (jump > max_jump)).tolist()
+        if len(offenders) >= 2:
+            free = list(offenders)
+            for j, det in zip(offenders, pos[offenders]):
+                target = min(free, key=lambda t: (np.linalg.norm(det - last[t]), t))
+                free.remove(target)
+                if target != j:
+                    pos[target] = det
+                    raw_events.append((f, ids[j], ids[target], "swap"))
+        elif len(offenders) == 1:
+            raw_events.append((f, ids[offenders[0]], ids[offenders[0]], "jump"))
+        last[vis] = pos[vis]
+    return positions, oracle_merge_events(raw_events)
+
+
+def random_limbs(n, seed):
+    """(n, 3) limb vectors over 16 decades, each component an exact +0 or
+    -0 a quarter of the time each."""
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-12, 4, size=(n, 1))
+    pick = rng.integers(0, 4, size=(n, 3))
+    return np.where(pick == 0, 0.0, np.where(pick == 1, -0.0, v))
+
+
+@pytest.mark.parametrize("leg", sorted(frames.LEG_AXES, key=lambda s: s.value))
+def test_leg_rotations_bytes_equal_oracle(leg):
+    # 10^5 limbs per leg from a zero base, so signed zeros reach the triad
+    limbs = random_limbs(100_000, seed=len(leg.value))
+    a, b = frames.LEG_AXES[leg]
+    R, ok = frames._segment_dcms(leg, {a: np.zeros_like(limbs), b: limbs})
+    want, want_ok = oracle_leg_dcms(limbs)
+    both = ok & want_ok
+    assert both.sum() > 50_000
+    assert R[both].tobytes() == want[both].tobytes()
+    # the one rule for every segment: the tip within EPS_LEN of the x axis
+    # through the base (or of the base itself) is degenerate
+    off_axis = np.linalg.norm(np.cross(limbs, frames.X_INERTIAL), axis=-1)
+    assert np.array_equal(ok, (np.linalg.norm(limbs, axis=-1) > rotmath.EPS_LEN)
+                          & (off_axis > rotmath.EPS_LEN))
+
+
+@pytest.mark.parametrize("length, angle, valid", [(0.01, 1e-8, False),
+                                                  (10.0, 5e-10, True)],
+                         ids=["short_limb_near_x", "long_limb_nearer_x"])
+def test_leg_degeneracy_is_distance_from_the_x_axis(length, angle, valid):
+    pose = {12: np.zeros(3),
+            8: -length * np.array([math.cos(angle), math.sin(angle), 0.0])}
+    _, was_valid = oracle_leg_dcms(pose[12] - pose[8])
+    assert bool(was_valid) is not valid  # the direction rule said the opposite
+    if valid:
+        R = frames.leg_frame(Segment.RIGHT_FRONT_LEG, pose)
+        assert np.allclose(R @ R.T, np.eye(3), atol=1e-12)
+    else:
+        with pytest.raises(DegenerateAxes):
+            frames.leg_frame(Segment.RIGHT_FRONT_LEG, pose)
+
+
+def test_reassociate_events_equal_oracle_on_benchmark_recording(tmp_path):
+    dataset = load_new(benchmark_recording(tmp_path, 11))
+    got, events = keypoints.reassociate_identities(dataset, 40.0)  # gen.MAX_JUMP
+    positions, want = oracle_reassociate(dataset, 40.0)
+    assert events == want
+    assert {e.kind for e in events} == {"swap"}
+    for j, kid in enumerate(sorted(dataset.tracks)):
+        assert np.array_equal(got.tracks[kid].positions, positions[:, j],
+                              equal_nan=True)
+
+
+def random_stream(seed):
+    """A 2D dataset whose tracks hop between far-apart anchors, so that swaps
+    and jumps come in runs of every length, close up and reopen, and share
+    frames (max_jump 5)."""
+    rng = np.random.default_rng(seed)
+    ids = rng.choice(np.arange(1, 24), size=int(rng.integers(2, 6)), replace=False)
+    frame_count = int(rng.integers(5, 80))
+    anchors = rng.normal(scale=100.0, size=(4, 2))
+    tracks = {}
+    for kid in sorted(ids.tolist()):
+        hops = rng.random(frame_count) < rng.uniform(0.05, 0.6)
+        at = np.cumsum(hops * rng.integers(1, 4, size=frame_count)) % 4
+        positions = anchors[at] + rng.normal(scale=0.5, size=(frame_count, 2))
+        visible = rng.random(frame_count) > 0.15
+        positions[~visible] = np.nan
+        tracks[kid] = keypoints.KeypointTrack(kid, keypoints.KEYPOINT_NAMES[kid],
+                                              np.arange(frame_count), positions,
+                                              visible)
+    return keypoints.KeypointDataset(tracks, 1000.0, frame_count, "pixel")
+
+
+RANDOM_STREAMS = range(60)
+
+
+@pytest.mark.parametrize("seed", RANDOM_STREAMS)
+def test_reassociate_events_equal_oracle_on_random_streams(seed):
+    dataset = random_stream(seed)
+    got, events = keypoints.reassociate_identities(dataset, 5.0)
+    positions, want = oracle_reassociate(dataset, 5.0)
+    assert events == want
+    for j, kid in enumerate(sorted(dataset.tracks)):
+        assert np.array_equal(got.tracks[kid].positions, positions[:, j],
+                              equal_nan=True)
+
+
+def test_random_streams_cover_every_episode_shape():
+    streams = [keypoints.reassociate_identities(random_stream(seed), 5.0)[1]
+               for seed in RANDOM_STREAMS]
+    events = [e for stream in streams for e in stream]
+    assert {e.kind for e in events} == {"swap", "jump"}
+    assert any(e.frame_end > e.frame_start for e in events)  # multi-frame episodes
+    # a key that closes and reopens, and two episodes that open on one frame
+    assert any(len({(e.from_id, e.to_id, e.kind) for e in s}) < len(s) for s in streams)
+    assert any(len({e.frame_start for e in s}) < len(s) for s in streams)

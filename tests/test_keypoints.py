@@ -326,6 +326,66 @@ class TestLoadJson:
             load_json(json_text({1: [(frame, 1.0, 2.0, True)]}, 7))
 
 
+class TestJsonIntegerFields:
+    """frame_count and frame are JSON integers and visible is true, false, 0
+    or 1, as the CSV demands: nothing is rounded, truncated or overflows."""
+
+    TRACK = {1: [(0, 1.0, 2.0, True), (2, 3.0, 4.0, True)]}
+
+    @pytest.mark.parametrize("token", ["1e400", "Infinity", "2.5", "3.0", "true",
+                                       '"3"', "null"])
+    def test_frame_count(self, token):
+        text = json_text(self.TRACK, 3).replace('"frame_count": 3',
+                                                f'"frame_count": {token}')
+        with pytest.raises(ParseError, match="frame_count must be a JSON integer"):
+            load_json(text)
+
+    @pytest.mark.parametrize("frame", [1.5, 1.0, True, "1", None])
+    def test_frame(self, frame):
+        doc = json.loads(json_text(self.TRACK, 3))
+        doc["tracks"][0]["samples"][0]["frame"] = frame
+        with pytest.raises(ParseError, match="frame must be a JSON integer"):
+            load_json(json.dumps(doc))
+
+    def test_frame_beyond_int64(self):
+        doc = json.loads(json_text(self.TRACK, 3))
+        doc["tracks"][0]["samples"][1]["frame"] = 10 ** 30
+        with pytest.raises(ParseError):
+            load_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("visible", ["0", "1", 2, -1, 1.0, None, [1]])
+    def test_visible_rejected(self, visible):
+        doc = json.loads(json_text(self.TRACK, 3))
+        doc["tracks"][0]["samples"][1]["visible"] = visible
+        with pytest.raises(ParseError, match="visible must be true, false, 0 or 1"):
+            load_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("visible, seen", [(True, True), (1, True),
+                                               (False, False), (0, False)])
+    def test_visible_accepted(self, visible, seen):
+        doc = json.loads(json_text(self.TRACK, 3))
+        doc["tracks"][0]["samples"][1]["visible"] = visible
+        assert load_json(json.dumps(doc)).tracks[1].visible.tolist() == \
+            [True, False, seen]
+
+
+class TestScalarsFiniteAndPositive:
+    @pytest.mark.parametrize("rate", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_frame_rate(self, rate):
+        with pytest.raises(SchemaError, match="frame_rate must be finite and positive"):
+            load_csv(csv_text([(0, 1, 1.0, 2.0, 1)]), frame_rate=rate)
+        with pytest.raises(SchemaError, match="frame_rate must be finite and positive"):
+            load_json(json_text({1: [(0, 1.0, 2.0, True)]}, 1).replace(
+                '"frame_rate": 1000.0', f'"frame_rate": {json.dumps(rate)}'))
+
+    @pytest.mark.parametrize("scale, origin", [
+        (np.nan, (0.0, 0.0)), (np.inf, (0.0, 0.0)), (0.0, (0.0, 0.0)),
+        (1e-3, (np.nan, 0.0)), (1e-3, (0.0, -np.inf))])
+    def test_calibration(self, scale, origin):
+        with pytest.raises(SchemaError, match="scale must be finite and positive"):
+            PlanarCalibration(scale, origin)
+
+
 class TestDenseStack:
     def test_scatters_frames_and_marks_absent(self):
         sparse = KeypointTrack(1, "Neck", [1, 3], [[1.0, 2.0], [3.0, 4.0]],

@@ -229,7 +229,10 @@ class TestDomainErrors:
         lambda tr: time_scale(tr, 0.0),
         lambda tr: step_metrics(tr, steady_time=-0.5),
         lambda tr: step_metrics(tr, steady_time=1.5),
-    ], ids=["scale_negative", "scale_zero", "steady_before", "steady_after"])
+        lambda tr: time_scale(tr, np.nan),
+        lambda tr: time_scale(tr, np.inf),
+    ], ids=["scale_negative", "scale_zero", "steady_before", "steady_after",
+            "scale_nan", "scale_inf"])
     def test_out_of_domain(self, call):
         t = np.linspace(0.0, 1.0, 11)
         with pytest.raises(errors.OutOfDomain) as info:
@@ -293,3 +296,41 @@ class TestNonFiniteTimes:
         t[2] = bad
         with pytest.raises(ValueError, match="^times contain non-finite"):
             make_traj(t, np.zeros(5), rate)
+
+
+class TestTimeGrid:
+    """The surrogate and PD tracking share one grid, bounded by MAX_SAMPLES."""
+
+    @pytest.mark.parametrize("t0, span, dt", [(0.0, 225.0, 0.01), (0.0, 0.15, 1e-3),
+                                              (1.5, 0.3, 7e-4), (-2.0, 0.0, 0.1)])
+    def test_bytes_equal_both_former_grids(self, t0, span, dt):
+        n = int(round(span / dt)) + 1
+        got = traj.time_grid(t0, span, dt)
+        assert got.tobytes() == (t0 + np.arange(n) * dt).tobytes()  # simulate_pd
+        if t0 == 0.0:
+            assert got.tobytes() == (dt * np.arange(n)).tobytes()  # synth_second_order
+
+    @pytest.mark.parametrize("dt", [0.0, -0.01, np.nan, np.inf])
+    def test_dt_out_of_domain(self, dt):
+        with pytest.raises(errors.OutOfDomain, match="dt must be finite and positive"):
+            traj.time_grid(0.0, 1.0, dt)
+
+    def test_surrogate_zero_dt_out_of_domain(self):
+        with pytest.raises(errors.OutOfDomain, match="dt must be finite and positive"):
+            synth_second_order(13.85, 64.5, 225.0, 0.0)
+
+    # every case raises before a sample is allocated; 225 / 1e-320 is inf
+    @pytest.mark.parametrize("span, dt", [(traj.MAX_SAMPLES * 1e-3, 1e-3),
+                                          (225.0, 1e-9), (225.0, 1e-300),
+                                          (225.0, 1e-320)])
+    def test_too_many_samples_out_of_domain(self, span, dt):
+        with pytest.raises(errors.OutOfDomain, match="MAX_SAMPLES"):
+            traj.time_grid(0.0, span, dt)
+        with pytest.raises(errors.OutOfDomain, match="MAX_SAMPLES"):
+            synth_second_order(13.85, 0.1 * span, span, dt)
+
+    def test_the_bound_counts_samples(self, monkeypatch):
+        monkeypatch.setattr(traj, "MAX_SAMPLES", 11)
+        assert len(traj.time_grid(5.0, 1.0, 0.1)) == 11
+        with pytest.raises(errors.OutOfDomain):
+            traj.time_grid(5.0, 1.0, 0.099)
