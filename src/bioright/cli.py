@@ -73,6 +73,17 @@ def cmd_metrics(args):
     return EXIT_OK
 
 
+def _window_s(text):
+    """--window-ms A:B as [A, B] in seconds; A and B must be finite numbers."""
+    try:
+        window = [float(x) / 1000.0 for x in text.split(":")]
+    except ValueError:
+        window = []
+    if len(window) != 2 or not all(map(math.isfinite, window)):
+        raise ParseError(f"--window-ms must be two finite numbers A:B, got {text!r}")
+    return window
+
+
 def cmd_reconstruct(args):
     dataset = _load_dataset_arg(args)
     if dataset.unit == "pixel":
@@ -85,8 +96,7 @@ def cmd_reconstruct(args):
         body = frames.segment_series(dataset, frames.Segment.BODY)
         series = frames.relative_leg_series(series, body)
     if args.window_ms:
-        a, b = (float(x) / 1000.0 for x in args.window_ms.split(":"))
-        series = frames.righting_window(series, a, b)
+        series = frames.righting_window(series, *args.window_ms)
     with open(args.output, "w") as f:
         frames.write_series_csv(series, f)
     _write_manifest("reconstruct", [args.input], [args.output])
@@ -252,7 +262,7 @@ def build_parser():
     p.add_argument("--output", required=True)
     p.add_argument("--segment", required=True, choices=sorted(SEGMENT_NAMES))
     p.add_argument("--frame-rate", type=float, default=None)
-    p.add_argument("--window-ms", default=None, metavar="A:B")
+    p.add_argument("--window-ms", default=None, metavar="A:B", type=_window_s)
     p.add_argument("--scale", type=float, default=0.001,
                    help="meters per pixel for 2D input")
     p.add_argument("--relative-to-body", action="store_true")
@@ -297,8 +307,8 @@ EXIT_CODES = (((ParseError, SchemaError, ValueError, OSError), EXIT_PARSE),
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    try:
+    try:  # a --window-ms that is not two finite numbers fails in parse_args
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (BiorightError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -44,6 +44,7 @@ KEYPOINT_NAMES = {
 
 #: Most frames a loaded recording may span: 1 000 s at 1 kHz.
 MAX_FRAMES = 1_000_000
+_SCAN_BLOCK = 64  # frames whose jumps reassociate_identities tests in one pass
 
 
 @dataclass
@@ -268,6 +269,8 @@ def _load_json(source):
         raise EmptyDataset("no tracks")
     if type(obj["frame_count"]) is not int:  # bool, 2.5 and 1e400 are not counts
         raise ParseError(f"frame_count must be a JSON integer, got {obj['frame_count']!r}")
+    if type(obj["frame_rate"]) not in (int, float):  # true and "1000" are not rates
+        raise ParseError(f"frame_rate must be a JSON number, got {obj['frame_rate']!r}")
     names, samples = {}, []  # samples: (id, frames, positions, visible) per track
     try:
         frame_rate, frame_count = float(obj["frame_rate"]), obj["frame_count"]
@@ -364,33 +367,43 @@ def reassociate_identities(dataset, max_jump):
     positions, visible = dense_stack(dataset, ids)
     if positions.shape[2] != 2:
         raise SchemaError("re-association is defined for 2D datasets")
-    last = np.full((len(ids), 2), np.nan)  # NaN: no visible sample yet
+    last, f = np.full((len(ids), 2), np.nan), 0  # NaN: no visible sample yet
     # a frame's events come in id order, so episodes open in the order returned
     events, latest = [], {}  # latest: (from, to, kind) -> its newest episode
-    for f in range(dataset.frame_count):
-        pos, vis = positions[f], visible[f]
-        jump = np.linalg.norm(pos - last, axis=1)
-        offenders = np.flatnonzero(vis & (jump > max_jump)).tolist()
-        found = []  # (from_id, to_id, kind) of this frame
-        if len(offenders) >= 2:
-            free = list(offenders)
-            # pos[offenders] is a copy, so the writes below keep each det
-            for j, det in zip(offenders, pos[offenders]):
-                target = min(free, key=lambda t: (np.linalg.norm(det - last[t]), t))
-                free.remove(target)
-                if target != j:
-                    pos[target] = det
-                    found.append((ids[j], ids[target], "swap"))
-        elif len(offenders) == 1:
-            found.append((ids[offenders[0]], ids[offenders[0]], "jump"))
-        for key in found:
-            episode = latest.get(key)
-            if episode is not None and episode[3] == f - 1:
-                episode[3] = f
-            else:
-                latest[key] = episode = [key[0], key[1], f, f, key[2]]
-                events.append(episode)
-        last[vis] = pos[vis]
+    while f < dataset.frame_count:
+        # held[r]: each track's last visible position before block frame r
+        pos, vis = positions[f:f + _SCAN_BLOCK], visible[f:f + _SCAN_BLOCK]
+        ext = np.concatenate([last[None], pos])  # row 0 is `last`, row i + 1 frame i
+        seen = np.arange(len(ext))[:, None] * np.vstack([np.ones(len(ids), bool), vis])
+        held = ext[np.maximum.accumulate(seen), np.arange(len(ids))]
+        hit = (vis & (np.linalg.norm(pos - held[:-1], axis=-1) > max_jump)).any(axis=1)
+        g = int(hit.argmax()) if hit.any() else len(pos)
+        last, f, offending = held[g], f + g, g < len(pos)
+        while offending and f < dataset.frame_count:  # frame by frame until a clean one
+            pos, vis = positions[f], visible[f]
+            jump = np.linalg.norm(pos - last, axis=1)
+            offenders = np.flatnonzero(vis & (jump > max_jump)).tolist()
+            found = []  # (from_id, to_id, kind) of this frame
+            if len(offenders) >= 2:
+                free = list(offenders)
+                # pos[offenders] is a copy, so the writes below keep each det
+                for j, det in zip(offenders, pos[offenders]):
+                    target = min(free, key=lambda t: (np.linalg.norm(det - last[t]), t))
+                    free.remove(target)
+                    if target != j:
+                        pos[target] = det
+                        found.append((ids[j], ids[target], "swap"))
+            elif len(offenders) == 1:
+                found.append((ids[offenders[0]], ids[offenders[0]], "jump"))
+            for key in found:
+                episode = latest.get(key)
+                if episode is not None and episode[3] == f - 1:
+                    episode[3] = f
+                else:
+                    latest[key] = episode = [key[0], key[1], f, f, key[2]]
+                    events.append(episode)
+            last[vis] = pos[vis]
+            f, offending = f + 1, bool(offenders)
     tracks = {kid: replace(dataset.tracks[kid],
                            positions=positions[dataset.tracks[kid].frames, j])
               for j, kid in enumerate(ids)}
@@ -404,18 +417,17 @@ def interpolate_gaps(track, max_gap):
     interpolated. Longer runs and leading/trailing runs are untouched."""
     if int(track.visible.sum()) < 2:
         raise TooSparse(f"track {track.id}: need >= 2 visible samples")
+    frames, visible, index = track.frames, track.visible, np.arange(len(track.frames))
+    # each sample's previous and next visible sample; an end run gets an invisible one
+    a = np.maximum.accumulate(np.where(visible, index, 0))
+    b = np.minimum.accumulate(np.where(visible, index, index[-1])[::-1])[::-1]
+    fill = ~visible & visible[a] & visible[b] & (frames[b] - frames[a] <= max_gap + 1)
+    a, b = a[fill], b[fill]
+    w = ((frames[fill] - frames[a]) / (frames[b] - frames[a]))[:, None]
     positions = track.positions.copy()
-    visible = track.visible.copy()
-    interpolated = track.interpolated.copy()
-    frames = track.frames
-    vis_idx = np.flatnonzero(track.visible)
-    for a, b in zip(vis_idx[:-1].tolist(), vis_idx[1:].tolist()):
-        if b - a >= 2 and frames[b] - frames[a] <= max_gap + 1:
-            w = (frames[a + 1:b] - frames[a])[:, None] / (frames[b] - frames[a])
-            positions[a + 1:b] = (1 - w) * track.positions[a] + w * track.positions[b]
-            visible[a + 1:b] = interpolated[a + 1:b] = True
-    return replace(track, positions=positions, visible=visible,
-                   interpolated=interpolated)
+    positions[fill] = (1 - w) * track.positions[a] + w * track.positions[b]
+    return replace(track, positions=positions, visible=visible | fill,
+                   interpolated=track.interpolated | fill)
 
 
 def pixel_to_world(dataset, calib):

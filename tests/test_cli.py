@@ -618,3 +618,42 @@ class TestJsonIntegerFieldsExit2:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: frame_count must be a JSON integer")
         assert not out.exists()
+
+    @pytest.mark.parametrize("token", ["true", '"1000"'])
+    def test_frame_rate(self, tmp_path, token):
+        src, out = tmp_path / "rec.json", tmp_path / "r.csv"
+        src.write_text('{"frame_rate": %s, "frame_count": 1, "unit": "pixel", '
+                       '"tracks": [{"id": 1, "name": "Neck", "samples": '
+                       '[{"frame": 0, "x": 1.0, "y": 2.0, "visible": true}]}]}' % token)
+        proc = run_subprocess(["metrics", "--input", str(src), "--output", str(out)])
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: frame_rate must be a JSON number")
+        assert not out.exists()
+
+
+class TestWindowMsTwoFiniteNumbers:
+    """--window-ms is two finite numbers A:B; anything else exits 2 naming
+    the option, before anything is written."""
+
+    @pytest.mark.parametrize("window", ["nan:1", "1490:inf", "1:2:3", "abc:1", "-inf:1",
+                                        "1", ""])
+    def test_exit_2(self, tmp_path, tracked_csv, window):
+        out = tmp_path / "body.csv"
+        proc = run_subprocess(["reconstruct", "--input", str(tracked_csv), "--segment",
+                               "Body", "--frame-rate", "1000", "--output", str(out),
+                               f"--window-ms={window}"])
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: --window-ms must be two finite numbers")
+        assert list(tmp_path.iterdir()) == [tracked_csv]
+
+    def test_window_in_ms(self, tmp_path, capsys):
+        src, out = tmp_path / "pose.csv", tmp_path / "w.csv"
+        src.write_text(rest_pose_csv(5))
+        assert run(["reconstruct", "--input", str(src), "--output", str(out),
+                    "--segment", "Body", "--frame-rate", "1000", "--scale", "1.0",
+                    "--window-ms", "1:3.5"]) == 0
+        assert [line.split(",")[0] for line in out.read_text().splitlines()[1:]] == \
+            ["0.000000", "0.001000", "0.002000"]
+        assert "3 valid of 3" in capsys.readouterr().out

@@ -44,7 +44,15 @@ tip lies within EPS_LEN of the inertial x axis through its base, no longer
 when its direction does, pinned by two limbs. Re-association merges its
 episodes as it finds them; the raw event list and its sorted second pass
 are frozen as `oracle_reassociate`, and the episodes must be equal on the
-benchmark recording and on random event streams.
+benchmark recording and on random event streams. Re-association now tests
+the jumps of a block of frames in one whole-array pass and goes frame by
+frame only from an offender frame to the next clean one; against the same
+oracle, its events must be equal and its positions byte-equal on long
+random streams, on the benchmark recording down to a 0.5 px max_jump, at
+block edges, with a track never visible and with 0 or 1 frame. The
+per-gap `interpolate_gaps` loop is frozen as
+`oracle_interpolate_gaps_per_gap`, and the one-pass fill must equal it
+byte for byte on sparse tracks.
 """
 
 import csv
@@ -1778,3 +1786,179 @@ def test_random_streams_cover_every_episode_shape():
     # a key that closes and reopens, and two episodes that open on one frame
     assert any(len({(e.from_id, e.to_id, e.kind) for e in s}) < len(s) for s in streams)
     assert any(len({e.frame_start for e in s}) < len(s) for s in streams)
+
+
+# Re-association scans _SCAN_BLOCK frames per whole-array pass and goes
+# frame by frame only from an offender frame to the next clean one; the
+# events and every position must equal the per-frame oracle above.
+
+def assert_reassociates_like_oracle(dataset, max_jump):
+    got, events = keypoints.reassociate_identities(dataset, max_jump)
+    positions, want = oracle_reassociate(dataset, max_jump)
+    assert events == want
+    for j, kid in enumerate(sorted(dataset.tracks)):
+        assert got.tracks[kid].positions.tobytes() == \
+            positions[dataset.tracks[kid].frames, j].tobytes()
+    return events
+
+
+def dataset_2d(tracks, frame_count):
+    """A 2D pixel dataset from {id: (positions, visible)} on arange(frame_count)."""
+    return keypoints.KeypointDataset(
+        {kid: keypoints.KeypointTrack(kid, keypoints.KEYPOINT_NAMES[kid],
+                                      np.arange(frame_count),
+                                      np.where(visible[:, None], positions, np.nan),
+                                      visible)
+         for kid, (positions, visible) in tracks.items()}, 1000.0, frame_count, "pixel")
+
+
+def long_random_stream(seed):
+    """60-700 frames, so several scan blocks are crossed, each track visible
+    10-100 % of the time and hopping between far-apart anchors with a
+    probability from 0.001 to 0.3 per frame (max_jump 5)."""
+    rng = np.random.default_rng(seed)
+    ids = rng.choice(np.arange(1, 24), size=int(rng.integers(2, 8)), replace=False)
+    frame_count = int(rng.integers(60, 701))
+    anchors = rng.normal(scale=100.0, size=(4, 2))
+    tracks = {}
+    for kid in sorted(ids.tolist()):
+        hops = rng.random(frame_count) < 10.0 ** rng.uniform(-3.0, math.log10(0.3))
+        at = np.cumsum(hops * rng.integers(1, 4, size=frame_count)) % 4
+        positions = anchors[at] + rng.normal(scale=0.5, size=(frame_count, 2))
+        visible = rng.random(frame_count) < min(1.0, rng.uniform(0.1, 1.2))
+        tracks[kid] = positions, visible
+    return dataset_2d(tracks, frame_count)
+
+
+LONG_RANDOM_STREAMS = range(40)
+
+
+@pytest.mark.parametrize("seed", LONG_RANDOM_STREAMS)
+def test_reassociate_equal_oracle_on_long_random_streams(seed):
+    assert_reassociates_like_oracle(long_random_stream(seed), 5.0)
+
+
+def test_long_random_streams_cross_blocks_clean_and_offending():
+    datasets = [long_random_stream(seed) for seed in LONG_RANDOM_STREAMS]
+    streams = [keypoints.reassociate_identities(d, 5.0)[1] for d in datasets]
+    assert max(d.frame_count for d in datasets) > 10 * keypoints._SCAN_BLOCK
+    shares = [t.visible.mean() for d in datasets for t in d.tracks.values()]
+    assert min(shares) < 0.15 and max(shares) == 1.0
+    # a stream with a clean block, and episodes on either side of a block edge
+    assert any(not s or s[0].frame_start >= keypoints._SCAN_BLOCK for s in streams)
+    starts = {e.frame_start % keypoints._SCAN_BLOCK for s in streams for e in s}
+    assert {0, keypoints._SCAN_BLOCK - 1} <= starts
+    assert {e.kind for s in streams for e in s} == {"swap", "jump"}
+
+
+@pytest.fixture(scope="module")
+def recording_11(tmp_path_factory):
+    return load_new(benchmark_recording(tmp_path_factory.mktemp("recording"), 11))
+
+
+@pytest.mark.parametrize("max_jump", [40.0, 5.0, 2.0, 0.5])
+def test_reassociate_equal_oracle_on_benchmark_recording_at(recording_11, max_jump):
+    events = assert_reassociates_like_oracle(recording_11, max_jump)
+    assert len(events) >= 4  # the generator's two swap episodes, two events each
+
+
+def swapped_pair(start, length, frame_count=200):
+    """Tracks 1 and 2 walk 100 px apart, with their labels exchanged on
+    frames start .. start + length - 1."""
+    t = np.arange(frame_count)[:, None]
+    a, b = (0.0, 0.0) + 0.1 * t, (100.0, 0.0) + 0.1 * t
+    swap = (t >= start) & (t < start + length)
+    visible = np.ones(frame_count, bool)
+    return dataset_2d({1: (np.where(swap, b, a), visible),
+                       2: (np.where(swap, a, b), visible)}, frame_count)
+
+
+@pytest.mark.parametrize("start", [1, 62, 63, 64, 65, 127, 128, 199])
+@pytest.mark.parametrize("length", [1, 3])
+def test_swap_episode_at_a_block_edge(start, length):
+    events = assert_reassociates_like_oracle(swapped_pair(start, length), 40.0)
+    end = min(start + length, 200) - 1
+    assert events == [keypoints.SwapEvent(1, 2, start, end, "swap"),
+                      keypoints.SwapEvent(2, 1, start, end, "swap")]
+
+
+@pytest.mark.parametrize("start", [63, 64])
+def test_jump_at_a_block_edge(start):
+    positions = np.zeros((200, 2))
+    positions[start:] = 500.0
+    events = assert_reassociates_like_oracle(
+        dataset_2d({1: (positions, np.ones(200, bool))}, 200), 40.0)
+    assert events == [keypoints.SwapEvent(1, 1, start, start, "jump")]
+
+
+def test_reassociate_track_never_visible():
+    dataset = long_random_stream(3)
+    kid = min(dataset.tracks)
+    track = dataset.tracks[kid]
+    dataset.tracks[kid] = replace(track, positions=np.full_like(track.positions, np.nan),
+                                  visible=np.zeros_like(track.visible))
+    assert_reassociates_like_oracle(dataset, 5.0)
+    nothing = dataset_2d({1: (np.zeros((150, 2)), np.zeros(150, bool))}, 150)
+    assert assert_reassociates_like_oracle(nothing, 5.0) == []
+
+
+@pytest.mark.parametrize("frame_count", [0, 1])
+def test_reassociate_zero_and_one_frame(frame_count):
+    dataset = dataset_2d({1: (np.zeros((frame_count, 2)), np.ones(frame_count, bool)),
+                          7: (np.ones((frame_count, 2)), np.ones(frame_count, bool))},
+                         frame_count)
+    assert assert_reassociates_like_oracle(dataset, 0.5) == []
+
+
+# interpolate_gaps fills every gap in one pass; the loop over the gaps
+# between consecutive visible samples is frozen here as the oracle.
+
+def oracle_interpolate_gaps_per_gap(track, max_gap):
+    positions = track.positions.copy()
+    visible = track.visible.copy()
+    interpolated = track.interpolated.copy()
+    frames = track.frames
+    vis_idx = np.flatnonzero(track.visible)
+    for a, b in zip(vis_idx[:-1].tolist(), vis_idx[1:].tolist()):
+        if b - a >= 2 and frames[b] - frames[a] <= max_gap + 1:
+            w = (frames[a + 1:b] - frames[a])[:, None] / (frames[b] - frames[a])
+            positions[a + 1:b] = (1 - w) * track.positions[a] + w * track.positions[b]
+            visible[a + 1:b] = interpolated[a + 1:b] = True
+    return positions, visible, interpolated
+
+
+def sparse_track(seed):
+    """A hand-built track on sparse frames, with interpolated flags already
+    set and numbers as well as NaN on some invisible samples."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 150))
+    frames = np.sort(rng.choice(3 * n, size=n, replace=False))
+    visible = rng.random(n) < rng.uniform(0.2, 0.95)
+    visible[rng.choice(n, size=2, replace=False)] = True
+    positions = rng.normal(scale=50.0, size=(n, int(rng.integers(2, 4))))
+    positions[~visible & (rng.random(n) < 0.5)] = np.nan
+    return keypoints.KeypointTrack(1, "Neck", frames, positions, visible,
+                                   rng.random(n) < 0.2)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_interpolate_gaps_on_sparse_tracks_bytes_equal_oracle(seed):
+    track = sparse_track(seed)
+    for max_gap in range(8):
+        got = keypoints.interpolate_gaps(track, max_gap)
+        positions, visible, interpolated = oracle_interpolate_gaps_per_gap(track, max_gap)
+        assert got.positions.tobytes() == positions.tobytes()
+        assert got.visible.tobytes() == visible.tobytes()
+        assert got.interpolated.tobytes() == interpolated.tobytes()
+
+
+def test_sparse_tracks_have_filled_and_unfilled_gaps():
+    filled = unfilled = 0
+    for seed in range(30):
+        track = sparse_track(seed)
+        got = keypoints.interpolate_gaps(track, 3)
+        new = got.visible & ~track.visible
+        filled += int(new.sum())
+        unfilled += int((~got.visible).sum())
+        assert np.array_equal(got.interpolated, track.interpolated | new)
+    assert filled > 100 and unfilled > 100

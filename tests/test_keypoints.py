@@ -369,6 +369,26 @@ class TestJsonIntegerFields:
             [True, False, seen]
 
 
+class TestJsonFrameRateIsANumber:
+    """frame_rate is a JSON number: true, "1000" and null are not rates."""
+
+    @pytest.mark.parametrize("token", ["true", "false", '"1000"', "null", "[1000]",
+                                       "{}"])
+    def test_rejected(self, token):
+        text = json_text({1: [(0, 1.0, 2.0, True)]}, 1).replace(
+            '"frame_rate": 1000.0', f'"frame_rate": {token}')
+        with pytest.raises(ParseError, match="frame_rate must be a JSON number"):
+            load_json(text)
+
+    @pytest.mark.parametrize("token, rate", [("1000", 1000.0), ("1000.0", 1000.0),
+                                             ("2.5e2", 250.0)])
+    def test_accepted_as_float(self, token, rate):
+        text = json_text({1: [(0, 1.0, 2.0, True)]}, 1).replace(
+            '"frame_rate": 1000.0', f'"frame_rate": {token}')
+        got = load_json(text).frame_rate
+        assert type(got) is float and got == rate
+
+
 class TestScalarsFiniteAndPositive:
     @pytest.mark.parametrize("rate", [np.nan, np.inf, -np.inf, 0.0, -1.0])
     def test_frame_rate(self, rate):
