@@ -10,6 +10,7 @@ import pytest
 from bioright import cli, keypoints, smsdyn, traj
 
 from conftest import REST_POSE, full_csv_dataset, csv_text
+from test_fastpaths import benchmark_recording
 from test_keypoints import yawing_lizard
 
 
@@ -619,7 +620,8 @@ class TestJsonIntegerFieldsExit2:
         assert proc.stderr.startswith("error: frame_count must be a JSON integer")
         assert not out.exists()
 
-    @pytest.mark.parametrize("token", ["true", '"1000"'])
+    @pytest.mark.parametrize("token", ["true", '"1000"',
+                                       pytest.param("1" + "0" * 400, id="1e400_integer")])
     def test_frame_rate(self, tmp_path, token):
         src, out = tmp_path / "rec.json", tmp_path / "r.csv"
         src.write_text('{"frame_rate": %s, "frame_count": 1, "unit": "pixel", '
@@ -657,3 +659,36 @@ class TestWindowMsTwoFiniteNumbers:
         assert [line.split(",")[0] for line in out.read_text().splitlines()[1:]] == \
             ["0.000000", "0.001000", "0.002000"]
         assert "3 valid of 3" in capsys.readouterr().out
+
+
+class TestSameOutputFromCsvAndJson:
+    """A generated recording (2D, pixels) and its pixel_to_world output
+    (3D, meters), each as CSV and as JSON, give the same bytes for the
+    metrics, a segment series and a leg relative to the body."""
+
+    COMMANDS = {
+        "metrics": ["metrics"],
+        "body": ["reconstruct", "--segment", "Body", "--window-ms", "1490:1640"],
+        "leg": ["reconstruct", "--segment", "LeftFrontLeg", "--relative-to-body",
+                "--window-ms", "1490:1640"],
+    }
+
+    def test_benchmark_recording(self, tmp_path):
+        benchmark_recording(tmp_path, 11)
+        pixels = keypoints.load_dataset(tmp_path / "tracks.csv", frame_rate=1000)
+        world = keypoints.pixel_to_world(
+            pixels, keypoints.PlanarCalibration(0.001, (0.0, 0.0)))
+        out = {}
+        for dim, dataset in (("2d", pixels), ("3d", world)):
+            for fmt in ("csv", "json"):
+                src = tmp_path / f"{dim}.{fmt}"
+                with open(src, "w") as f:
+                    keypoints.save_dataset(dataset, f, format=fmt)
+                for what, command in self.COMMANDS.items():
+                    dst = tmp_path / f"{what}_{dim}_{fmt}.csv"
+                    assert run([*command, "--input", str(src), "--frame-rate", "1000",
+                                "--output", str(dst)]) == 0
+                    out[what, dim, fmt] = dst.read_bytes()
+            for what in self.COMMANDS:
+                assert out[what, dim, "csv"] == out[what, dim, "json"], (what, dim)
+        assert out["body", "2d", "csv"] == out["body", "3d", "csv"]

@@ -53,6 +53,16 @@ block edges, with a track never visible and with 0 or 1 frame. The
 per-gap `interpolate_gaps` loop is frozen as
 `oracle_interpolate_gaps_per_gap`, and the one-pass fill must equal it
 byte for byte on sparse tracks.
+
+The whole-document JSON loader is frozen as `oracle_load_json`. The
+loader that decodes one track at a time must give an equal dataset on
+the benchmark recording in 2D and 3D, in four key orders and layouts,
+and on small documents with empty and sparse tracks, NaN and Infinity
+on invisible samples and repeated keys. On every JSON fault the suite's
+error tests build, and on seeded mutations of a small document, it must
+raise the same exception type with the same message. The one intended
+difference is pinned: a frame_rate integer too large for a float is
+reported as a frame_rate error.
 """
 
 import csv
@@ -60,6 +70,8 @@ import importlib.util
 import io
 import json
 import math
+import operator
+import random
 import re
 import tracemalloc
 import warnings
@@ -1441,13 +1453,13 @@ def load_new(text):
                                   frame_rate=1000.0)
 
 
-def benchmark_recording(tmp_path, seed):
+def benchmark_recording(tmp_path, seed, frames=2000):
     """The tracker CSV text of the benchmark's `recording` workload."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
     spec = importlib.util.spec_from_file_location("perfbench_gen", path)
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
-    gen.generate_recording(tmp_path, seed)
+    gen.generate_recording(tmp_path, seed, frames=frames)
     return (tmp_path / "tracks.csv").read_text()
 
 
@@ -1565,20 +1577,22 @@ def test_csv_bad_row_deep_in_a_recording_names_its_line(tmp_path):
 
 
 def test_json_load_peak_memory_is_a_few_times_the_text(tmp_path):
-    # one decoded str and the parsed document: about 4.5x the text length,
-    # where an extra io.StringIO copy of the text took it to about 8.3x
-    dataset = load_new(benchmark_recording(tmp_path, 11))
-    buf = io.StringIO()
-    keypoints.save_dataset(dataset, buf, format="json")
-    path = tmp_path / "rec.json"
-    path.write_text(buf.getvalue())
-    tracemalloc.start()
-    try:
-        keypoints.load_dataset(path, format="json")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 6.0 * len(buf.getvalue())
+    # the file's bytes and their decoded str, 2.0x the text length; the
+    # whole parsed document took it to about 4.5x, and an extra
+    # io.StringIO copy of the text to about 8.3x
+    for frames in (2000, 8000):
+        dataset = load_new(benchmark_recording(tmp_path, 11, frames))
+        buf = io.StringIO()
+        keypoints.save_dataset(dataset, buf, format="json")
+        path = tmp_path / "rec.json"
+        path.write_text(buf.getvalue())
+        tracemalloc.start()
+        try:
+            keypoints.load_dataset(path, format="json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * len(buf.getvalue()), frames
 
 
 @pytest.mark.parametrize("token, value", [("1_0", 10.0), ("\u0663", 3.0)])
@@ -1962,3 +1976,298 @@ def test_sparse_tracks_have_filled_and_unfilled_gaps():
         unfilled += int((~got.visible).sum())
         assert np.array_equal(got.interpolated, track.interpolated | new)
     assert filled > 100 and unfilled > 100
+
+
+# -- keypoints: the JSON loader that decodes one track at a time -------------
+
+def oracle_load_json(source):
+    """The whole-document JSON loader: json.loads, then every check."""
+    try:
+        obj = json.loads(keypoints._as_text(source))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"bad JSON: {exc}") from None
+    for key in ("frame_rate", "frame_count", "unit", "tracks"):
+        if not isinstance(obj, dict) or key not in obj:
+            raise ParseError(f"missing top-level key {key!r}")
+    if not obj["tracks"]:
+        raise EmptyDataset("no tracks")
+    if type(obj["frame_count"]) is not int:  # bool, 2.5 and 1e400 are not counts
+        raise ParseError(f"frame_count must be a JSON integer, got {obj['frame_count']!r}")
+    if type(obj["frame_rate"]) not in (int, float):  # true and "1000" are not rates
+        raise ParseError(f"frame_rate must be a JSON number, got {obj['frame_rate']!r}")
+    names, samples = {}, []  # samples: (id, frames, positions, visible) per track
+    try:
+        frame_rate, frame_count = float(obj["frame_rate"]), obj["frame_count"]
+        first = next((t["samples"][0] for t in obj["tracks"] if t["samples"]), {})
+        axes = ("x", "y", "z") if "z" in first else ("x", "y")
+        if len(axes) == 3 and obj["unit"] == "pixel":
+            raise SchemaError("samples carry z, so the unit must be meter, not pixel")
+        coords = operator.itemgetter(*axes)
+        for t in obj["tracks"]:
+            kid, name, track = t["id"], t["name"], t["samples"]
+            if kid in names:
+                raise SchemaError(f"duplicate keypoint id {kid}")
+            if kid not in keypoints.KEYPOINT_NAMES or not isinstance(kid, int):
+                raise SchemaError(f"keypoint id {kid!r} out of range 1-23")
+            frames, visible = [s["frame"] for s in track], [s["visible"] for s in track]
+            if not {*map(type, frames)} <= {int}:
+                raise ParseError(f"track {kid}: frame must be a JSON integer")
+            if not ({*map(type, visible)} <= {bool, int} and {*visible} <= {0, 1}):
+                raise ParseError(f"track {kid}: visible must be true, false, 0 or 1")
+            frames, visible = np.array(frames, dtype=int), np.array(visible, dtype=bool)
+            positions = np.array([coords(s) for s in track],
+                                 dtype=float).reshape(len(track), len(axes))
+            if np.any(np.diff(frames) <= 0):
+                raise SchemaError(f"track {kid}: frame indices not strictly increasing")
+            if not np.isfinite(positions[visible]).all():
+                raise ParseError(f"track {kid}: non-finite coordinate on a visible sample")
+            names[kid] = name
+            samples.append((np.full(len(track), kid), frames, positions, visible))
+    except (KeyError, TypeError, OverflowError) as exc:
+        raise ParseError(f"malformed track or sample, missing or bad {exc}") from None
+    tracks = keypoints._scatter(names, *map(np.concatenate, zip(*samples)), frame_count)
+    return keypoints.KeypointDataset(tracks, frame_rate, frame_count, obj["unit"])
+
+
+#: The oracle's message for a frame_rate integer too large for a float.
+RATE_OVERFLOW = ("malformed track or sample, missing or bad "
+                 "int too large to convert to float")
+
+
+def json_outcome(load, text):
+    """What `load` makes of `text`: the dataset's fields, or the type and
+    message of what it raises."""
+    try:
+        ds = load(io.StringIO(text))
+    except Exception as exc:  # the oracle lets ValueError and IndexError through too
+        return type(exc), str(exc)
+    return (type(ds.frame_rate), ds.frame_rate, ds.frame_count, ds.unit,
+            [(kid, t.name, t.frames.tobytes(), t.visible.tobytes(),
+              t.positions.shape, t.positions.tobytes()) for kid, t in ds.tracks.items()])
+
+
+def assert_loads_like_oracle(text):
+    want = json_outcome(oracle_load_json, text)
+    got = json_outcome(keypoints._load_json, text)
+    if want == (ParseError, RATE_OVERFLOW) and rate_overflows(text):
+        # the one intended difference: the error names frame_rate
+        want = (ParseError, "frame_rate must be a JSON number that fits a float")
+    assert got == want, text[:300]
+    return got
+
+
+def rate_overflows(text):
+    rate = json.loads(text).get("frame_rate")
+    return type(rate) is int and abs(rate) >= 2 ** 1024 - 2 ** 970
+
+
+def layouts(doc):
+    """`doc` as save_dataset-like JSON, indented, with "tracks" first and
+    with sorted keys."""
+    first = {key: doc[key] for key in sorted(doc, key=lambda key: key != "tracks")}
+    return {"plain": json.dumps(doc), "indent": json.dumps(doc, indent=2),
+            "tracks_first": json.dumps(first), "sorted": json.dumps(doc, sort_keys=True)}
+
+
+@pytest.fixture(scope="module")
+def recording_json(recording_11):
+    """The benchmark recording as save_dataset writes it, 2D and 3D."""
+    world = keypoints.pixel_to_world(recording_11,
+                                     keypoints.PlanarCalibration(0.001, (0.0, 0.0)))
+    docs = {}
+    for dim, ds in (("2d", recording_11), ("3d", world)):
+        buf = io.StringIO()
+        keypoints.save_dataset(ds, buf, format="json")
+        docs[dim] = buf.getvalue()
+    return docs
+
+
+@pytest.mark.parametrize("dim", ["2d", "3d"])
+def test_json_loader_equal_to_oracle_on_benchmark_recording(recording_json, dim):
+    text = recording_json[dim]
+    got = assert_loads_like_oracle(text)
+    assert len(got[4]) == 23 and got[4][0][4] == ((2000, 2) if dim == "2d" else (2000, 3))
+    for name, other in layouts(json.loads(text)).items():
+        assert json_outcome(keypoints._load_json, other) == got, name
+
+
+def small_json_doc():
+    """A valid 2D document: a sparse track with NaN and Infinity on
+    invisible samples, visible as 0 and 1, a one-sample track and an
+    empty track."""
+    return {"frame_rate": 1000.0, "frame_count": 9, "unit": "pixel", "tracks": [
+        {"id": 1, "name": "Neck", "samples": [
+            {"frame": 0, "x": 1.0, "y": 2.0, "visible": True},
+            {"frame": 2, "x": float("nan"), "y": float("inf"), "visible": False},
+            {"frame": 5, "x": 3.5, "y": -4.25, "visible": 1},
+            {"frame": 8, "x": -float("inf"), "y": None, "visible": 0}]},
+        {"id": 21, "name": "Tail_Top_Back", "samples": [
+            {"frame": 3, "x": 10.0, "y": 20.0, "visible": True}]},
+        {"id": 13, "name": "Shoulder_Left", "samples": []}]}
+
+
+def sample(frame, x, y, visible=True, **z):
+    return {"frame": frame, "x": x, "y": y, "visible": visible, **z}
+
+
+def valid_json_texts():
+    small = small_json_doc()
+    empty_first = {"frame_rate": 500, "frame_count": 4, "unit": "meter", "tracks": [
+        {"id": 2, "name": "Eye_Left", "samples": []},
+        {"id": 3, "name": "Eye_Right", "samples": []},
+        {"id": 1, "name": "Neck", "samples": [sample(1, 1.0, 2.0, z=3.0),
+                                              sample(3, 0.0, 0.0, False, z=None)]},
+        {"id": 4, "name": "Mouth_Front_Top", "samples": []}]}
+    all_empty = {"frame_rate": 1e3, "frame_count": 2, "unit": "pixel", "tracks": [
+        {"id": 5, "name": "Mouth_Front_Bottom", "samples": []}]}
+    texts = {f"small_{k}": v for k, v in layouts(small).items()}
+    texts.update({f"empty_first_{k}": v for k, v in layouts(empty_first).items()})
+    texts["all_empty"] = json.dumps(all_empty)
+    spaced = json.dumps(small, separators=(" ,\n", "\r:\t"))
+    texts["odd_spacing"] = " \t\r\n" + spaced + "\n "
+    texts["compact"] = json.dumps(small, separators=(",", ":"))
+    plain = json.dumps(small)
+    # a repeated key keeps its last value, the first "tracks" included
+    texts["two_tracks"] = f'{plain[:-1]}, "tracks": {json.dumps(small["tracks"][1:])}}}'
+    texts["two_tracks_first_invalid"] = '{"tracks": [{"id": 99}], ' + plain[1:]
+    texts["two_units"] = '{"unit": "meter", ' + plain[1:]
+    texts["escaped_key"] = plain.replace('"tracks"', '"tr\\u0061cks"')
+    return texts
+
+
+@pytest.mark.parametrize("name", sorted(valid_json_texts()))
+def test_json_loader_equal_to_oracle_on_valid_documents(name):
+    assert assert_loads_like_oracle(valid_json_texts()[name])[0] is float
+
+
+def edit(doc, path, value):
+    """`doc` with the value at `path` removed (value KeyError) or replaced."""
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    if value is KeyError:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+
+
+def existing_json_faults():
+    """Each JSON document the suite's loader and CLI error tests build."""
+    base = small_json_doc()
+    one = {"frame_rate": 1000.0, "frame_count": 1, "unit": "pixel",
+           "tracks": [{"id": 1, "name": "Neck", "samples": [sample(0, 1.0, 2.0)]}]}
+    faults = {}
+
+    def put(name, path, value, doc=base):
+        doc = json.loads(json.dumps(doc))
+        edit(doc, path, value)
+        faults[name] = json.dumps(doc)
+
+    for key in ("id", "name", "samples"):
+        put(f"track_without_{key}", ("tracks", 0, key), KeyError)
+    for key in ("frame", "x", "y", "visible"):
+        put(f"sample_without_{key}", ("tracks", 0, "samples", 2, key), KeyError)
+    for value in (float("nan"), float("inf"), None):
+        put(f"visible_x_{value}", ("tracks", 0, "samples", 2, "x"), value)
+    for frame in (-1, 9, 1.5, 1.0, True, "1", None, 10 ** 30):
+        put(f"frame_{frame}", ("tracks", 1, "samples", 0, "frame"), frame)
+    for visible in ("0", "1", 2, -1, 1.0, None, [1]):
+        put(f"visible_{visible}", ("tracks", 0, "samples", 0, "visible"), visible)
+    for count in (2.5, 3.0, True, "3", None, 10 ** 12):
+        put(f"frame_count_{count}", ("frame_count",), count)
+    for token in ("1e400", "Infinity"):
+        faults[f"frame_count_{token}"] = json.dumps(base).replace('"frame_count": 9',
+                                                                  f'"frame_count": {token}')
+    for rate in (True, False, "1000", None, [1000], {}, float("nan"), float("inf"),
+                 -float("inf"), 0.0, -1.0, 10 ** 400):
+        put(f"frame_rate_{str(rate)[:8]}", ("frame_rate",), rate)
+    put("z_in_pixels", ("tracks", 0, "samples", 0, "z"), 3.0, doc=one)
+    put("cli_no_id", ("tracks", 0, "id"), KeyError, doc=one)
+    put("cli_no_visible", ("tracks", 0, "samples", 0, "visible"), KeyError, doc=one)
+    put("cli_inf_visible", ("tracks", 0, "samples", 0, "x"), float("inf"), doc=one)
+    return faults
+
+
+@pytest.mark.parametrize("name", sorted(existing_json_faults()))
+def test_json_loader_rejects_like_oracle(name):
+    assert issubclass(assert_loads_like_oracle(existing_json_faults()[name])[0], Exception)
+
+
+def fault_order_texts():
+    """Documents with faults of several stages, "tracks" first or last."""
+    bad_id = {"id": 99, "name": "Neck", "samples": []}
+    neck, neck_3d = ({"id": 1, "name": "Neck", "samples": [sample(0, 1.0, 2.0, **z)]}
+                     for z in ({}, {"z": 3.0}))
+    cases = {
+        "probe_after_track_fault": [bad_id, {"id": 1, "name": "Neck"}],
+        "first_of_two_probe_faults": [{"id": 1, "name": "Neck"}, 5],
+        "unit_after_track_fault": [bad_id, neck_3d],
+        "track_fault_then_valid": [bad_id, neck],
+        "probe_after_axes": [neck, {"id": 2, "name": "Eye_Left"}],
+    }
+    texts = {}
+    for name, tracks in cases.items():
+        doc = {"frame_rate": 1000.0, "frame_count": 1, "unit": "pixel", "tracks": tracks}
+        for layout in ("plain", "tracks_first"):
+            texts[f"{name}_{layout}"] = layouts(doc)[layout]
+        texts[f"{name}_bad_rate"] = layouts({**doc, "frame_rate": "1"})["tracks_first"]
+    return texts
+
+
+@pytest.mark.parametrize("name", sorted(fault_order_texts()))
+def test_json_loader_reports_faults_in_the_oracles_order(name):
+    assert issubclass(assert_loads_like_oracle(fault_order_texts()[name])[0], Exception)
+
+
+def json_paths(node, path=()):
+    """The path of every value below `node`."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from json_paths(value, path + (key,))
+
+
+WRONG_VALUES = (None, True, False, 0, 1, -1, 2.5, float("nan"), 10 ** 400, "", "x",
+                "Neck", [], [1], {}, {"a": 1}, 24)
+
+
+def mutated_json(kind, seed):
+    """A small valid document with one kind of seeded fault, in a seeded layout."""
+    rng = random.Random(f"{kind}-{seed}")
+    doc = small_json_doc()
+    if kind == "key_removed":
+        path = rng.choice([p for p in json_paths(doc) if not isinstance(p[-1], int)])
+        edit(doc, path, KeyError)
+    elif kind == "wrong_type":
+        edit(doc, rng.choice(list(json_paths(doc))), rng.choice(WRONG_VALUES))
+    elif kind == "tracks_not_a_list":
+        doc["tracks"] = rng.choice([{}, {"0": doc["tracks"][0]}, 0, 3, -1.5, True, False,
+                                    None, "", "tracks"])
+    elif kind == "non_object_top":
+        doc = rng.choice([doc["tracks"], [doc], 1000, "doc", None, True])
+    elif kind in ("two_track_faults", "track_fault_and_missing_key"):
+        tracks = rng.sample(range(3), 2 if kind == "two_track_faults" else 1)
+        for i in tracks:
+            inside = list(json_paths(doc["tracks"][i], ("tracks", i)))
+            edit(doc, rng.choice(inside), rng.choice((KeyError,) + WRONG_VALUES))
+        if kind == "track_fault_and_missing_key":
+            del doc[rng.choice(["frame_rate", "frame_count", "unit"])]
+    text = layouts(doc)[rng.choice(["plain", "indent", "tracks_first", "sorted"])] \
+        if isinstance(doc, dict) else json.dumps(doc)
+    if kind == "cut":
+        text = text[:rng.randrange(len(text))]
+    elif kind == "trailing":
+        text += rng.choice(["x", " {}", "[", ",", "]", "}", " 1", '"a"', "\n\t,", "nul"])
+    return text
+
+
+MUTATIONS = ("key_removed", "wrong_type", "cut", "trailing", "non_object_top",
+             "tracks_not_a_list", "two_track_faults", "track_fault_and_missing_key")
+
+
+@pytest.mark.parametrize("kind", MUTATIONS)
+def test_json_loader_like_oracle_on_seeded_mutations(kind):
+    outcomes = [assert_loads_like_oracle(mutated_json(kind, seed)) for seed in range(30)]
+    failed = [got for got in outcomes if got[0] in (ParseError, SchemaError, EmptyDataset)]
+    assert len(failed) >= 10  # most mutations are faults, and every one is compared

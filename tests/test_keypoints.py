@@ -372,8 +372,8 @@ class TestJsonIntegerFields:
 class TestJsonFrameRateIsANumber:
     """frame_rate is a JSON number: true, "1000" and null are not rates."""
 
-    @pytest.mark.parametrize("token", ["true", "false", '"1000"', "null", "[1000]",
-                                       "{}"])
+    @pytest.mark.parametrize("token", ["true", "false", '"1000"', "null", "[1000]", "{}",
+                                       pytest.param("1" + "0" * 400, id="1e400_integer")])
     def test_rejected(self, token):
         text = json_text({1: [(0, 1.0, 2.0, True)]}, 1).replace(
             '"frame_rate": 1000.0', f'"frame_rate": {token}')
