@@ -123,15 +123,14 @@ def cmd_scale(args):
 
 def _read_trajectory(path):
     """A trajectory CSV, differentiated when it carries no rates."""
-    with open(path) as f:
-        trajectory = traj.read_trajectory_csv(f)
+    trajectory = traj.read_trajectory_csv(path)
     return traj.differentiate(trajectory) if trajectory.rate is None else trajectory
 
 
 def _load_run(args):
     """Config, model and reference (default: surrogate) of simulate, sweep and
     demo; every run argument is checked before the reference is built or read."""
-    cfg = smsdyn.parse_config(Path(args.config).read_text()) if args.config \
+    cfg = smsdyn.parse_config(traj._as_text(args.config)) if args.config \
         else dict(smsdyn.CONFIG_DEFAULTS)
     if args.dt is not None:
         cfg["dt"] = args.dt

@@ -1,14 +1,16 @@
 """Angle-trajectory utilities: differentiation, smoothing, time-scaling,
 step-response characterization, a second-order surrogate generator used
-as the canonical reference input for simulation, and CSV row blocks."""
+as the canonical reference input for simulation, CSV row blocks, and the
+one text reader of every input file."""
 
 import math
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import BadWindow, NoStep, OutOfDomain, TooShort, Unreachable
+from .errors import BadWindow, NoStep, OutOfDomain, ParseError, TooShort, Unreachable
 
 #: Tolerance on grid uniformity: GRID_TOL seconds plus GRID_RTOL max|t|, as
 #: times written with %.9g are off by <= 5e-9 |t| and two steps by <= 2e-8 max|t|.
@@ -233,6 +235,20 @@ def format_rows(row_format, columns):
         yield (row_format * len(block)) % tuple(block.ravel().tolist())
 
 
+def _as_text(source):
+    """The whole file as one UTF-8 str, less a leading BOM; \\r\\n and \\r end lines."""
+    if isinstance(source, (str, os.PathLike)):
+        with open(source, "rb") as f:
+            return _as_text(f)
+    data = source.read()
+    data = (data.decode() if isinstance(data, bytes) else data).removeprefix("\ufeff")
+    if "\r" in data:  # a test is 25x faster than a replace that finds nothing
+        data = data.replace("\r\n", "\n").replace("\r", "\n")
+    if (nul := data.find("\0")) >= 0:  # numpy drops a trailing NUL from a text field
+        raise ParseError("line %d: NUL character" % (data.count("\n", 0, nul) + 1))
+    return data
+
+
 def write_trajectory_csv(traj, stream):
     """Emit `t,angle_deg,rate_deg_s`."""
     stream.write("t,angle_deg,rate_deg_s\n")
@@ -241,9 +257,10 @@ def write_trajectory_csv(traj, stream):
         traj.times, np.degrees(traj.angle), np.degrees(rate))))
 
 
-def read_trajectory_csv(stream):
-    """`t,angle_deg,rate_deg_s` rows in one parse; all-NaN rates read as none."""
-    lines = [ln for ln in stream if not ln.isspace()]
+def read_trajectory_csv(source):
+    """`t,angle_deg,rate_deg_s` rows of a path or stream in one parse; all-NaN
+    rates read as none."""
+    lines = [ln for ln in _as_text(source).split("\n") if ln.strip()]
     if not lines or lines[0].strip() != "t,angle_deg,rate_deg_s":
         raise ValueError("expected header t,angle_deg,rate_deg_s")
     if len(lines) < 2:

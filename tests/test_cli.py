@@ -26,6 +26,11 @@ def rest_pose_csv(frame_count=5):
     return csv_text(rows)
 
 
+COAXIAL_CONFIG = "base_inertia = 310  # reduced\ndt = 0.05\n"
+PLANAR_CONFIG = ("mode = PlanarOffset\nhinge_offset = 1.0\narm_cm_offset = 1.5\n"
+                 "arm_inertia_cm = 40.0\n")
+
+
 @pytest.fixture
 def tracked_csv(tmp_path):
     path = tmp_path / "tracks.csv"
@@ -153,12 +158,18 @@ class TestSimulate:
         assert peak < 0.15
 
     def test_config_file(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("base_inertia = 310  # reduced\ndt = 0.05\n")
-        out = tmp_path / "sim.csv"
-        code = run(["simulate", "--config", str(cfg), "--mode", "prescribed",
-                    "--output", str(out)])
-        assert code == 0
+        # the offsets of a PlanarOffset model make PD tracking run the general
+        # RK4 loop
+        cases = {"coaxial.cfg": (COAXIAL_CONFIG, [["simulate", "--mode", "prescribed"]]),
+                 "planar.cfg": (PLANAR_CONFIG, [["simulate", "--mode", "pd"],
+                                                ["sweep", "--resolution", "4"]])}
+        for name, (text, commands) in cases.items():
+            cfg = tmp_path / name
+            cfg.write_text(text)
+            for command in commands:
+                out = tmp_path / f"{cfg.stem}_{command[0]}.csv"
+                assert run([*command, "--config", str(cfg), "--output", str(out)]) == 0
+                assert out.stat().st_size > 0, out.name
 
     def test_bad_config_exit_2(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -169,15 +180,17 @@ class TestSimulate:
 
 
 class TestSweep:
-    def test_resolution_4_gives_15_rows(self, tmp_path, capsys):
+    @pytest.mark.parametrize("resolution, rows", [(4, 15), (1000, 501501)])
+    def test_row_count(self, tmp_path, capsys, resolution, rows):
+        # the largest grid writes all C(1002, 2) weights
         out = tmp_path / "sweep.csv"
-        code = run(["sweep", "--resolution", "4", "--output", str(out),
-                    "--dt", "0.05"])
+        code = run(["sweep", "--resolution", str(resolution), "--output", str(out),
+                    "--dt", "0.5"])
         assert code == 0
-        assert "wrote 15 rows" in capsys.readouterr().out
+        assert f"wrote {rows} rows" in capsys.readouterr().out
         data = [ln for ln in out.read_text().splitlines()
                 if ln and not ln.startswith("#")]
-        assert len(data) == 16  # header + 15 rows
+        assert len(data) == rows + 1  # and the header
 
     def test_deterministic_output(self, tmp_path):
         a = tmp_path / "a.csv"
@@ -202,29 +215,24 @@ class TestDemo:
         assert (out / "reference.manifest.json").exists()
 
 
-class TestScaleSingleRow:
-    def test_exit_3_without_traceback(self, tmp_path):
-        # a one-row trajectory with a rate has zero duration
-        src = tmp_path / "one.csv"
-        src.write_text("t,angle_deg,rate_deg_s\n0,1,2\n")
-        env = dict(os.environ,
-                   PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "bioright.cli", "scale", "--input",
-             str(src), "--output", str(tmp_path / "out.csv"),
-             "--target-duration", "225"],
-            capture_output=True, text=True, env=env, timeout=60)
-        assert proc.returncode == 3
-        assert "Traceback" not in proc.stderr
-        assert proc.stderr.startswith("error: ")
-
-
 def run_subprocess(argv):
     """The CLI in a fresh interpreter, as a user runs it."""
     env = dict(os.environ,
                PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     return subprocess.run([sys.executable, "-m", "bioright.cli", *argv],
                           capture_output=True, text=True, env=env, timeout=60)
+
+
+class TestScaleSingleRow:
+    def test_exit_3_without_traceback(self, tmp_path):
+        # a one-row trajectory with a rate has zero duration
+        src = tmp_path / "one.csv"
+        src.write_text("t,angle_deg,rate_deg_s\n0,1,2\n")
+        proc = run_subprocess(["scale", "--input", str(src), "--output",
+                               str(tmp_path / "out.csv"), "--target-duration", "225"])
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
 
 
 class TestRejectedInputExitCodes:
@@ -247,6 +255,23 @@ class TestRejectedInputExitCodes:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ")
+
+    @pytest.mark.parametrize("track, message", [
+        ({"id": True}, "keypoint id True out of range 1-23"),
+        ({"samples": [{"frame": 0, "x": [1.0], "y": [2.0], "visible": True}]},
+         "track 1: coordinates must be JSON numbers or null"),
+        ({"samples": [{"frame": 0, "x": "a", "y": 2.0, "visible": True}]},
+         "track 1: coordinates must be JSON numbers or null"),
+    ], ids=["id_true", "xy_lists", "x_str"])
+    def test_bad_json_field_named(self, tmp_path, track, message):
+        track = {"id": 1, "name": "Neck",
+                 "samples": [{"frame": 0, "x": 1.0, "y": 2.0, "visible": True}], **track}
+        out = tmp_path / "r.csv"
+        proc = run_subprocess(["metrics", "--input", str(self._json(tmp_path, track)),
+                               "--output", str(out)])
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: {message}\n"
+        assert not out.exists()
 
     def test_nan_on_visible_csv_row_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -419,7 +444,8 @@ class TestResolutionCheckedFirst:
         monkeypatch.setattr(smsdyn, "simulate_pd", spy("simulate_pd"))
         monkeypatch.setattr(traj, "synth_second_order", spy("synth"))
         out = tmp_path / "sweep.csv"
-        assert run(["sweep", "--resolution", "1001", "--output", str(out)]) == 4
+        for resolution in ("1001", "1"):
+            assert run(["sweep", "--resolution", resolution, "--output", str(out)]) == 4
         assert calls == []
         assert not out.exists()
 
@@ -479,16 +505,25 @@ class TestKeypointFileBoundary:
         assert (tmp_path / "lf.csv").read_bytes() == \
             (tmp_path / "stray_cr.csv").read_bytes()
 
-    def test_byte_order_mark_metrics_equal(self, tmp_path, tracked_csv):
-        bom = tmp_path / "bom.csv"
-        bom.write_bytes(b"\xef\xbb\xbf" + tracked_csv.read_bytes())
-        for src, out in ((tracked_csv, "plain.csv"), (bom, "bom_report.csv")):
-            proc = run_subprocess(["metrics", "--input", str(src), "--frame-rate",
-                                   "1000", "--output", str(tmp_path / out)])
-            assert proc.returncode == 0
-            assert "Traceback" not in proc.stderr
-        assert (tmp_path / "plain.csv").read_bytes() == \
-            (tmp_path / "bom_report.csv").read_bytes()
+    def test_byte_order_mark_output_equal(self, tmp_path, tracked_csv):
+        # a keypoint file, a reference and a config are read alike
+        reference, config = tmp_path / "flip.csv", tmp_path / "run.cfg"
+        with open(reference, "w") as f:
+            traj.write_trajectory_csv(traj.synth_second_order(13.85, 0.043, 0.150,
+                                                              1e-3), f)
+        config.write_text(COAXIAL_CONFIG)
+        commands = {tracked_csv: ["metrics", "--frame-rate", "1000", "--input"],
+                    reference: ["scale", "--target-duration", "225", "--input"],
+                    config: ["simulate", "--mode", "prescribed", "--config"]}
+        for src, command in commands.items():
+            bom = tmp_path / f"bom_{src.name}"
+            bom.write_bytes(b"\xef\xbb\xbf" + src.read_bytes())
+            out = {}
+            for path in (src, bom):
+                dst = tmp_path / f"{path.stem}_{command[0]}_out.csv"
+                assert run([*command, str(path), "--output", str(dst)]) == 0
+                out[path] = dst.read_bytes()
+            assert out[src] == out[bom], command[0]
 
     def test_3d_json_in_pixels_exit_2(self, tmp_path):
         src = tmp_path / "rec.json"

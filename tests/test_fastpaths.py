@@ -2033,6 +2033,11 @@ def oracle_load_json(source):
 RATE_OVERFLOW = ("malformed track or sample, missing or bad "
                  "int too large to convert to float")
 
+#: The oracle's message for a coordinate given as {} (the wording of
+#: float() differs between Python versions).
+DICT_COORDINATE = "malformed track or sample, missing or bad " + str(
+    pytest.raises(TypeError, np.array, [({}, 0.0)], dtype=float).value)
+
 
 def json_outcome(load, text):
     """What `load` makes of `text`: the dataset's fields, or the type and
@@ -2047,13 +2052,58 @@ def json_outcome(load, text):
 
 
 def assert_loads_like_oracle(text):
-    want = json_outcome(oracle_load_json, text)
+    """The loader's outcome on `text`, asserted equal to the oracle's but for
+    three intended differences: an overflowing frame_rate is named, a track
+    id true is refused, and so is a coordinate that numpy cannot read as one
+    float, naming its track."""
+    stand_ins, first_odd_id, bad_track = intended_refusals(text)
+    want = json_outcome(oracle_load_json, stand_ins)
     got = json_outcome(keypoints._load_json, text)
     if want == (ParseError, RATE_OVERFLOW) and rate_overflows(text):
-        # the one intended difference: the error names frame_rate
         want = (ParseError, "frame_rate must be a JSON number that fits a float")
+    elif want == (ParseError, DICT_COORDINATE):
+        want = (ParseError, f"track {bad_track}: coordinates must be JSON numbers or null")
+    elif want[0] is SchemaError and first_odd_id is True:
+        want = (SchemaError, want[1].replace("id 1.0", "id True"))
     assert got == want, text[:300]
     return got
+
+
+def intended_refusals(text):
+    """(stand_ins, first_odd_id, bad_track): `text` with each track id true as
+    1.0 and each coordinate numpy cannot read as one float as {}, so that the
+    oracle refuses them where the loader does; the first id equal to 1 that
+    is no int (true or 1.0), which that refusal names; and the id of the
+    first track with such a coordinate."""
+    try:
+        doc = json.loads(text)
+        first = next((t["samples"][0] for t in doc["tracks"] if t["samples"]), {})
+        axes = ("x", "y", "z") if "z" in first else ("x", "y")
+    except (ValueError, LookupError, TypeError):  # the oracle fails before a track
+        return text, None, None
+    first_odd_id = bad_track = None
+    for t in doc["tracks"]:
+        kid, samples = (t.get("id"), t.get("samples")) if isinstance(t, dict) else (0, 0)
+        if first_odd_id is None and kid == 1 and type(kid) is not int:
+            first_odd_id = kid
+        if kid is True:
+            t["id"] = 1.0
+        for s in samples if isinstance(samples, list) else ():
+            for axis in axes:
+                if isinstance(s, dict) and axis in s and not reads_as_one_float(s[axis]):
+                    s[axis], bad_track = {}, kid if bad_track is None else bad_track
+    changed = first_odd_id is True or bad_track is not None
+    return json.dumps(doc) if changed else text, first_odd_id, bad_track
+
+
+def reads_as_one_float(value):
+    """Whether the loader takes `value` as a coordinate."""
+    try:
+        return np.array(value, dtype=float).ndim == 0
+    except OverflowError:  # the oracle and the loader both name the overflow
+        return True
+    except (TypeError, ValueError):
+        return False
 
 
 def rate_overflows(text):
@@ -2185,6 +2235,12 @@ def existing_json_faults():
     put("cli_no_id", ("tracks", 0, "id"), KeyError, doc=one)
     put("cli_no_visible", ("tracks", 0, "samples", 0, "visible"), KeyError, doc=one)
     put("cli_inf_visible", ("tracks", 0, "samples", 0, "x"), float("inf"), doc=one)
+    for i in (0, 1):  # id 1 itself, and a duplicate of it
+        put(f"id_true_{i}", ("tracks", i, "id"), True)
+    put("cli_id_true", ("tracks", 0, "id"), True, doc=one)
+    for value in ("a", [1.0], {}):
+        put(f"x_{value}", ("tracks", 0, "samples", 2, "x"), value)
+    put("cli_x_list", ("tracks", 0, "samples", 0, "x"), [1.0], doc=one)
     return faults
 
 

@@ -320,6 +320,22 @@ class TestLoadJson:
         ds = load_json(json_text({1: [(0, 1.0, 2.0, True), (1, None, None, False)]}, 2))
         assert list(ds.tracks[1].visible) == [True, False]
 
+    @pytest.mark.parametrize("value", ["a", "", [1.0], [], {}, {"x": 1.0}],
+                             ids=["str", "empty_str", "list", "empty_list", "object",
+                                  "object_with_x"])
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_coordinate_not_a_number(self, axis, value):
+        doc = json.loads(json_text(self.SPARSE, 7))
+        doc["tracks"][0]["samples"][2][axis] = value
+        with pytest.raises(ParseError, match="^track 1: coordinates must be JSON numbers"):
+            load_json(json.dumps(doc))
+
+    def test_coordinates_all_lists(self):
+        # lists of one length add an axis to the array instead of failing it
+        text = json_text({1: [(0, [1.0], [2.0], True), (1, [3.0], [4.0], True)]}, 2)
+        with pytest.raises(ParseError, match="^track 1: coordinates must be JSON numbers"):
+            load_json(text)
+
     @pytest.mark.parametrize("frame", [-1, 7])
     def test_frame_outside_frame_count(self, frame):
         with pytest.raises(SchemaError):
@@ -345,6 +361,13 @@ class TestJsonIntegerFields:
         doc = json.loads(json_text(self.TRACK, 3))
         doc["tracks"][0]["samples"][0]["frame"] = frame
         with pytest.raises(ParseError, match="frame must be a JSON integer"):
+            load_json(json.dumps(doc))
+
+    def test_id_true_refused(self):
+        # true == 1 and isinstance(True, int) hold, but true is no JSON integer
+        doc = json.loads(json_text(self.TRACK, 3))
+        doc["tracks"][0]["id"] = True
+        with pytest.raises(SchemaError, match="^keypoint id True out of range 1-23$"):
             load_json(json.dumps(doc))
 
     def test_frame_beyond_int64(self):
