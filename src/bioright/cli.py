@@ -226,9 +226,10 @@ def cmd_demo(args):
                            out / "prescribed.csv")
     r2d = 180.0 / math.pi
     dphi = (prescribed.base_angle[-1] - prescribed.base_angle[0]) * r2d
+    sweep = prescribed.joint_angle[-1] - prescribed.joint_angle[0]
     print(f"prescribed playback: delta_phi={dphi:.3f} deg "
-          f"(closed form {smsdyn.base_reaction_estimate(params, math.pi) * r2d:.3f}"
-          " deg for a 180 deg sweep)")
+          f"(closed form {smsdyn.base_reaction_estimate(params, sweep) * r2d:.3f}"
+          f" deg for the {sweep * r2d:.3f} deg sweep)")
 
     pd_run = _simulate("pd", cfg, params, reference, out / "pd.csv")
     peak_rate = np.max(np.abs(pd_run.base_rate)) * r2d
@@ -306,6 +307,11 @@ EXIT_CODES = (((ParseError, SchemaError, ValueError, OSError), EXIT_PARSE),
 
 
 def main(argv=None):
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(argv) - 1, 0, -1):  # argparse reads -5:10 as an option
+        option = argv[i - 1]  # --window-ms or a prefix argparse expands to it
+        if len(option) > 2 and "--window-ms".startswith(option) and argv[i][:2] != "--":
+            argv[i - 1:i + 1] = [f"{option}={argv[i]}"]
     try:  # a --window-ms that is not two finite numbers fails in parse_args
         args = build_parser().parse_args(argv)
         return args.func(args)

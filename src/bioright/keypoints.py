@@ -5,13 +5,12 @@ import csv
 import json
 import math
 import operator
-import re
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (AlreadyWorldUnits, BiorightError, EmptyDataset, ParseError,
+from .errors import (AlreadyWorldUnits, EmptyDataset, ParseError,
                      SchemaError, TooSparse)
 from .traj import _as_text, format_rows
 
@@ -45,7 +44,7 @@ KEYPOINT_NAMES = {
 #: Most frames a loaded recording may span: 1 000 s at 1 kHz.
 MAX_FRAMES = 1_000_000
 _SCAN_BLOCK = 64  # frames whose jumps reassociate_identities tests in one pass
-_SPACE = re.compile(r"[ \t\n\r]*")  # the whitespace JSON allows around a token
+_AXES = {False: ("x", "y"), True: ("x", "y", "z")}  # by whether a sample names z
 
 
 @dataclass
@@ -246,115 +245,79 @@ def _scatter(names, kid, frame, coords, visible, frame_count):
 
 def _load_json(source):
     text = _as_text(source)
-    try:
+    try:  # each track's sample dicts become arrays as soon as json has decoded them
+        found = _json_tracks(json.loads(text, object_hook=_json_samples))
+    except Exception:  # named from the plain document, as a whole-document load names it
+        found = None
+    # the unit and the names reach messages, and the hook may have rewritten them
+    if found is None or not {type(found[-1]), *map(type, found[0].values())} <= {str}:
         try:
-            obj = _scan_json(text)
-        except ValueError:  # not JSON: json.loads raises json's own message
-            json.loads(text)
-            raise
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad JSON: {exc}") from None
-    del text  # the tracks are arrays now, and the text the largest object alive
+            obj = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"bad JSON: {exc}") from None
+        found = _json_tracks(obj)
+    del text  # the largest object alive: the dataset is built after it is gone
+    names, samples, axes, frame_rate, frame_count, unit = found
+    kid = np.repeat(list(names), [len(frames) for frames, _, _ in samples])
+    frames, positions, visible = map(np.concatenate, zip(*samples))
+    del found, samples
+    tracks = _scatter(names, kid, frames, positions.reshape(-1, len(axes)), visible,
+                      frame_count)
+    return KeypointDataset(tracks, frame_rate, frame_count, unit)
+
+
+def _json_samples(obj):
+    """json.loads object_hook: an object's non-empty "samples" list becomes
+    _json_track's arrays, on the axes its own first sample names."""
+    samples = obj.get("samples")
+    if samples and type(samples) is list:
+        obj["samples"] = _json_track(obj.get("id"), samples, _AXES["z" in samples[0]])
+    return obj
+
+
+def _json_tracks(obj):
+    """(names, (frames, positions, visible) per track, axes, frame_rate,
+    frame_count, unit) of a decoded JSON document, checked in the order of
+    a whole-document load."""
     for key in ("frame_rate", "frame_count", "unit", "tracks"):
         if not isinstance(obj, dict) or key not in obj:
             raise ParseError(f"missing top-level key {key!r}")
-    names, samples, axes, faults = obj["tracks"]
-    if not (samples or any(faults)):
+    if not obj["tracks"]:
         raise EmptyDataset("no tracks")
     if type(obj["frame_count"]) is not int:  # bool, 2.5 and 1e400 are not counts
         raise ParseError(f"frame_count must be a JSON integer, got {obj['frame_count']!r}")
     if type(obj["frame_rate"]) not in (int, float):  # true and "1000" are not rates
         raise ParseError(f"frame_rate must be a JSON number, got {obj['frame_rate']!r}")
     try:
-        frame_rate, frame_count = float(obj["frame_rate"]), obj["frame_count"]
+        frame_rate = float(obj["frame_rate"])
     except OverflowError:  # an integer beyond the largest float, about 1.8e308
         raise ParseError("frame_rate must be a JSON number that fits a float") from None
-    wrong_unit = len(axes) == 3 and obj["unit"] == "pixel"
-    for fault in (faults[0], wrong_unit and SchemaError(
-            "samples carry z, so the unit must be meter, not pixel"), faults[1]):
-        if isinstance(fault, (KeyError, TypeError, OverflowError)):
-            raise ParseError(f"malformed track or sample, missing or bad {fault}")
-        if fault:
-            raise fault
-    kid, frames, positions, visible = map(np.concatenate, zip(*samples))
-    tracks = _scatter(names, kid, frames, positions.reshape(-1, len(axes)), visible,
-                      frame_count)
-    return KeypointDataset(tracks, frame_rate, frame_count, obj["unit"])
-
-
-def _scan_json(text):
-    """json.loads(text), except that the "tracks" of a top-level object are
-    what _json_tracks makes of them, and an array of tracks is decoded one
-    track at a time. ValueError where json.loads raises one."""
-    decode, at = json.JSONDecoder().raw_decode, [_SPACE.match(text).end()]
-    if not text.startswith("{", at[0]):  # no "tracks" to stream
-        return json.loads(text)
-
-    def value(i):  # the JSON value at text[i], with at[0] past it
-        found, at[0] = decode(text, i)
-        return found
-
-    def members(close):
-        """Where each member of the object or array opened before text[at[0]]
-        starts; the caller moves at[0] past each, and the scan past `close`."""
-        i = _SPACE.match(text, at[0]).end()
-        if not text.startswith(close, i):
-            yield i
-            while text.startswith(",", i := _SPACE.match(text, at[0]).end()):
-                yield _SPACE.match(text, i + 1).end()
-            if not text.startswith(close, i):
-                raise ValueError(f"expecting ',' or {close!r}")
-        at[0] = i + 1
-
-    obj, at[0] = {}, at[0] + 1
-    for i in members("}"):
-        key, i = value(i), _SPACE.match(text, at[0]).end()
-        if type(key) is not str or not text.startswith(":", i):
-            raise ValueError("expecting a key and ':'")
-        i = _SPACE.match(text, i + 1).end()
-        if key != "tracks":
-            obj[key] = value(i)
-        elif text.startswith("[", i):
-            at[0] = i + 1
-            obj[key] = _json_tracks(map(value, members("]")))
-        else:
-            obj[key] = _json_tracks(value(i))
-    if _SPACE.match(text, at[0]).end() < len(text):
-        raise ValueError("extra data")
-    return obj
-
-
-def _json_tracks(tracks):
-    """(names, samples, axes, faults) of decoded JSON tracks, each built into
-    arrays as it comes. faults holds the first error of the axes probe and
-    of the tracks, for _load_json to raise after its top-level checks, in
-    the order a whole-document load meets them."""
-    names, samples, axes, faults = {}, [], None, [None, None]
+    names, samples = {}, []
     try:
-        for t in tracks:  # every track is drawn, so that a stream is read whole
-            try:
-                stage = 0  # z in the first sample of the first track with samples
-                if axes is None and faults[0] is None and t["samples"]:
-                    axes = ("x", "y", "z") if "z" in t["samples"][0] else ("x", "y")
-                stage = 1  # a track met before the axes is empty: 2D or 3D alike
-                if not any(faults):
-                    samples.append(_json_track(t, axes or ("x", "y"), names))
-            except (BiorightError, LookupError, TypeError, ValueError,
-                    OverflowError) as exc:
-                faults[stage] = exc
-            del t  # one track's samples are alive while the next is decoded
-    except TypeError as exc:  # a number, true or null; only true is a track list
-        faults[0] = exc if tracks else None
-    return names, samples, axes or ("x", "y"), faults
+        first = next((t["samples"][0] for t in obj["tracks"] if t["samples"]), {})
+        axes = first if type(first) is tuple else _AXES["z" in first]  # built: its axes
+        if len(axes) == 3 and obj["unit"] == "pixel":
+            raise SchemaError("samples carry z, so the unit must be meter, not pixel")
+        for t in obj["tracks"]:
+            kid, name, track = t["id"], t["name"], t["samples"]
+            if kid in names:
+                raise SchemaError(f"duplicate keypoint id {kid}")
+            if kid not in KEYPOINT_NAMES or type(kid) is not int:  # true is no id
+                raise SchemaError(f"keypoint id {kid!r} out of range 1-23")
+            if type(track) is not tuple:  # decoded as a list: not built yet
+                track = _json_track(kid, track, axes)
+            elif track[0] != axes:  # built on its own first sample's axes
+                raise SchemaError(f"track {kid}: axes {track[0]} in a {axes} document")
+            names[kid] = name
+            samples.append(track[1:])
+    except (KeyError, TypeError, OverflowError) as exc:
+        raise ParseError(f"malformed track or sample, missing or bad {exc}") from None
+    return names, samples, axes, frame_rate, obj["frame_count"], obj["unit"]
 
 
-def _json_track(t, axes, names):
-    """(ids, frames, positions flattened, visible) of one decoded JSON track."""
-    kid, name, track = t["id"], t["name"], t["samples"]
-    if kid in names:
-        raise SchemaError(f"duplicate keypoint id {kid}")
-    if kid not in KEYPOINT_NAMES or type(kid) is not int:  # true is no id
-        raise SchemaError(f"keypoint id {kid!r} out of range 1-23")
+def _json_track(kid, track, axes):
+    """(axes, frames, positions flattened, visible) of one JSON track's
+    decoded samples."""
     frames, visible = [s["frame"] for s in track], [s["visible"] for s in track]
     if not {*map(type, frames)} <= {int}:
         raise ParseError(f"track {kid}: frame must be a JSON integer")
@@ -372,8 +335,7 @@ def _json_track(t, axes, names):
         raise SchemaError(f"track {kid}: frame indices not strictly increasing")
     if not np.isfinite(positions[visible]).all():
         raise ParseError(f"track {kid}: non-finite coordinate on a visible sample")
-    names[kid] = name
-    return np.full(len(track), kid), frames, positions.ravel(), visible
+    return axes, frames, positions.ravel(), visible
 
 
 def save_dataset(dataset, stream, format="csv"):

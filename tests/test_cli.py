@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -210,7 +212,10 @@ class TestDemo:
             assert (out / name).exists(), name
         captured = capsys.readouterr().out
         assert "surrogate:" in captured
-        assert "closed form -9.878 deg" in captured
+        # the closed form of the reference's own sweep is what playback gives
+        playback = re.search(r"delta_phi=(\S+) deg \(closed form (\S+) deg for the "
+                             r"\S+ deg sweep\)", captured)
+        assert playback and playback[1] == playback[2], captured
         assert "peak base rate=" in captured
         assert (out / "reference.manifest.json").exists()
 
@@ -695,6 +700,25 @@ class TestWindowMsTwoFiniteNumbers:
             ["0.000000", "0.001000", "0.002000"]
         assert "3 valid of 3" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("option", ["--window-ms", "--win"])
+    def test_window_starting_with_minus_after_a_space(self, tmp_path, option):
+        # argparse takes a value such as -5:10 for an option unless it is joined
+        src = tmp_path / "pose.csv"
+        src.write_text(rest_pose_csv(20))
+        common = ["reconstruct", "--input", str(src), "--segment", "Body",
+                  "--frame-rate", "1000", "--scale", "1.0"]
+        spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+        proc = run_subprocess([*common, "--output", str(spaced), option, "-5:10"])
+        assert proc.returncode == 0, proc.stderr
+        assert "11 valid of 11" in proc.stdout
+        assert run_subprocess([*common, "--output", str(joined),
+                               "--window-ms=-5:10"]).returncode == 0
+        assert spaced.read_bytes() == joined.read_bytes()
+        proc = run_subprocess([*common, "--output", str(tmp_path / "inf.csv"),
+                               "--window-ms", "-inf:1"])
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: --window-ms must be two finite numbers")
+
 
 class TestSameOutputFromCsvAndJson:
     """A generated recording (2D, pixels) and its pixel_to_world output
@@ -727,3 +751,27 @@ class TestSameOutputFromCsvAndJson:
             for what in self.COMMANDS:
                 assert out[what, dim, "csv"] == out[what, dim, "json"], (what, dim)
         assert out["body", "2d", "csv"] == out["body", "3d", "csv"]
+
+
+def test_canonical_outputs_file_list(tmp_path):
+    """tools/canonical_outputs.py writes every canonical output and no manifest."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "canonical_outputs.py"
+    spec = importlib.util.spec_from_file_location("canonical_outputs", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    tool.main([str(tmp_path / "out")])
+    series = ["Body", "Tail", "LeftFrontLeg", "LeftHindLeg", "RightFrontLeg",
+              "RightHindLeg", "LeftFrontLeg_rel", "LeftHindLeg_rel", "RightFrontLeg_rel",
+              "RightHindLeg_rel", "metrics"]
+    want = {f"{what}_{dim}_{fmt}.csv" for what in series
+            for dim in ("2d", "3d") for fmt in ("csv", "json")}
+    want |= {"reference.csv", "reference.metrics.json", "planar_prescribed.csv",
+             "planar_pd.csv", "planar_sweep.csv",
+             *(f"demo/{name}.csv" for name in ("reference", "prescribed", "pd", "sweep")),
+             *(f"inputs/recording/{name}" for name in (
+                 "tracks.csv", "truth.json", "2d.json", "3d.csv", "3d.json")),
+             *(f"inputs/replay/{name}"
+               for name in ("lizard.csv", "planar.cfg", "truth.json"))}
+    files = [p for p in (tmp_path / "out").rglob("*") if p.is_file()]
+    assert {p.relative_to(tmp_path / "out").as_posix() for p in files} == want
+    assert all(p.stat().st_size for p in files)

@@ -55,14 +55,23 @@ per-gap `interpolate_gaps` loop is frozen as
 byte for byte on sparse tracks.
 
 The whole-document JSON loader is frozen as `oracle_load_json`. The
-loader that decodes one track at a time must give an equal dataset on
-the benchmark recording in 2D and 3D, in four key orders and layouts,
-and on small documents with empty and sparse tracks, NaN and Infinity
-on invisible samples and repeated keys. On every JSON fault the suite's
-error tests build, and on seeded mutations of a small document, it must
-raise the same exception type with the same message. The one intended
-difference is pinned: a frame_rate integer too large for a float is
-reported as a frame_rate error.
+loader decodes with `json.loads` and an `object_hook` that turns each
+object's non-empty "samples" list into that track's arrays as soon as
+it is decoded; if that pass raises anything, or leaves a unit or a name
+that is not a str, it decodes the text again with a plain `json.loads`
+and runs the same checks. It must give an equal dataset on the
+benchmark recording in 2D and 3D, in four key orders and layouts, and
+on small documents with empty and sparse tracks, NaN and Infinity on
+invisible samples, repeated keys, objects other than tracks that hold
+a "samples" list, and a later track whose z a 2D document ignores. On
+every JSON fault the suite's error tests build, on faults the hooked
+pass alone would name differently (a 2D track after a 3D one, a name,
+unit or frame_count that holds samples), and on seeded mutations of a
+small document, it must raise the same exception type with the same
+message. Three intended differences are pinned: a frame_rate integer
+too large for a float is reported as a frame_rate error, a track id
+true is refused, and a coordinate numpy cannot read as one float is
+refused naming its track.
 """
 
 import csv
@@ -2182,6 +2191,23 @@ def valid_json_texts():
     texts["two_tracks_first_invalid"] = '{"tracks": [{"id": 99}], ' + plain[1:]
     texts["two_units"] = '{"unit": "meter", ' + plain[1:]
     texts["escaped_key"] = plain.replace('"tracks"', '"tr\\u0061cks"')
+    # objects that are no track but hold a "samples" list, 2D and 3D
+    pair, pair_3d = ([sample(0, 1.0, 2.0, **z), sample(1, 3.0, 4.0, **z)]
+                     for z in ({}, {"z": 5.0}))
+    texts["samples_before_tracks"] = f'{{"samples": {json.dumps(pair_3d)}, {plain[1:]}'
+    texts["meta_holds_samples"] = \
+        f'{plain[:-1]}, "meta": {{"samples": {json.dumps(pair)}}}}}'
+    texts["meta_first_holds_3d_samples"] = \
+        f'{{"meta": {{"id": 1, "samples": {json.dumps(pair_3d)}}}, {plain[1:]}'
+    texts["3d_meta_holds_2d_samples"] = json.dumps({"meta": {"samples": pair},
+                                                    **empty_first})
+    texts["repeated_tracks_first_3d"] = '{"tracks": [{"id": 1, "name": "Neck", ' \
+        f'"samples": {json.dumps(pair_3d)}}}], {plain[1:]}'
+    # a 2D document reads x and y only, whatever a later track's z holds
+    for z in (3.0, "a", {}, [1.0, 2.0]):
+        later = json.loads(plain)
+        later["tracks"][1]["samples"][0]["z"] = z
+        texts[f"2d_later_track_z_{str(z)[:3]}"] = json.dumps(later)
     return texts
 
 
@@ -2241,6 +2267,15 @@ def existing_json_faults():
     for value in ("a", [1.0], {}):
         put(f"x_{value}", ("tracks", 0, "samples", 2, "x"), value)
     put("cli_x_list", ("tracks", 0, "samples", 0, "x"), [1.0], doc=one)
+    # a value that an error message echoes, as an object holding two samples
+    held = {"samples": [sample(0, 1.0, 2.0), sample(1, 3.0, 4.0)]}
+    put("name_holds_samples", ("tracks", 0, "name"), held)
+    put("unit_holds_samples", ("unit",), held)
+    put("frame_count_holds_samples", ("frame_count",), held)
+    three_d = {**one, "unit": "meter", "tracks": [
+        {"id": 1, "name": "Neck", "samples": [sample(0, 1.0, 2.0, z=3.0)]},
+        {"id": 2, "name": "Eye_Left", "samples": [sample(0, 1.0, 2.0)]}]}
+    faults["2d_track_after_3d"] = json.dumps(three_d)
     return faults
 
 
@@ -2260,6 +2295,10 @@ def fault_order_texts():
         "unit_after_track_fault": [bad_id, neck_3d],
         "track_fault_then_valid": [bad_id, neck],
         "probe_after_axes": [neck, {"id": 2, "name": "Eye_Left"}],
+        "2d_track_after_3d": [neck_3d, {**neck, "id": 2, "name": "Eye_Left"}],
+        "track_fault_after_later_z": [
+            neck, {"id": 2, "name": "Eye_Left",
+                   "samples": [sample(0, 1.0, 2.0, z="a")]}, bad_id],
     }
     texts = {}
     for name, tracks in cases.items():
