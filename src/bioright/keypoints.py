@@ -7,6 +7,7 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
@@ -43,6 +44,10 @@ KEYPOINT_NAMES = {
 
 #: Most frames a loaded recording may span: 1 000 s at 1 kHz.
 MAX_FRAMES = 1_000_000
+#: Largest |coordinate| of a visible sample. The pipeline's highest power of
+#: a coordinate is the fourth, in the norm of a cross product of two
+#: differences, which stays finite up to about 9e76.
+MAX_COORDINATE = 1e75
 _SCAN_BLOCK = 64  # frames whose jumps reassociate_identities tests in one pass
 _AXES = {False: ("x", "y"), True: ("x", "y", "z")}  # by whether a sample names z
 
@@ -106,6 +111,10 @@ class KeypointDataset:
                     f"expected {KEYPOINT_NAMES[track.id]!r}")
             if len(track.frames) and track.frames[-1] + 1 > self.frame_count:
                 raise SchemaError(f"track {track.id} exceeds frame_count")
+            size = np.abs(track.visible_positions())  # NaN and inf: the loaders refuse
+            if ((MAX_COORDINATE < size) & (size < math.inf)).any():
+                raise SchemaError(f"track {track.id}: visible coordinate beyond "
+                                  f"MAX_COORDINATE = {MAX_COORDINATE:g}")
 
 
 @dataclass(frozen=True)
@@ -324,18 +333,15 @@ def _json_track(kid, track, axes):
     if not ({*map(type, visible)} <= {bool, int} and {*visible} <= {0, 1}):
         raise ParseError(f"track {kid}: visible must be true, false, 0 or 1")
     frames, visible = np.array(frames, dtype=int), np.array(visible, dtype=bool)
-    coords = operator.itemgetter(*axes)
-    try:  # a str that is no number, a dict, or lists of unequal length
-        positions = np.array([coords(s) for s in track], dtype=float)
-    except (TypeError, ValueError):
-        positions = None
-    if positions is None or positions.ndim > 2:  # lists of equal length add an axis
+    values = [*chain.from_iterable(map(operator.itemgetter(*axes), track))]
+    if not {*map(type, values)} <= {int, float, type(None)}:  # "1.5" and true are not
         raise ParseError(f"track {kid}: coordinates must be JSON numbers or null")
+    positions = np.array(values, dtype=float)  # None is NaN
     if np.any(np.diff(frames) <= 0):
         raise SchemaError(f"track {kid}: frame indices not strictly increasing")
-    if not np.isfinite(positions[visible]).all():
+    if not np.isfinite(positions.reshape(-1, len(axes))[visible]).all():
         raise ParseError(f"track {kid}: non-finite coordinate on a visible sample")
-    return axes, frames, positions.ravel(), visible
+    return axes, frames, positions, visible
 
 
 def save_dataset(dataset, stream, format="csv"):
@@ -478,7 +484,12 @@ def pixel_to_world(dataset, calib):
     tracks = {}
     for kid, track in dataset.tracks.items():
         world = np.zeros((len(track.frames), 3))
-        world[:, :2] = (track.positions[:, :2] - (ox, oy)) * gain
+        try:
+            with np.errstate(over="raise"):
+                world[:, :2] = (track.positions[:, :2] - (ox, oy)) * gain
+        except FloatingPointError:  # beyond the largest float, so beyond the bound
+            raise SchemaError(f"track {kid}: visible coordinate beyond "
+                              f"MAX_COORDINATE = {MAX_COORDINATE:g}") from None
         world[~track.visible] = np.nan
         tracks[kid] = replace(track, positions=world)
     return KeypointDataset(tracks, dataset.frame_rate, dataset.frame_count,

@@ -292,21 +292,26 @@ def simulate_prescribed(p, joint_traj, L0=0.0, base_angle0=math.pi):
     The joint angle/rate are imposed; the base rate follows from
     L0 = M11 phidot + M12 thetadot at every sample and the base angle is
     integrated by the trapezoid rule. The joint torque required to realize
-    the motion is back-computed and reported.
+    the motion is back-computed and reported. Raises Diverged, dated from
+    the first such sample, unless every value it reports is finite.
     """
     if joint_traj.rate is None:
         raise ValueError("joint trajectory must carry rates")
     times = joint_traj.times
     n = len(times)
     theta, theta_d = joint_traj.angle, joint_traj.rate
-    (m11, m12), (_, m22) = mass_matrix(p, theta)
-    phi_d = (L0 - m12 * theta_d) / m11
-    phi = base_angle0 + np.concatenate(
-        ([0.0], np.cumsum(0.5 * np.diff(times) * (phi_d[:-1] + phi_d[1:]))))
-    phi_dd = np.gradient(phi_d, times) if n >= 3 else np.zeros(n)
-    theta_dd = np.gradient(theta_d, times) if n >= 3 else np.zeros(n)
-    tau = m12 * phi_dd + m22 * theta_dd + coriolis(p, theta, phi_d, theta_d)[1]
-    L = m11 * phi_d + m12 * theta_d
+    with np.errstate(all="ignore"):  # a value that is not finite is refused below
+        (m11, m12), (_, m22) = mass_matrix(p, theta)
+        phi_d = (L0 - m12 * theta_d) / m11
+        phi = base_angle0 + np.concatenate(
+            ([0.0], np.cumsum(0.5 * np.diff(times) * (phi_d[:-1] + phi_d[1:]))))
+        phi_dd = np.gradient(phi_d, times) if n >= 3 else np.zeros(n)
+        theta_dd = np.gradient(theta_d, times) if n >= 3 else np.zeros(n)
+        tau = m12 * phi_dd + m22 * theta_dd + coriolis(p, theta, phi_d, theta_d)[1]
+        L = m11 * phi_d + m12 * theta_d
+    bad = ~np.isfinite((phi, phi_d, tau, L)).all(axis=0)
+    if bad.any():
+        raise Diverged(f"playback is not finite at t = {times[bad.argmax()]:.3f} s")
     return SmsTrajectory(times.copy(), phi, theta.copy(), phi_d,
                          theta_d.copy(), tau, L,
                          metadata={"mode": "prescribed", "L0": L0})

@@ -221,11 +221,14 @@ class TestDemo:
 
 
 def run_subprocess(argv):
-    """The CLI in a fresh interpreter, as a user runs it."""
+    """The CLI in a fresh interpreter, as a user runs it; a Python warning
+    on its stderr fails the test."""
     env = dict(os.environ,
                PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-    return subprocess.run([sys.executable, "-m", "bioright.cli", *argv],
+    proc = subprocess.run([sys.executable, "-m", "bioright.cli", *argv],
                           capture_output=True, text=True, env=env, timeout=60)
+    assert not re.search(r":\d+: \w*Warning: ", proc.stderr), proc.stderr
+    return proc
 
 
 class TestScaleSingleRow:
@@ -267,7 +270,13 @@ class TestRejectedInputExitCodes:
          "track 1: coordinates must be JSON numbers or null"),
         ({"samples": [{"frame": 0, "x": "a", "y": 2.0, "visible": True}]},
          "track 1: coordinates must be JSON numbers or null"),
-    ], ids=["id_true", "xy_lists", "x_str"])
+        ({"samples": [{"frame": 0, "x": "1.5", "y": 2.0, "visible": True}]},
+         "track 1: coordinates must be JSON numbers or null"),
+        ({"samples": [{"frame": 0, "x": True, "y": 2.0, "visible": True}]},
+         "track 1: coordinates must be JSON numbers or null"),
+        ({"samples": [{"frame": 0, "x": 1.0, "y": False, "visible": True}]},
+         "track 1: coordinates must be JSON numbers or null"),
+    ], ids=["id_true", "xy_lists", "x_str", "x_numeric_str", "x_true", "y_false"])
     def test_bad_json_field_named(self, tmp_path, track, message):
         track = {"id": 1, "name": "Neck",
                  "samples": [{"frame": 0, "x": 1.0, "y": 2.0, "visible": True}], **track}
@@ -720,6 +729,55 @@ class TestWindowMsTwoFiniteNumbers:
         assert proc.stderr.startswith("error: --window-ms must be two finite numbers")
 
 
+class TestPlaybackNotFiniteExit5:
+    def test_exit_5_writes_nothing(self, tmp_path):
+        # every value is finite, but the mass matrix of these offsets is not
+        cfg, out = tmp_path / "huge.cfg", tmp_path / "prescribed.csv"
+        cfg.write_text("mode = PlanarOffset\nhinge_offset = 1e200\narm_cm_offset = 1e200\n")
+        proc = run_subprocess(["simulate", "--mode", "prescribed", "--config", str(cfg),
+                               "--output", str(out)])
+        assert proc.returncode == 5
+        assert proc.stderr == "error: playback is not finite at t = 0.000 s\n"
+        assert not out.exists()
+
+
+class TestHugeCoordinatesExit2:
+    """A finite coordinate beyond keypoints.MAX_COORDINATE is refused before
+    its squares overflow into an output."""
+
+    MESSAGE = "error: track 1: visible coordinate beyond MAX_COORDINATE = 1e+75\n"
+
+    def test_metrics(self, tmp_path):
+        src, out = tmp_path / "huge.json", tmp_path / "report.csv"
+        src.write_text(json.dumps({"frame_rate": 1000.0, "frame_count": 10,
+                                   "unit": "pixel", "tracks": [
+            {"id": 1, "name": "Neck", "samples": [
+                {"frame": f, "x": s * 1e308, "y": s * 1e308, "visible": True}
+                for f, s in enumerate([1.0, -1.0] * 5)]}]}))
+        proc = run_subprocess(["metrics", "--input", str(src), "--output", str(out)])
+        assert (proc.returncode, proc.stderr) == (2, self.MESSAGE)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("world", [False, True], ids=["3d_json", "2d_scale"])
+    def test_reconstruct(self, tmp_path, tracked_csv, world):
+        src, out = tmp_path / "huge.json", tmp_path / "body.csv"
+        if world:  # a pixel recording whose world coordinates overflow a float
+            args = ["--input", str(tracked_csv), "--frame-rate", "1000", "--scale", "1e307"]
+        else:
+            body = {1: (1e308, 0.0, 0.0), 21: (-1e308, 0.0, 0.0), 12: (0.0, -1e308, 0.0),
+                    13: (0.0, 1e308, 0.0)}
+            src.write_text(json.dumps({"frame_rate": 1000.0, "frame_count": 3,
+                                       "unit": "meter", "tracks": [
+                {"id": kid, "name": keypoints.KEYPOINT_NAMES[kid], "samples": [
+                    {"frame": f, "x": x, "y": y, "z": z, "visible": True} for f in range(3)]}
+                for kid, (x, y, z) in body.items()]}))
+            args = ["--input", str(src)]
+        proc = run_subprocess(["reconstruct", *args, "--segment", "Body",
+                               "--output", str(out)])
+        assert (proc.returncode, proc.stderr) == (2, self.MESSAGE)
+        assert not out.exists()
+
+
 class TestSameOutputFromCsvAndJson:
     """A generated recording (2D, pixels) and its pixel_to_world output
     (3D, meters), each as CSV and as JSON, give the same bytes for the
@@ -775,3 +833,9 @@ def test_canonical_outputs_file_list(tmp_path):
     files = [p for p in (tmp_path / "out").rglob("*") if p.is_file()]
     assert {p.relative_to(tmp_path / "out").as_posix() for p in files} == want
     assert all(p.stat().st_size for p in files)
+    # CSV and JSON give the same bytes, and so do the 2D Body and its 3D twin
+    read = {name: (tmp_path / "out" / name).read_bytes() for name in want}
+    for what in series:
+        for dim in ("2d", "3d"):
+            assert read[f"{what}_{dim}_csv.csv"] == read[f"{what}_{dim}_json.csv"], (what, dim)
+    assert read["Body_2d_csv.csv"] == read["Body_3d_csv.csv"]

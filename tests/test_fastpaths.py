@@ -70,8 +70,10 @@ unit or frame_count that holds samples), and on seeded mutations of a
 small document, it must raise the same exception type with the same
 message. Three intended differences are pinned: a frame_rate integer
 too large for a float is reported as a frame_rate error, a track id
-true is refused, and a coordinate numpy cannot read as one float is
-refused naming its track.
+true is refused, and a track that holds a coordinate whose JSON type is
+no number or null (a string such as "1.5", true, false, a list or an
+object) is refused naming the track, before any other coordinate of it
+is converted.
 """
 
 import csv
@@ -2063,8 +2065,8 @@ def json_outcome(load, text):
 def assert_loads_like_oracle(text):
     """The loader's outcome on `text`, asserted equal to the oracle's but for
     three intended differences: an overflowing frame_rate is named, a track
-    id true is refused, and so is a coordinate that numpy cannot read as one
-    float, naming its track."""
+    id true is refused, and so is a coordinate that is no JSON number or
+    null, naming its track."""
     stand_ins, first_odd_id, bad_track = intended_refusals(text)
     want = json_outcome(oracle_load_json, stand_ins)
     got = json_outcome(keypoints._load_json, text)
@@ -2080,10 +2082,12 @@ def assert_loads_like_oracle(text):
 
 def intended_refusals(text):
     """(stand_ins, first_odd_id, bad_track): `text` with each track id true as
-    1.0 and each coordinate numpy cannot read as one float as {}, so that the
-    oracle refuses them where the loader does; the first id equal to 1 that
-    is no int (true or 1.0), which that refusal names; and the id of the
-    first track with such a coordinate."""
+    1.0 and every coordinate of a track that holds a coordinate that is no
+    JSON number or null as {}, so that the oracle refuses them where the
+    loader does, before any other coordinate of the track (an integer too
+    large for a float) can fail; the first id equal to 1 that is no int
+    (true or 1.0), which that refusal names; and the id of the first track
+    with such a coordinate."""
     try:
         doc = json.loads(text)
         first = next((t["samples"][0] for t in doc["tracks"] if t["samples"]), {})
@@ -2097,22 +2101,19 @@ def intended_refusals(text):
             first_odd_id = kid
         if kid is True:
             t["id"] = 1.0
-        for s in samples if isinstance(samples, list) else ():
-            for axis in axes:
-                if isinstance(s, dict) and axis in s and not reads_as_one_float(s[axis]):
-                    s[axis], bad_track = {}, kid if bad_track is None else bad_track
+        held = [(s, axis) for s in (samples if isinstance(samples, list) else ())
+                if isinstance(s, dict) for axis in axes if axis in s]
+        if not all(reads_as_one_float(s[axis]) for s, axis in held):
+            for s, axis in held:  # so that no other value of the track fails first
+                s[axis] = {}
+            bad_track = kid if bad_track is None else bad_track
     changed = first_odd_id is True or bad_track is not None
     return json.dumps(doc) if changed else text, first_odd_id, bad_track
 
 
 def reads_as_one_float(value):
-    """Whether the loader takes `value` as a coordinate."""
-    try:
-        return np.array(value, dtype=float).ndim == 0
-    except OverflowError:  # the oracle and the loader both name the overflow
-        return True
-    except (TypeError, ValueError):
-        return False
+    """Whether the loader takes `value` as a coordinate: a JSON number or null."""
+    return type(value) in (int, float, type(None))
 
 
 def rate_overflows(text):
@@ -2276,6 +2277,12 @@ def existing_json_faults():
         {"id": 1, "name": "Neck", "samples": [sample(0, 1.0, 2.0, z=3.0)]},
         {"id": 2, "name": "Eye_Left", "samples": [sample(0, 1.0, 2.0)]}]}
     faults["2d_track_after_3d"] = json.dumps(three_d)
+    # a track that holds a non-number is refused before its too large integer
+    for z in ([1], "1.5"):
+        overflow_first = {**three_d, "frame_count": 2, "tracks": [
+            {"id": 1, "name": "Neck", "samples": [sample(0, 1.0, 2.0, z=10 ** 400),
+                                                  sample(1, 3.0, 4.0, z=z)]}]}
+        faults[f"z_overflow_then_z_{str(z)[:3]}"] = json.dumps(overflow_first)
     return faults
 
 

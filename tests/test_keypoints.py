@@ -320,9 +320,10 @@ class TestLoadJson:
         ds = load_json(json_text({1: [(0, 1.0, 2.0, True), (1, None, None, False)]}, 2))
         assert list(ds.tracks[1].visible) == [True, False]
 
-    @pytest.mark.parametrize("value", ["a", "", [1.0], [], {}, {"x": 1.0}],
+    @pytest.mark.parametrize("value", ["a", "", [1.0], [], {}, {"x": 1.0}, "1.5", True,
+                                       False],
                              ids=["str", "empty_str", "list", "empty_list", "object",
-                                  "object_with_x"])
+                                  "object_with_x", "numeric_str", "true", "false"])
     @pytest.mark.parametrize("axis", ["x", "y"])
     def test_coordinate_not_a_number(self, axis, value):
         doc = json.loads(json_text(self.SPARSE, 7))
@@ -331,7 +332,7 @@ class TestLoadJson:
             load_json(json.dumps(doc))
 
     def test_coordinates_all_lists(self):
-        # lists of one length add an axis to the array instead of failing it
+        # lists of one length, which numpy would stack into a third axis
         text = json_text({1: [(0, [1.0], [2.0], True), (1, [3.0], [4.0], True)]}, 2)
         with pytest.raises(ParseError, match="^track 1: coordinates must be JSON numbers"):
             load_json(text)
@@ -581,3 +582,37 @@ class TestFrameBound:
     def test_json_frame_count(self):
         with pytest.raises(SchemaError, match=f"MAX_FRAMES = {keypoints.MAX_FRAMES}"):
             load_json(json_text({1: [(0, 1.0, 2.0, True)]}, 10**12))
+
+
+class TestCoordinateBound:
+    """A finite visible |coordinate| above MAX_COORDINATE is refused, whichever
+    way the dataset is built; NaN, inf and invisible samples are left to
+    other checks."""
+
+    BOUND = keypoints.MAX_COORDINATE
+
+    @pytest.mark.parametrize("value, refused", [
+        (BOUND, False), (-BOUND, False), (np.nextafter(BOUND, np.inf), True),
+        (-np.nextafter(BOUND, np.inf), True), (np.nan, False), (-np.inf, False)])
+    def test_visible_sample(self, value, refused):
+        track = make_track([(1.0, 2.0), (3.0, value)])
+        if refused:
+            with pytest.raises(SchemaError, match="^track 1: visible coordinate beyond"):
+                keypoints.KeypointDataset({1: track}, 1000.0, 2, "pixel")
+        else:
+            keypoints.KeypointDataset({1: track}, 1000.0, 2, "pixel")
+
+    def test_invisible_sample(self):
+        track = KeypointTrack(1, "Neck", [0, 1], [(1.0, 2.0), (1e300, 1e300)], [True, False])
+        keypoints.KeypointDataset({1: track}, 1000.0, 2, "pixel")
+
+    def test_csv(self):
+        with pytest.raises(SchemaError, match="^track 2: visible coordinate beyond"):
+            load_csv(csv_text([(0, 2, 1.0, 2.0, 1), (1, 2, 1e76, 2.0, 1)]))
+
+    @pytest.mark.parametrize("scale", [1e100, 1e307])  # beyond the bound, beyond a float
+    def test_pixel_to_world(self, scale):
+        # every world coordinate is 0 or beyond the bound; at 1e307 x overflows
+        ds = load_csv(csv_text([(0, 2, 300.0, 0.0, 1), (1, 2, 400.0, 0.0, 1)]))
+        with pytest.raises(SchemaError, match="^track 2: visible coordinate beyond"):
+            pixel_to_world(ds, PlanarCalibration(scale, (0.0, 0.0)))
