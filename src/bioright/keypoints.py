@@ -109,12 +109,14 @@ class KeypointDataset:
                 raise SchemaError(
                     f"keypoint {track.id} named {track.name!r}, "
                     f"expected {KEYPOINT_NAMES[track.id]!r}")
-            if len(track.frames) and track.frames[-1] + 1 > self.frame_count:
-                raise SchemaError(f"track {track.id} exceeds frame_count")
-            size = np.abs(track.visible_positions())  # NaN and inf: the loaders refuse
-            if ((MAX_COORDINATE < size) & (size < math.inf)).any():
-                raise SchemaError(f"track {track.id}: visible coordinate beyond "
-                                  f"MAX_COORDINATE = {MAX_COORDINATE:g}")
+            if len(track.frames) and (track.frames[0] < 0 or track.frames[-1] >= self.frame_count):
+                raise SchemaError(f"track {track.id}: frame index outside "
+                                  f"0..{self.frame_count - 1}")
+            size = np.abs(track.visible_positions())
+            if not (size <= MAX_COORDINATE).all():  # NaN fails the test too
+                why = "is NaN" if np.isnan(size).any() else \
+                    f"beyond MAX_COORDINATE = {MAX_COORDINATE:g}"
+                raise SchemaError(f"track {track.id}: visible coordinate {why}")
 
 
 @dataclass(frozen=True)
@@ -484,12 +486,8 @@ def pixel_to_world(dataset, calib):
     tracks = {}
     for kid, track in dataset.tracks.items():
         world = np.zeros((len(track.frames), 3))
-        try:
-            with np.errstate(over="raise"):
-                world[:, :2] = (track.positions[:, :2] - (ox, oy)) * gain
-        except FloatingPointError:  # beyond the largest float, so beyond the bound
-            raise SchemaError(f"track {kid}: visible coordinate beyond "
-                              f"MAX_COORDINATE = {MAX_COORDINATE:g}") from None
+        with np.errstate(over="ignore"):  # the dataset refuses a visible inf
+            world[:, :2] = (track.positions[:, :2] - (ox, oy)) * gain
         world[~track.visible] = np.nan
         tracks[kid] = replace(track, positions=world)
     return KeypointDataset(tracks, dataset.frame_rate, dataset.frame_count,

@@ -293,7 +293,8 @@ def simulate_prescribed(p, joint_traj, L0=0.0, base_angle0=math.pi):
     L0 = M11 phidot + M12 thetadot at every sample and the base angle is
     integrated by the trapezoid rule. The joint torque required to realize
     the motion is back-computed and reported. Raises Diverged, dated from
-    the first such sample, unless every value it reports is finite.
+    the first such sample, unless every value it reports is finite in the
+    unit it is written in.
     """
     if joint_traj.rate is None:
         raise ValueError("joint trajectory must carry rates")
@@ -309,7 +310,7 @@ def simulate_prescribed(p, joint_traj, L0=0.0, base_angle0=math.pi):
         theta_dd = np.gradient(theta_d, times) if n >= 3 else np.zeros(n)
         tau = m12 * phi_dd + m22 * theta_dd + coriolis(p, theta, phi_d, theta_d)[1]
         L = m11 * phi_d + m12 * theta_d
-    bad = ~np.isfinite((phi, phi_d, tau, L)).all(axis=0)
+        bad = ~np.isfinite((np.degrees(phi), np.degrees(phi_d), tau, L)).all(axis=0)
     if bad.any():
         raise Diverged(f"playback is not finite at t = {times[bad.argmax()]:.3f} s")
     return SmsTrajectory(times.copy(), phi, theta.copy(), phi_d,

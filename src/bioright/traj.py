@@ -31,7 +31,8 @@ WRITE_BLOCK = 1024
 
 @dataclass
 class JointTrajectory:
-    """Angle (and optionally rate) sampled on a uniform time grid."""
+    """Angle (and optionally rate) sampled on a uniform time grid; angle
+    and rate must be finite in degrees, the unit they are written in."""
 
     times: np.ndarray
     angle: np.ndarray
@@ -42,8 +43,10 @@ class JointTrajectory:
         self.angle = np.asarray(self.angle, dtype=float)
         if self.rate is not None:
             self.rate = np.asarray(self.rate, dtype=float)
-        for label, x in (("times contain", self.times),
-                         ("angle contains", self.angle), ("rate contains", self.rate)):
+        with np.errstate(over="ignore"):
+            checks = (("times contain", self.times), ("angle contains", np.degrees(self.angle)),
+                      ("rate contains", None if self.rate is None else np.degrees(self.rate)))
+        for label, x in checks:
             if x is not None and not np.all(np.isfinite(x)):
                 raise ValueError(f"{label} non-finite values")
         if len(self.times) >= 2:
@@ -81,7 +84,8 @@ def differentiate(traj):
     """Populate the rate field with central differences (one-sided at ends)."""
     if len(traj.times) < 3:
         raise TooShort("need >= 3 samples to differentiate")
-    rate = np.gradient(traj.angle, traj.times, edge_order=2)
+    with np.errstate(all="ignore"):  # JointTrajectory refuses a rate that is not finite
+        rate = np.gradient(traj.angle, traj.times, edge_order=2)
     return replace(traj, rate=rate)
 
 
@@ -106,8 +110,10 @@ def time_scale(traj, target_duration):
     if traj.duration <= 0:
         raise TooShort("trajectory duration must be positive to scale")
     k = target_duration / traj.duration
-    rate = traj.rate / k if traj.rate is not None else None
-    return JointTrajectory(traj.times * k, traj.angle.copy(), rate)
+    with np.errstate(all="ignore"):  # JointTrajectory refuses a value that is not finite
+        times = traj.times * k
+        rate = None if traj.rate is None else traj.rate / k
+    return JointTrajectory(times, traj.angle.copy(), rate)
 
 
 def _first_crossing(times, y, level):

@@ -504,6 +504,20 @@ class TestBadTrajectoryCsvExit2:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: expected 3 columns")
 
+    @pytest.mark.parametrize("body, target", [
+        ("0,0,1e307\n1,0,1e307\n2,0,1e307\n3,0,1e307\n", "1e-5"),
+        ("0,0,nan\n1e-300,1e308,nan\n2e-300,0,nan\n", "10"),
+        ("0,0,1e307\n1,0,1e307\n2,0,1e307\n", "0.02")],
+        ids=["scaled_rate_overflows", "derived_rate_overflows", "rate_overflows_in_degrees"])
+    def test_scaled_rate_not_finite(self, tmp_path, body, target):
+        # in the last case the scaled rate is finite in rad/s, not in the deg/s written
+        src, out = tmp_path / "ref.csv", tmp_path / "out.csv"
+        src.write_text("t,angle_deg,rate_deg_s\n" + body)
+        proc = run_subprocess(["scale", "--input", str(src), "--target-duration", target,
+                               "--output", str(out)])
+        assert (proc.returncode, proc.stderr) == (2, "error: rate contains non-finite values\n")
+        assert not out.exists()
+
 
 class TestKeypointFileBoundary:
     """CSV and JSON, any line ending: the file's header decides layout and unit."""
@@ -739,6 +753,18 @@ class TestPlaybackNotFiniteExit5:
         assert proc.returncode == 5
         assert proc.stderr == "error: playback is not finite at t = 0.000 s\n"
         assert not out.exists()
+
+    def test_base_angle_overflows_in_degrees(self, tmp_path):
+        # the base angle is finite in radians from t = 5 s, but not in degrees
+        cfg, ref, out = tmp_path / "unit.cfg", tmp_path / "ref.csv", tmp_path / "out.csv"
+        cfg.write_text("base_inertia = 1\narm_inertia_cm = 1\n")
+        ref.write_text("t,angle_deg,rate_deg_s\n0,0,1.7e308\n5,0,1.7e308\n10,0,1.7e308\n")
+        proc = run_subprocess(["simulate", "--mode", "prescribed", "--config", str(cfg),
+                               "--reference", str(ref), "--output", str(out)])
+        assert (proc.returncode, proc.stdout) == (5, "")
+        assert proc.stderr == "error: playback is not finite at t = 5.000 s\n"
+        assert not out.exists()
+        assert not out.with_suffix(".manifest.json").exists()
 
 
 class TestHugeCoordinatesExit2:

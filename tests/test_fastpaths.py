@@ -892,14 +892,15 @@ def test_block_writers_byte_identical_to_per_row(rows):
     buf = io.StringIO()
     frames.write_series_csv(series, buf)
     assert buf.getvalue() == oracle_series_csv(series)
-    # datasets: invisible samples that hold finite positions
+    # datasets: invisible samples that hold any value, visible ones finite values
     for dim, unit in ((2, "pixel"), (3, "meter")):
         tracks = {}
         for kid in (1, 23):
             *coords, flag = special_columns(rows, dim + 1, rows + dim + kid)
+            positions = np.column_stack(coords)
             tracks[kid] = keypoints.KeypointTrack(
-                kid, keypoints.KEYPOINT_NAMES[kid], 3 * np.arange(rows),
-                np.column_stack(coords), flag > 0)
+                kid, keypoints.KEYPOINT_NAMES[kid], 3 * np.arange(rows), positions,
+                (flag > 0) & np.isfinite(positions).all(axis=1))
         ds = keypoints.KeypointDataset(tracks, 1000.0, 3 * rows, unit)
         want, got = io.StringIO(), io.StringIO()
         oracle_save_csv(ds, want)

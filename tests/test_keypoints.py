@@ -585,19 +585,21 @@ class TestFrameBound:
 
 
 class TestCoordinateBound:
-    """A finite visible |coordinate| above MAX_COORDINATE is refused, whichever
-    way the dataset is built; NaN, inf and invisible samples are left to
-    other checks."""
+    """A visible coordinate that is NaN, infinite or above MAX_COORDINATE in
+    magnitude is refused, whichever way the dataset is built; invisible
+    samples are left to other checks."""
 
     BOUND = keypoints.MAX_COORDINATE
 
     @pytest.mark.parametrize("value, refused", [
         (BOUND, False), (-BOUND, False), (np.nextafter(BOUND, np.inf), True),
-        (-np.nextafter(BOUND, np.inf), True), (np.nan, False), (-np.inf, False)])
+        (-np.nextafter(BOUND, np.inf), True), (np.nan, True), (-np.inf, True),
+        (np.inf, True)])
     def test_visible_sample(self, value, refused):
         track = make_track([(1.0, 2.0), (3.0, value)])
         if refused:
-            with pytest.raises(SchemaError, match="^track 1: visible coordinate beyond"):
+            why = "is NaN" if np.isnan(value) else "beyond"
+            with pytest.raises(SchemaError, match=f"^track 1: visible coordinate {why}"):
                 keypoints.KeypointDataset({1: track}, 1000.0, 2, "pixel")
         else:
             keypoints.KeypointDataset({1: track}, 1000.0, 2, "pixel")
@@ -616,3 +618,14 @@ class TestCoordinateBound:
         ds = load_csv(csv_text([(0, 2, 300.0, 0.0, 1), (1, 2, 400.0, 0.0, 1)]))
         with pytest.raises(SchemaError, match="^track 2: visible coordinate beyond"):
             pixel_to_world(ds, PlanarCalibration(scale, (0.0, 0.0)))
+
+
+class TestFrameRange:
+    """A hand-built track's frames must lie on 0..frame_count-1: a negative
+    one would wrap to the end of the recording in dense_stack."""
+
+    @pytest.mark.parametrize("frames", [[-1, 0], [1, 3]], ids=["negative", "past_end"])
+    def test_refused(self, frames):
+        track = KeypointTrack(1, "Neck", frames, [(1.0, 2.0), (3.0, 4.0)], [True, True])
+        with pytest.raises(SchemaError, match=r"^track 1: frame index outside 0\.\.2$"):
+            keypoints.KeypointDataset({1: track}, 1000.0, 3, "pixel")
