@@ -5,6 +5,7 @@ import csv
 import json
 import math
 import operator
+import os
 import warnings
 from dataclasses import dataclass, replace
 from itertools import chain
@@ -13,7 +14,7 @@ import numpy as np
 
 from .errors import (AlreadyWorldUnits, EmptyDataset, ParseError,
                      SchemaError, TooSparse)
-from .traj import _as_text, format_rows
+from .traj import _as_text, _file_lines, format_rows
 
 #: Canonical keypoint names, id 1..23.
 KEYPOINT_NAMES = {
@@ -159,8 +160,18 @@ def load_dataset(source, format="csv", frame_rate=None):
 def _load_csv(source, frame_rate):
     if frame_rate is None:
         raise SchemaError("frame_rate is required for CSV input (never inferred)")
-    header, *lines = _as_text(source).split("\n")
-    if not (header or lines):
+    if isinstance(source, (str, os.PathLike)):  # streamed: the text is never held
+        with _file_lines(source) as lines:
+            return _parse_csv(lines, frame_rate, lambda: _as_text(source).split("\n"))
+    lines = _as_text(source).split("\n")
+    return _parse_csv(iter(lines), frame_rate, lambda: lines)
+
+
+def _parse_csv(lines, frame_rate, all_lines):
+    """A dataset from an iterator over a tracker CSV's lines without their
+    "\\n"; all_lines() lists the same lines, only to name a refused row."""
+    header = next(lines)
+    if not header and next(lines, None) is None:
         raise EmptyDataset("no header row")
     header = next(csv.reader([header]))
     if header[:4] != ["frame", "keypoint_id", "keypoint_name", "x"]:
@@ -171,7 +182,7 @@ def _load_csv(source, frame_rate):
     try:
         rows = _parse_rows(lines, dtype)
     except ValueError:
-        lineno, line = _first_bad(_data_lines(lines), dtype)
+        lineno, line = _first_bad(_data_lines(all_lines()), dtype)
         got = len(next(csv.reader([line])))
         why = f"expected {4 + dim} fields, got {got}" if got != 4 + dim \
             else f"bad number in {line!r}"
@@ -185,8 +196,8 @@ def _load_csv(source, frame_rate):
     repeat[order[1:]] = (np.diff(kid[order]) == 0) & (np.diff(frame[order]) == 0)
     faults = (  # in the order the checks apply to one row
         (~known, SchemaError, "keypoint id {id} out of range 1-23"),
-        (known & (name != np.array(["", *KEYPOINT_NAMES.values()])[known * kid]),
-         SchemaError, "unknown keypoint name {name!r} for id {id}"),
+        (_misnamed(kid, name, order), SchemaError,
+         "unknown keypoint name {name!r} for id {id}"),
         ((visible != "0") & (visible != "1"), ParseError,
          "visible must be 0 or 1, got {visible!r}"),
         ((visible == "1") & ~np.isfinite(coords).all(axis=1), ParseError,
@@ -199,7 +210,7 @@ def _load_csv(source, frame_rate):
         r = int(np.argmax(bad))
         _, error, message = next(fault for fault in faults if fault[0][r])
         fields = dict(zip(dtype.names, rows[r].tolist()))
-        raise error(f"line {_data_lines(lines)[r][0]}: {message.format_map(fields)}")
+        raise error(f"line {_data_lines(all_lines())[r][0]}: {message.format_map(fields)}")
     frame_count = 1 + int(frame.max())
     names = {k: KEYPOINT_NAMES[k] for k in np.flatnonzero(np.bincount(kid)).tolist()}
     tracks = _scatter(names, kid, frame, coords, visible == "1", frame_count)
@@ -207,8 +218,19 @@ def _load_csv(source, frame_rate):
                            "meter" if dim == 3 else "pixel")
 
 
+def _misnamed(kid, name, order):
+    """Rows whose keypoint id is known and whose name is not that id's;
+    `order` sorts the rows by id."""
+    misnamed = np.zeros(len(kid), dtype=bool)
+    ends = np.searchsorted(kid[order], range(len(KEYPOINT_NAMES) + 1), side="right")
+    for (k, expected), start, end in zip(KEYPOINT_NAMES.items(), ends, ends[1:]):
+        rows = order[start:end]  # the rows of id k
+        misnamed[rows] = name[rows] != expected
+    return misnamed
+
+
 def _parse_rows(lines, dtype):
-    """CSV data rows from a list of lines, in one pass."""
+    """CSV data rows from an iterable of lines, in one pass."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
         # older numpy reads "1.0" into an int field with a DeprecationWarning
@@ -219,7 +241,7 @@ def _parse_rows(lines, dtype):
 
 def _data_lines(lines):
     """(line number, line) of each non-blank line after the header."""
-    return [(n, line) for n, line in enumerate(lines, start=2) if line]
+    return [(n, line) for n, line in enumerate(lines[1:], start=2) if line]
 
 
 def _first_bad(numbered, dtype):

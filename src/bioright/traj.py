@@ -1,11 +1,15 @@
 """Angle-trajectory utilities: differentiation, smoothing, time-scaling,
 step-response characterization, a second-order surrogate generator used
 as the canonical reference input for simulation, CSV row blocks, and the
-one text reader of every input file."""
+text readers of every input file: the whole text of a file or stream, or
+the lines of a file read in blocks."""
 
+import codecs
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from itertools import chain
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -27,6 +31,9 @@ MAX_SAMPLES = 10_000_000
 
 #: Rows per formatting call of `format_rows`, which bounds its memory.
 WRITE_BLOCK = 1024
+
+#: Bytes, then characters, per read of `_file_lines`, which bounds its memory.
+READ_BLOCK = 1 << 16
 
 
 @dataclass
@@ -50,6 +57,10 @@ class JointTrajectory:
             if x is not None and not np.all(np.isfinite(x)):
                 raise ValueError(f"{label} non-finite values")
         if len(self.times) >= 2:
+            # a finite extent keeps every difference of two times finite
+            first, last = float(self.times.min()), float(self.times.max())
+            if not math.isfinite(last - first):
+                raise ValueError(f"time span from {first:g} to {last:g} s overflows a float")
             steps = np.diff(self.times)
             if not steps.min() > 0:
                 raise ValueError("time grid must increase")
@@ -253,6 +264,40 @@ def _as_text(source):
     if (nul := data.find("\0")) >= 0:  # numpy drops a trailing NUL from a text field
         raise ParseError("line %d: NUL character" % (data.count("\n", 0, nul) + 1))
     return data
+
+
+@contextmanager
+def _file_lines(path):
+    """The lines of the file at `path` as `_as_text(path).split("\\n")` lists
+    them, as an iterator that reads the file in blocks: neither the text nor
+    its list of lines is built. A file that `_as_text` refuses raises its
+    error on entry."""
+    decode = codecs.getincrementaldecoder("utf-8")().decode
+    try:
+        with open(path, "rb") as f:
+            while (block := f.read(READ_BLOCK)) and b"\0" not in block:
+                decode(block)
+        decode(b"", final=True)  # a character cut off by the end of the file
+        refused = bool(block)  # the scan stopped at a NUL
+    except UnicodeDecodeError:
+        refused = True
+    if refused:
+        _as_text(path)  # raises the error of a whole-file read, naming its line
+    with open(path, encoding="utf-8-sig") as f:  # universal newlines, as _as_text
+        yield chain.from_iterable(_line_blocks(f))
+
+
+def _line_blocks(f):
+    """The lines of a text file as one list per READ_BLOCK characters; a line
+    that spans blocks is joined once, when its end is read."""
+    head = []
+    while block := f.read(READ_BLOCK):
+        lines = block.split("\n")
+        head.append(lines[0])
+        if len(lines) > 1:
+            lines[0], head = "".join(head), [lines.pop()]
+            yield lines
+    yield ["".join(head)]
 
 
 def write_trajectory_csv(traj, stream):

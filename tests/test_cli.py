@@ -493,6 +493,20 @@ class TestBadTrajectoryCsvExit2:
         assert proc.stderr == "error: times contain non-finite values\n"
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize("rates", ["nan", "1"], ids=["no_rate", "rate"])
+    @pytest.mark.parametrize("command", ["scale", "simulate"])
+    def test_time_span_overflows(self, tmp_path, command, rates):
+        # each time is finite, the span between them is not
+        src = tmp_path / "ref.csv"
+        src.write_text(f"t,angle_deg,rate_deg_s\n-1e308,0,{rates}\n1e308,1,{rates}\n")
+        argv = (["scale", "--input", str(src), "--target-duration", "10"]
+                if command == "scale" else
+                ["simulate", "--mode", "pd", "--reference", str(src)])
+        proc = run_subprocess([*argv, "--output", str(tmp_path / "out.csv")])
+        assert (proc.returncode, proc.stderr) == (
+            2, "error: time span from -1e+308 to 1e+308 s overflows a float\n")
+        assert not (tmp_path / "out.csv").exists()
+
     @pytest.mark.parametrize("body", ["0,1\n1,2\n2,3\n", "0,1,2,3\n1,2,3,4\n"],
                              ids=["two_columns", "four_columns"])
     def test_wrong_column_count(self, tmp_path, body):

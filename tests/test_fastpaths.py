@@ -25,7 +25,9 @@ The tracker-CSV loader has a frozen oracle as well: the per-row
 `csv.reader` loader with `int()`/`float()` per token. The whole-column
 `np.loadtxt` loader must give array-equal datasets on every CSV fixture
 and on the benchmark recordings, and raise the same error class on the
-same line for each malformed input. The one intended difference is
+same line for each malformed input. It does so from a stream and from a
+path, which it reads in blocks without holding the text: both must give
+the same dataset or the same error. The one intended difference is
 pinned: `float()` reads "1_0" and non-ASCII digits, the numpy parse does
 not.
 
@@ -95,10 +97,10 @@ import pytest
 
 from bioright import (cli, frames, keypoints, objective, rotmath, smsdyn,
                       track_quality, traj)
-from bioright.errors import (DegenerateAxes, Diverged, EmptyDataset,
-                             GimbalLockWarning, MissingKeypoint, NoValidFrames,
-                             OutOfDomain, ParseError, SchemaError,
-                             SingularMass, TooSparse)
+from bioright.errors import (BiorightError, DegenerateAxes, Diverged,
+                             EmptyDataset, GimbalLockWarning, MissingKeypoint,
+                             NoValidFrames, OutOfDomain, ParseError,
+                             SchemaError, SingularMass, TooSparse)
 from bioright.frames import Segment
 from bioright.objective import ObjectiveContext
 from bioright.smsdyn import (DIVERGE_LIMIT, Mode, PdGains, SmsState,
@@ -1465,6 +1467,15 @@ def load_new(text):
                                   frame_rate=1000.0)
 
 
+def csv_loaders(tmp_path):
+    """load_new, and load_dataset of a file holding the same text in UTF-8."""
+    def from_path(text):
+        path = tmp_path / "loaded.csv"
+        path.write_bytes(text.encode())
+        return keypoints.load_dataset(path, format="csv", frame_rate=1000.0)
+    return {"stream": load_new, "path": from_path}
+
+
 def benchmark_recording(tmp_path, seed, frames=2000):
     """The tracker CSV text of the benchmark's `recording` workload."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
@@ -1513,9 +1524,10 @@ def csv_fixtures():
 
 
 @pytest.mark.parametrize("name", sorted(csv_fixtures()))
-def test_csv_loader_equal_to_oracle(name):
+def test_csv_loader_equal_to_oracle(tmp_path, name):
     text = csv_fixtures()[name]
-    assert_same_dataset(load_new(text), oracle_load_csv(text))
+    for load in csv_loaders(tmp_path).values():
+        assert_same_dataset(load(text), oracle_load_csv(text))
 
 
 @pytest.mark.parametrize("seed", [11, 23])
@@ -1568,14 +1580,18 @@ MALFORMED = [
 
 @pytest.mark.parametrize("text, error, line", [case[1:] for case in MALFORMED],
                          ids=[case[0] for case in MALFORMED])
-def test_csv_loader_rejects_like_oracle(text, error, line):
+def test_csv_loader_rejects_like_oracle(tmp_path, text, error, line):
     with pytest.raises(error) as want:
         oracle_load_csv(text)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # no numpy "input contained no data"
-        with pytest.raises(error) as got:
-            load_new(text)
-    assert line_of(got.value) == line
+    messages = set()
+    for load in csv_loaders(tmp_path).values():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy "input contained no data"
+            with pytest.raises(error) as got:
+                load(text)
+        assert line_of(got.value) == line
+        messages.add(str(got.value))
+    assert len(messages) == 1
     # the per-row loader named no line for a bad token or a negative frame
     assert line_of(want.value) in (None, line)
 
@@ -1584,8 +1600,101 @@ def test_csv_bad_row_deep_in_a_recording_names_its_line(tmp_path):
     lines = benchmark_recording(tmp_path, 11).split("\n")
     lines[30000] = lines[30000].replace(",1", ",1e", 1)
     lines.insert(20000, "")
-    with pytest.raises(ParseError, match=r"^line 30002: "):
-        load_new("\n".join(lines))
+    for load in csv_loaders(tmp_path).values():
+        with pytest.raises(ParseError, match=r"^line 30002: "):
+            load("\n".join(lines))
+
+
+def test_csv_load_peak_memory_is_a_few_times_the_file(tmp_path):
+    # the parsed rows (116 bytes each in 2D) and the dataset's arrays, 2.9x
+    # the file; its whole text and list of lines took it to 5.6x
+    path = tmp_path / "tracks.csv"
+    for frames in (2000, 8000):
+        benchmark_recording(tmp_path, 11, frames)
+        tracemalloc.start()
+        try:
+            keypoints.load_dataset(path, format="csv", frame_rate=1000.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * path.stat().st_size, frames
+
+
+#: Rows that put what follows them a few read blocks into the file.
+PAD = ("0,1,Neck,1,2,1\n" * (3 * traj.READ_BLOCK // 15)).encode()
+
+#: Files whose UTF-8 is cut or broken: the decode error precedes the bad
+#: header, the bad row and the NUL before it, and it is raised alike
+#: from a path, read in blocks, and from a stream, read whole.
+BAD_UTF8 = {
+    "in_a_row": (H2 + "0,1,Neck,1,2,1\n").encode() + b"1,1,Ne\xffck,3,4,1\n",
+    "after_a_bad_header": b"frame,id\n" + PAD + b"\xc3(\n",
+    "after_a_bad_row": (H2 + "0,1,Neck,x,2,1\n").encode() + PAD + b"1,1,Neck,3,4,1\xe2\n",
+    "after_a_nul": (H2 + "0,1,Neck\0,1,2,1\n").encode() + PAD + b"\xff\n",
+    "deep_in_a_recording": H2.encode() + PAD + b"\xf0\x9f\n",
+    "cut_at_the_end": (H2 + "0,1,Neck,1,2,1\n").encode() + b"\xe2\x82",
+}
+
+
+@pytest.mark.parametrize("data", BAD_UTF8.values(), ids=BAD_UTF8)
+def test_csv_bad_utf8_refused_alike_from_path_and_stream(tmp_path, capsys, data):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(data)
+    with pytest.raises(UnicodeDecodeError) as from_stream:
+        keypoints.load_dataset(io.BytesIO(data), format="csv", frame_rate=1000.0)
+    with pytest.raises(UnicodeDecodeError) as from_path:
+        keypoints.load_dataset(path, format="csv", frame_rate=1000.0)
+    assert str(from_path.value) == str(from_stream.value)
+    assert cli.main(["metrics", "--input", str(path), "--frame-rate", "1000",
+                     "--output", str(tmp_path / "report.csv")]) == 2
+    assert capsys.readouterr().err == f"error: {from_stream.value}\n"
+
+
+def random_csv_bytes(rng):
+    """A small tracker CSV spliced from valid rows and the pieces that
+    break one: line ends of each kind, quotes, a BOM, bad UTF-8, NUL."""
+    pieces = [b"0,1,Neck,1,2,1", b"1,1,Neck,3.5,-4,0", b"2,21,Tail_Top_Back,5,6,1",
+              b"\n1,24,Neck,1,2,1\n", b"\n3,1,Neck,1,2,1\n", b"\n", b"\r\n", b"\r",
+              b",", b'"', b"\xef\xbb\xbf", b"\xff", b"\xc3", b"\xc3\xa9", b"\0", b"x",
+              b" ", b"nan"]
+    body = b"".join(rng.choice(pieces) for _ in range(rng.randrange(30)))
+    return rng.choice([b"", b"\xef\xbb\xbf"]) + H2.encode() + body
+
+
+def test_csv_path_and_stream_agree_on_random_files(tmp_path, monkeypatch):
+    # read blocks of 7 bytes put block ends inside \r\n, UTF-8 sequences
+    # and lines; the lines a path yields must be those a stream yields
+    monkeypatch.setattr(traj, "READ_BLOCK", 7)
+    rng = random.Random(21)
+    path = tmp_path / "random.csv"
+    outcomes = set()
+    for _ in range(300):
+        data = random_csv_bytes(rng)
+        path.write_bytes(data)
+        results = []
+        for source in (io.BytesIO(data), path):
+            try:
+                results.append(keypoints.load_dataset(source, format="csv",
+                                                      frame_rate=1000.0))
+            except (ValueError, BiorightError) as exc:
+                results.append((type(exc), str(exc)))
+        from_stream, from_path = results
+        if isinstance(from_stream, tuple):
+            assert from_path == from_stream, data
+            outcomes.add(from_stream[0])
+        else:
+            assert_same_dataset(from_path, from_stream)
+            outcomes.add(keypoints.KeypointDataset)
+    assert outcomes >= {keypoints.KeypointDataset, ParseError, SchemaError,
+                        EmptyDataset, UnicodeDecodeError}
+
+
+def test_csv_quoted_field_across_lines_loads_alike_from_path_and_stream(tmp_path):
+    # numpy joins the lines of a quoted field that spans them; the lines a
+    # path yields carry no "\n", like those of a stream, so the join is the same
+    text = H2 + '0,1,"Ne\nck",1,2,1\n1,1,Neck,"3\n5",4,1\n'
+    loads = csv_loaders(tmp_path)
+    assert_same_dataset(loads["path"](text), loads["stream"](text))
 
 
 def test_json_load_peak_memory_is_a_few_times_the_text(tmp_path):
@@ -1618,14 +1727,15 @@ def test_csv_rejects_tokens_python_float_accepts(token, value):
 
 
 @pytest.mark.parametrize("row", ["1,1,Neck\0,3,4,1", "1,1,Neck,3,4,1\0"])
-def test_csv_rejects_trailing_nul_in_a_text_field(row):
+def test_csv_rejects_trailing_nul_in_a_text_field(tmp_path, row):
     # numpy drops a trailing NUL from a text field, so the loader refuses
     # NUL outright; the per-row loader failed the name or visible check.
     text = H2 + "0,1,Neck,1,2,1\n" + row + "\n"
     with pytest.raises((SchemaError, ParseError), match="line 3"):
         oracle_load_csv(text)
-    with pytest.raises(ParseError, match="line 3: NUL"):
-        load_new(text)
+    for load in csv_loaders(tmp_path).values():
+        with pytest.raises(ParseError, match="^line 3: NUL character$"):
+            load(text)
 
 
 def test_interpolate_gaps_on_dense_tracks_equal_to_oracle():
