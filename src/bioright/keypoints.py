@@ -5,7 +5,6 @@ import csv
 import json
 import math
 import operator
-import os
 import warnings
 from dataclasses import dataclass, replace
 from itertools import chain
@@ -14,7 +13,7 @@ import numpy as np
 
 from .errors import (AlreadyWorldUnits, EmptyDataset, ParseError,
                      SchemaError, TooSparse)
-from .traj import _as_text, _file_lines, format_rows
+from .traj import _as_text, _text_lines, format_rows
 
 #: Canonical keypoint names, id 1..23.
 KEYPOINT_NAMES = {
@@ -160,11 +159,8 @@ def load_dataset(source, format="csv", frame_rate=None):
 def _load_csv(source, frame_rate):
     if frame_rate is None:
         raise SchemaError("frame_rate is required for CSV input (never inferred)")
-    if isinstance(source, (str, os.PathLike)):  # streamed: the text is never held
-        with _file_lines(source) as lines:
-            return _parse_csv(lines, frame_rate, lambda: _as_text(source).split("\n"))
-    lines = _as_text(source).split("\n")
-    return _parse_csv(iter(lines), frame_rate, lambda: lines)
+    with _text_lines(source) as (lines, all_lines):
+        return _parse_csv(lines, frame_rate, all_lines)
 
 
 def _parse_csv(lines, frame_rate, all_lines):

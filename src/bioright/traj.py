@@ -2,12 +2,13 @@
 step-response characterization, a second-order surrogate generator used
 as the canonical reference input for simulation, CSV row blocks, and the
 text readers of every input file: the whole text of a file or stream, or
-the lines of a file read in blocks."""
+the lines of a seekable file read in blocks."""
 
 import codecs
+import io
 import math
 import os
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field, replace
 from itertools import chain
 
@@ -32,7 +33,7 @@ MAX_SAMPLES = 10_000_000
 #: Rows per formatting call of `format_rows`, which bounds its memory.
 WRITE_BLOCK = 1024
 
-#: Bytes, then characters, per read of `_file_lines`, which bounds its memory.
+#: Bytes, then characters, per read of `_text_lines`, which bounds its memory.
 READ_BLOCK = 1 << 16
 
 
@@ -267,24 +268,45 @@ def _as_text(source):
 
 
 @contextmanager
-def _file_lines(path):
-    """The lines of the file at `path` as `_as_text(path).split("\\n")` lists
-    them, as an iterator that reads the file in blocks: neither the text nor
-    its list of lines is built. A file that `_as_text` refuses raises its
-    error on entry."""
+def _text_lines(source):
+    """(lines, all_lines) of a path or stream: an iterator over its lines as
+    `_as_text(source).split("\\n")` lists them, and a function that lists
+    them all, only to name a refused row. A path is opened once. A seekable
+    file is read in blocks after a byte scan that refuses it as `_as_text`
+    would, so neither its text nor its list of lines is held; a stream or a
+    pipe is read whole."""
+    with ExitStack() as stack:
+        if isinstance(source, (str, os.PathLike)):
+            source = stack.enter_context(open(source, "rb"))
+            if source.seekable():
+                _scan_text(source)
+                source.seek(0)
+                text = stack.enter_context(io.TextIOWrapper(source, encoding="utf-8-sig"))
+
+                def all_lines():
+                    source.seek(0)
+                    return _as_text(source).split("\n")
+
+                yield chain.from_iterable(_line_blocks(text)), all_lines  # universal newlines
+                return
+        lines = _as_text(source).split("\n")
+        yield iter(lines), lambda: lines
+
+
+def _scan_text(f):
+    """Read the binary file `f` in blocks; if it holds a NUL or is not UTF-8,
+    raise the error that `_as_text` raises for it, naming its line."""
     decode = codecs.getincrementaldecoder("utf-8")().decode
     try:
-        with open(path, "rb") as f:
-            while (block := f.read(READ_BLOCK)) and b"\0" not in block:
-                decode(block)
+        while (block := f.read(READ_BLOCK)) and b"\0" not in block:
+            decode(block)
         decode(b"", final=True)  # a character cut off by the end of the file
         refused = bool(block)  # the scan stopped at a NUL
     except UnicodeDecodeError:
         refused = True
     if refused:
-        _as_text(path)  # raises the error of a whole-file read, naming its line
-    with open(path, encoding="utf-8-sig") as f:  # universal newlines, as _as_text
-        yield chain.from_iterable(_line_blocks(f))
+        f.seek(0)
+        _as_text(f)
 
 
 def _line_blocks(f):

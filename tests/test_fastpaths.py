@@ -84,8 +84,10 @@ import io
 import json
 import math
 import operator
+import os
 import random
 import re
+import threading
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -1468,12 +1470,32 @@ def load_new(text):
 
 
 def csv_loaders(tmp_path):
-    """load_new, and load_dataset of a file holding the same text in UTF-8."""
+    """load_new, and load_dataset of a file and of a pipe holding the same
+    text in UTF-8; a pipe is named by its /dev/fd path, as a shell names
+    `<(zcat tracks.csv.gz)`."""
     def from_path(text):
         path = tmp_path / "loaded.csv"
         path.write_bytes(text.encode())
         return keypoints.load_dataset(path, format="csv", frame_rate=1000.0)
-    return {"stream": load_new, "path": from_path}
+
+    def from_pipe(text):
+        read_end, write_end = os.pipe()
+
+        def write():
+            with open(write_end, "wb") as f:
+                f.write(text.encode())
+        writer = threading.Thread(target=write)
+        writer.start()
+        try:
+            return keypoints.load_dataset(f"/dev/fd/{read_end}", format="csv",
+                                          frame_rate=1000.0)
+        finally:
+            writer.join()
+            os.close(read_end)
+    loaders = {"stream": load_new, "path": from_path}
+    if os.path.isdir("/dev/fd"):
+        loaders["pipe"] = from_pipe
+    return loaders
 
 
 def benchmark_recording(tmp_path, seed, frames=2000):
