@@ -281,13 +281,14 @@ def _text_lines(source):
             if source.seekable():
                 _scan_text(source)
                 source.seek(0)
+                # universal newlines and no BOM, as _as_text
                 text = stack.enter_context(io.TextIOWrapper(source, encoding="utf-8-sig"))
 
                 def all_lines():
                     source.seek(0)
                     return _as_text(source).split("\n")
 
-                yield chain.from_iterable(_line_blocks(text)), all_lines  # universal newlines
+                yield chain.from_iterable(_line_blocks(text)), all_lines
                 return
         lines = _as_text(source).split("\n")
         yield iter(lines), lambda: lines
