@@ -188,12 +188,17 @@ def _parse_csv(lines, frame_rate, all_lines):
     frame, kid, name, coords, visible = (rows[f] for f in dtype.names)
     known = (kid >= 1) & (kid <= len(KEYPOINT_NAMES))
     order = np.lexsort((frame, kid))  # stable: a repeat sorts after its first row
+    new_id = np.diff(kid[order]) != 0
     repeat = np.zeros(len(rows), dtype=bool)
-    repeat[order[1:]] = (np.diff(kid[order]) == 0) & (np.diff(frame[order]) == 0)
+    repeat[order[1:]] = ~new_id & (np.diff(frame[order]) == 0)
+    misnamed = np.zeros(len(rows), dtype=bool)  # built without a (rows,) array of names
+    for of_k in np.split(order, np.flatnonzero(new_id) + 1):  # the rows of one id
+        k = int(kid[of_k[0]])
+        if k in KEYPOINT_NAMES:
+            misnamed[of_k] = name[of_k] != KEYPOINT_NAMES[k]
     faults = (  # in the order the checks apply to one row
         (~known, SchemaError, "keypoint id {id} out of range 1-23"),
-        (_misnamed(kid, name, order), SchemaError,
-         "unknown keypoint name {name!r} for id {id}"),
+        (misnamed, SchemaError, "unknown keypoint name {name!r} for id {id}"),
         ((visible != "0") & (visible != "1"), ParseError,
          "visible must be 0 or 1, got {visible!r}"),
         ((visible == "1") & ~np.isfinite(coords).all(axis=1), ParseError,
@@ -212,17 +217,6 @@ def _parse_csv(lines, frame_rate, all_lines):
     tracks = _scatter(names, kid, frame, coords, visible == "1", frame_count)
     return KeypointDataset(tracks, float(frame_rate), frame_count,
                            "meter" if dim == 3 else "pixel")
-
-
-def _misnamed(kid, name, order):
-    """Rows whose keypoint id is known and whose name is not that id's;
-    `order` sorts the rows by id."""
-    misnamed = np.zeros(len(kid), dtype=bool)
-    ends = np.searchsorted(kid[order], range(len(KEYPOINT_NAMES) + 1), side="right")
-    for (k, expected), start, end in zip(KEYPOINT_NAMES.items(), ends, ends[1:]):
-        rows = order[start:end]  # the rows of id k
-        misnamed[rows] = name[rows] != expected
-    return misnamed
 
 
 def _parse_rows(lines, dtype):
