@@ -149,28 +149,39 @@ def load_dataset(source, format="csv", frame_rate=None):
     JSON carries frame_rate, frame_count and unit itself. Missing (frame,
     keypoint) rows become invisible samples.
     """
-    if format == "csv":
-        return _load_csv(source, frame_rate)
     if format == "json":
         return _load_json(source)
-    raise ValueError(f"unknown format {format!r}")
-
-
-def _load_csv(source, frame_rate):
+    if format != "csv":
+        raise ValueError(f"unknown format {format!r}")
     if frame_rate is None:
         raise SchemaError("frame_rate is required for CSV input (never inferred)")
-    with _text_lines(source) as (lines, all_lines):
-        return _parse_csv(lines, frame_rate, all_lines)
+    with _text_lines(source) as (blocks, all_lines):
+        return _parse_csv(chain.from_iterable(_quotes_closed(blocks)), frame_rate, all_lines)
+
+
+def _quotes_closed(blocks):
+    """The header, then the data lines by block; a data line that leaves a quoted
+    field open, which numpy would join to the next, raises ValueError."""
+    lines = next(blocks)
+    yield lines[:1]  # the header, which csv.reader reads alone
+    for lines in chain([lines[1:]], blocks):
+        if '"' in "".join(lines) and any(map(_open_quote, lines)):
+            raise ValueError("quoted field not closed")
+        yield lines
+
+
+def _open_quote(line):
+    """Whether csv.reader, as numpy, would read past the line's end in a quoted field."""
+    return '"' in line and len(list(csv.reader([line, ""]))) == 1
 
 
 def _parse_csv(lines, frame_rate, all_lines):
     """A dataset from an iterator over a tracker CSV's lines without their
-    "\\n"; all_lines() lists the same lines, only to name a refused row."""
-    header = next(lines)
-    if not header and next(lines, None) is None:
-        raise EmptyDataset("no header row")
-    header = next(csv.reader([header]))
+    "\\n"; all_lines() lists the same lines, only on a refusal."""
+    header = next(csv.reader([next(lines)]))
     if header[:4] != ["frame", "keypoint_id", "keypoint_name", "x"]:
+        if all_lines() == [""]:
+            raise EmptyDataset("no header row")
         raise ParseError(f"unexpected header {header!r}")
     dim = 3 if "z" in header else 2
     dtype = np.dtype([("frame", "i8"), ("id", "i8"), ("name", "U19"),
@@ -180,7 +191,8 @@ def _parse_csv(lines, frame_rate, all_lines):
     except ValueError:
         lineno, line = _first_bad(_data_lines(all_lines()), dtype)
         got = len(next(csv.reader([line])))
-        why = f"expected {4 + dim} fields, got {got}" if got != 4 + dim \
+        why = "quoted field not closed on its line" if _open_quote(line) \
+            else f"expected {4 + dim} fields, got {got}" if got != 4 + dim \
             else f"bad number in {line!r}"
         raise ParseError(f"line {lineno}: {why}") from None
     if not len(rows):
@@ -235,8 +247,10 @@ def _data_lines(lines):
 
 
 def _first_bad(numbered, dtype):
-    """The first (line number, line) that _parse_rows rejects, by bisection."""
-    lo, hi = 0, len(numbered)  # the first bad line is in numbered[lo:hi]
+    """The first (line number, line) that leaves a quoted field open or that
+    _parse_rows rejects, by bisection of the lines before the first open one."""
+    lo, hi = 0, next((i + 1 for i, (_, ln) in enumerate(numbered) if _open_quote(ln)),
+                     len(numbered))  # the first bad line is in numbered[lo:hi]
     while hi - lo > 1:
         mid = (lo + hi) // 2
         try:

@@ -2,20 +2,18 @@
 step-response characterization, a second-order surrogate generator used
 as the canonical reference input for simulation, CSV row blocks, and the
 text readers of every input file: the whole text of a file or stream, or
-the lines of a seekable file read in blocks."""
+the lines of a seekable file read once, in blocks."""
 
-import codecs
 import io
 import math
 import os
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field, replace
-from itertools import chain
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import BadWindow, NoStep, OutOfDomain, ParseError, TooShort, Unreachable
+from .errors import BadWindow, BiorightError, NoStep, OutOfDomain, ParseError, TooShort, Unreachable
 
 #: Tolerance on grid uniformity: GRID_TOL seconds plus GRID_RTOL max|t|, as
 #: times written with %.9g are off by <= 5e-9 |t| and two steps by <= 2e-8 max|t|.
@@ -33,7 +31,7 @@ MAX_SAMPLES = 10_000_000
 #: Rows per formatting call of `format_rows`, which bounds its memory.
 WRITE_BLOCK = 1024
 
-#: Bytes, then characters, per read of `_text_lines`, which bounds its memory.
+#: Characters per read of `_text_lines`, which bounds its memory.
 READ_BLOCK = 1 << 16
 
 
@@ -269,52 +267,40 @@ def _as_text(source):
 
 @contextmanager
 def _text_lines(source):
-    """(lines, all_lines) of a path or stream: an iterator over its lines as
-    `_as_text(source).split("\\n")` lists them, and a function that lists
-    them all, only to name a refused row. A path is opened once. A seekable
-    file is read in blocks after a byte scan that refuses it as `_as_text`
-    would, so neither its text nor its list of lines is held; a stream or a
-    pipe is read whole."""
+    """(blocks, all_lines) of a path or stream: an iterator over lists of its
+    lines, which joined are `_as_text(source).split("\\n")`, and a function that
+    lists them all, only on a refusal. A seekable path is opened once
+    and read once, in blocks, so its text is never held; a refusal re-reads it
+    whole through `_as_text`, so that bad UTF-8 or a NUL anywhere outranks the
+    refusal. A stream or a pipe is read whole."""
     with ExitStack() as stack:
         if isinstance(source, (str, os.PathLike)):
             source = stack.enter_context(open(source, "rb"))
             if source.seekable():
-                _scan_text(source)
-                source.seek(0)
-                # universal newlines and no BOM, as _as_text
+                # strict UTF-8, universal newlines and no BOM, as _as_text
                 text = stack.enter_context(io.TextIOWrapper(source, encoding="utf-8-sig"))
 
                 def all_lines():
                     source.seek(0)
                     return _as_text(source).split("\n")
 
-                yield chain.from_iterable(_line_blocks(text)), all_lines
+                try:
+                    yield _line_blocks(text), all_lines
+                except (ValueError, BiorightError):
+                    all_lines()
+                    raise
                 return
         lines = _as_text(source).split("\n")
-        yield iter(lines), lambda: lines
-
-
-def _scan_text(f):
-    """Read the binary file `f` in blocks; if it holds a NUL or is not UTF-8,
-    raise the error that `_as_text` raises for it, naming its line."""
-    decode = codecs.getincrementaldecoder("utf-8")().decode
-    try:
-        while (block := f.read(READ_BLOCK)) and b"\0" not in block:
-            decode(block)
-        decode(b"", final=True)  # a character cut off by the end of the file
-        refused = bool(block)  # the scan stopped at a NUL
-    except UnicodeDecodeError:
-        refused = True
-    if refused:
-        f.seek(0)
-        _as_text(f)
+        yield iter([lines]), lambda: lines
 
 
 def _line_blocks(f):
-    """The lines of a text file as one list per READ_BLOCK characters; a line
-    that spans blocks is joined once, when its end is read."""
+    """The lines of a text file, one list per READ_BLOCK characters, a line that
+    spans blocks joined once; a NUL raises a ParseError that _text_lines replaces."""
     head = []
     while block := f.read(READ_BLOCK):
+        if "\0" in block:
+            raise ParseError("NUL character")
         lines = block.split("\n")
         head.append(lines[0])
         if len(lines) > 1:

@@ -117,7 +117,7 @@ class TestScale:
         code = run(["scale", "--input", str(src), "--output", str(out),
                     "--target-duration", "225", "--step-metrics"])
         assert code == 0
-        scaled = traj.read_trajectory_csv(open(out))
+        scaled = traj.read_trajectory_csv(out)
         assert scaled.duration == pytest.approx(225.0, rel=1e-9)
         captured = capsys.readouterr().out
         assert "rise_time_s=" in captured
@@ -131,7 +131,7 @@ class TestScale:
         out = tmp_path / "sms.csv"
         run(["scale", "--input", str(src), "--output", str(out),
              "--target-duration", "225"])
-        scaled = traj.read_trajectory_csv(open(out))
+        scaled = traj.read_trajectory_csv(out)
         k = 225.0 / 0.150
         assert np.max(np.abs(scaled.rate - tr.rate / k)) < 1e-9
 
@@ -849,6 +849,28 @@ class TestSameOutputFromCsvAndJson:
             for what in self.COMMANDS:
                 assert out[what, dim, "csv"] == out[what, dim, "json"], (what, dim)
         assert out["body", "2d", "csv"] == out["body", "3d", "csv"]
+
+
+def test_bench_record_refuses_a_checkout_holding_bytecode(tmp_path, monkeypatch, capsys):
+    path = Path(__file__).resolve().parents[1] / "tools" / "bench_record.py"
+    spec = importlib.util.spec_from_file_location("bench_record", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    checkout = tmp_path / "checkout"
+    cached = checkout / "src" / "bioright" / "__pycache__"
+    cached.mkdir(parents=True)
+    (cached / "cli.cpython-311.pyc").write_bytes(b"")
+    (checkout / "BENCHMARK.json").write_text((path.parents[1] / "BENCHMARK.json").read_text())
+    monkeypatch.setattr(tool, "ROOT", tmp_path)
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+    monkeypatch.setattr(tool.subprocess, "run", no_run)
+    with pytest.raises(SystemExit) as refused:
+        tool.main(["99", "--checkout", str(checkout)])
+    assert refused.value.code != 0
+    assert str(cached) in str(refused.value.code)
+    assert not list(tmp_path.rglob("BENCH_*.json"))
 
 
 def test_canonical_outputs_file_list(tmp_path):

@@ -1469,21 +1469,24 @@ def load_new(text):
                                   frame_rate=1000.0)
 
 
-def csv_loaders(tmp_path):
-    """load_new, and load_dataset of a file and of a pipe holding the same
-    text in UTF-8; a pipe is named by its /dev/fd path, as a shell names
+def byte_loaders(tmp_path):
+    """load_dataset of the same bytes from a binary stream, a file and a
+    pipe; a pipe is named by its /dev/fd path, as a shell names
     `<(zcat tracks.csv.gz)`."""
-    def from_path(text):
+    def from_binary_stream(data):
+        return keypoints.load_dataset(io.BytesIO(data), format="csv", frame_rate=1000.0)
+
+    def from_path(data):
         path = tmp_path / "loaded.csv"
-        path.write_bytes(text.encode())
+        path.write_bytes(data)
         return keypoints.load_dataset(path, format="csv", frame_rate=1000.0)
 
-    def from_pipe(text):
+    def from_pipe(data):
         read_end, write_end = os.pipe()
 
         def write():
             with open(write_end, "wb") as f:
-                f.write(text.encode())
+                f.write(data)
         writer = threading.Thread(target=write)
         writer.start()
         try:
@@ -1492,10 +1495,19 @@ def csv_loaders(tmp_path):
         finally:
             writer.join()
             os.close(read_end)
-    loaders = {"stream": load_new, "path": from_path}
+    loaders = {"binary_stream": from_binary_stream, "path": from_path}
     if os.path.isdir("/dev/fd"):
         loaders["pipe"] = from_pipe
     return loaders
+
+
+def csv_loaders(tmp_path):
+    """load_new, and load_dataset of a file and of a pipe holding the same
+    text in UTF-8."""
+    loaders = byte_loaders(tmp_path)
+    del loaders["binary_stream"]
+    return {"stream": load_new, **{name: (lambda text, load=load: load(text.encode()))
+                                   for name, load in loaders.items()}}
 
 
 def benchmark_recording(tmp_path, seed, frames=2000):
@@ -1644,6 +1656,7 @@ def test_csv_load_peak_memory_is_a_few_times_the_file(tmp_path):
 
 #: Rows that put what follows them a few read blocks into the file.
 PAD = ("0,1,Neck,1,2,1\n" * (3 * traj.READ_BLOCK // 15)).encode()
+PAD_LINES = PAD.count(b"\n")
 
 #: Files whose UTF-8 is cut or broken: the decode error precedes the bad
 #: header, the bad row and the NUL before it, and it is raised alike
@@ -1711,12 +1724,112 @@ def test_csv_path_and_stream_agree_on_random_files(tmp_path, monkeypatch):
                         EmptyDataset, UnicodeDecodeError}
 
 
-def test_csv_quoted_field_across_lines_loads_alike_from_path_and_stream(tmp_path):
-    # numpy joins the lines of a quoted field that spans them; the lines a
-    # path yields carry no "\n", like those of a stream, so the join is the same
-    text = H2 + '0,1,"Ne\nck",1,2,1\n1,1,Neck,"3\n5",4,1\n'
-    loads = csv_loaders(tmp_path)
-    assert_same_dataset(loads["path"](text), loads["stream"](text))
+#: (case, text, error class, message) of quoted fields. A data line that
+#: leaves a quoted field open is refused on the line the quote opens on,
+#: where numpy joined it to the next line; it is a parse fault, so the first
+#: of it and a bad number wins, and it outranks the fault table. A quote
+#: that closes, or that does not open a field, is read as before.
+QUOTES = [
+    ("name_then_number", H2 + '0,1,"Ne\nck",1,2,1\n1,1,Neck,"3\n5",4,1\n', ParseError,
+     "line 2: quoted field not closed on its line"),
+    ("name", H2 + '0,1,"Ne\nck",1,2,1\n', ParseError,
+     "line 2: quoted field not closed on its line"),
+    ("number", H2 + '0,1,Neck,1,2,1\n1,1,Neck,"3\n5",4,1\n', ParseError,
+     "line 3: quoted field not closed on its line"),
+    ("before_a_bad_visible",
+     H2 + '0,1,Neck,1,2,1\n1,1,"Ne\nck",1,2,1\n2,1,Neck,1,2,1\n3,1,Neck,1,2,7\n',
+     ParseError, "line 3: quoted field not closed on its line"),
+    ("on_the_last_line", H2 + '0,1,Neck,1,2,"1', ParseError,
+     "line 2: quoted field not closed on its line"),
+    ("after_an_escaped_quote", H2 + '0,1,"Ne""ck,1,2,1\n2,1,Neck,1,2,1\n', ParseError,
+     "line 2: quoted field not closed on its line"),
+    ("after_blank_lines", H2 + '0,1,Neck,1,2,1\n\n\n1,1,Neck,1,"2\n\n,1\n', ParseError,
+     "line 5: quoted field not closed on its line"),
+    ("blocks_deep", H2 + PAD.decode() + '1,1,"Ne\nck",1,2,1\n', ParseError,
+     f"line {2 + PAD_LINES}: quoted field not closed on its line"),
+    ("after_a_bad_header", "frame,id\n" + '0,1,"Ne\nck",1,2,1\n', ParseError,
+     "unexpected header ['frame', 'id']"),
+    ("after_a_bad_number", H2 + '0,1,Neck,x,2,1\n1,1,"Ne\nck",1,2,1\n', ParseError,
+     "line 2: bad number in '0,1,Neck,x,2,1'"),
+    ("before_a_bad_number", H2 + '0,1,"Ne\nck",1,2,1\n1,1,Neck,x,2,1\n', ParseError,
+     "line 2: quoted field not closed on its line"),
+    ("before_a_wrong_field_count", H2 + '0,1,"Ne\nck",1,2,1\n1,1,Neck,1,2\n', ParseError,
+     "line 2: quoted field not closed on its line"),
+    ("after_a_bad_id", H2 + '0,25,Neck,1,2,1\n1,1,"Ne\nck",1,2,1\n', ParseError,
+     "line 3: quoted field not closed on its line"),
+    ("after_a_duplicate", H2 + '0,1,Neck,1,2,1\n0,1,Neck,1,2,1\n1,1,Neck,"1\n', ParseError,
+     "line 4: quoted field not closed on its line"),
+    ("stray_quote", H2 + '0,1,Ne"ck,1,2,1\n', SchemaError,
+     "line 2: unknown keypoint name 'Ne\"ck' for id 1"),
+    ("escaped_quote", H2 + '0,1,"Ne""ck",1,2,1\n', SchemaError,
+     "line 2: unknown keypoint name 'Ne\"ck' for id 1"),
+]
+
+
+@pytest.mark.parametrize("text, error, message", [case[1:] for case in QUOTES],
+                         ids=[case[0] for case in QUOTES])
+def test_csv_quoted_field_across_lines_refused_alike(tmp_path, capsys, text, error, message):
+    # the csv.reader oracle joins such lines by design, so it is not asked
+    for load in csv_loaders(tmp_path).values():
+        with pytest.raises(error) as got:
+            load(text)
+        assert str(got.value) == message
+    path = tmp_path / "quoted.csv"
+    path.write_text(text)
+    assert cli.main(["metrics", "--input", str(path), "--frame-rate", "1000",
+                     "--output", str(tmp_path / "report.csv")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+#: A NUL or bad UTF-8 some read blocks after an earlier fault outranks it:
+#: (case, bytes, error class, line named or None).
+LATE_TEXT_FAULTS = {
+    "nul_after_a_bad_header": (b"frame,id\n" + PAD + b"0,1,Neck\0,1,2,1\n", ParseError,
+                               2 + PAD_LINES),
+    "nul_after_a_bad_number": ((H2 + "0,1,Neck,x,2,1\n").encode() + PAD + b"1,1,Neck,1,2,1\0\n",
+                               ParseError, 3 + PAD_LINES),
+    "nul_after_a_duplicate": ((H2 + "0,1,Neck,1,2,1\n0,1,Neck,1,2,1\n").encode() + PAD + b"\0",
+                              ParseError, 4 + PAD_LINES),
+    "nul_after_an_open_quote": ((H2 + '0,1,"Ne\nck",1,2,1\n').encode() + PAD + b"\0\n",
+                                ParseError, 4 + PAD_LINES),
+    "bad_utf8_after_a_bad_header": (b"frame,id\n" + PAD + b"0,1,Ne\xffck,1,2,1\n",
+                                    UnicodeDecodeError, None),
+    "bad_utf8_after_a_bad_number": ((H2 + "0,1,Neck,1,x,1\n").encode() + PAD + b"\xc3(\n",
+                                    UnicodeDecodeError, None),
+    "bad_utf8_after_a_duplicate": ((H2 + "0,1,Neck,1,2,1\n0,1,Neck,1,2,1\n").encode() + PAD
+                                   + b"\xe2\x82", UnicodeDecodeError, None),
+}
+
+
+@pytest.mark.parametrize("data, error, line", LATE_TEXT_FAULTS.values(), ids=LATE_TEXT_FAULTS)
+def test_csv_late_nul_or_bad_utf8_outranks_an_earlier_fault(tmp_path, data, error, line):
+    assert len(data) > 3 * traj.READ_BLOCK
+    messages = set()
+    for load in byte_loaders(tmp_path).values():
+        with pytest.raises(error) as got:
+            load(data)
+        assert type(got.value) is error
+        assert line_of(got.value) == line
+        messages.add(str(got.value))
+    assert len(messages) == 1
+
+
+def test_csv_path_read_once(tmp_path, monkeypatch):
+    # a valid path is read in blocks only: the whole-text reader that names
+    # a refusal is never called, and a file without a quote checks no line
+    def refused(*args):
+        raise AssertionError("not read in one pass")
+    text = benchmark_recording(tmp_path, 11, frames=200)
+    want = load_new(text)
+    monkeypatch.setattr(traj, "_as_text", refused)
+    monkeypatch.setattr(keypoints, "_open_quote", refused)
+    load_path = csv_loaders(tmp_path)["path"]
+    assert_same_dataset(load_path(text), want)
+    monkeypatch.undo()
+    monkeypatch.setattr(traj, "_as_text", refused)
+    quoted = text.replace(",Neck,", ',"Neck",')
+    assert quoted != text
+    assert_same_dataset(load_path(quoted), want)
 
 
 def test_json_load_peak_memory_is_a_few_times_the_text(tmp_path):

@@ -14,7 +14,11 @@ repository:
 - the traced run's per-layer values, and the operations attempted and failed.
 
 A run that exits non-zero, or whose outputs fail run.py's own checks
-(`"correct": false`), stops the recording.
+(`"correct": false`), stops the recording. So does `__pycache__` bytecode
+under the checkout's `src/`, before any run: run.py times `import
+bioright.cli` in fresh interpreters, and cached bytecode lowers that
+`setup_s` by about 15 %, so only bytecode-free checkouts are recorded, and
+every run has PYTHONDONTWRITEBYTECODE=1 so that none is written.
 """
 
 import argparse
@@ -46,7 +50,8 @@ def _run(checkout, workload, seconds, trace):
     done = subprocess.run(
         [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", workload,
          "--seed", str(SEED), "--seconds", str(seconds), "--trace", str(trace)],
-        cwd=checkout, capture_output=True, text=True)
+        cwd=checkout, capture_output=True, text=True,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
     if done.returncode != 0:
         sys.exit(f"{workload} --trace {trace} exited {done.returncode}:\n{done.stderr}")
     lines = done.stdout.splitlines()
@@ -58,6 +63,9 @@ def _run(checkout, workload, seconds, trace):
 
 
 def record(checkout):
+    if cached := sorted((checkout / "src").rglob("__pycache__")):
+        sys.exit("remove the bytecode under src/ first, it lowers setup_s:\n"
+                 + "\n".join(map(str, cached)))
     spec = json.loads((checkout / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     sha = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout,
