@@ -851,7 +851,7 @@ class TestSameOutputFromCsvAndJson:
         assert out["body", "2d", "csv"] == out["body", "3d", "csv"]
 
 
-def test_bench_record_refuses_a_checkout_holding_bytecode(tmp_path, monkeypatch, capsys):
+def test_bench_record_refuses_a_checkout_holding_bytecode(tmp_path, monkeypatch):
     path = Path(__file__).resolve().parents[1] / "tools" / "bench_record.py"
     spec = importlib.util.spec_from_file_location("bench_record", path)
     tool = importlib.util.module_from_spec(spec)
@@ -860,7 +860,6 @@ def test_bench_record_refuses_a_checkout_holding_bytecode(tmp_path, monkeypatch,
     cached = checkout / "src" / "bioright" / "__pycache__"
     cached.mkdir(parents=True)
     (cached / "cli.cpython-311.pyc").write_bytes(b"")
-    (checkout / "BENCHMARK.json").write_text((path.parents[1] / "BENCHMARK.json").read_text())
     monkeypatch.setattr(tool, "ROOT", tmp_path)
 
     def no_run(*args, **kwargs):
