@@ -7,12 +7,18 @@ output. Exit codes: 0 success, 2 input/parse, 3 empty/sparse data,
 """
 
 import argparse
-import hashlib
 import json
 import math
 import sys
 import time
 from pathlib import Path
+try:  # the built-in SHA-256: hashlib would map OpenSSL into every command
+    from _sha2 import sha256  # Python >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:  # an interpreter built without the built-in hashes
+        from hashlib import sha256
 
 import numpy as np
 
@@ -36,10 +42,12 @@ SEGMENT_NAMES = {s.value: s for s in frames.Segment}
 
 
 def _digest(*paths):
-    h = hashlib.sha256()
+    h = sha256()
     for p in paths:
-        if p is not None and Path(p).exists():
-            h.update(Path(p).read_bytes())
+        if p is not None:
+            with open(p, "rb") as f:
+                while block := f.read(traj.READ_BLOCK):
+                    h.update(block)
     return h.hexdigest()
 
 

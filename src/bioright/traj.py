@@ -9,6 +9,7 @@ import math
 import os
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field, replace
+from functools import cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -31,7 +32,7 @@ MAX_SAMPLES = 10_000_000
 #: Rows per formatting call of `format_rows`, which bounds its memory.
 WRITE_BLOCK = 1024
 
-#: Characters per read of `_text_lines`, which bounds its memory.
+#: Characters per read of `_text_lines` (bytes of `cli._digest`), which bounds memory.
 READ_BLOCK = 1 << 16
 
 
@@ -280,6 +281,7 @@ def _text_lines(source):
                 # strict UTF-8, universal newlines and no BOM, as _as_text
                 text = stack.enter_context(io.TextIOWrapper(source, encoding="utf-8-sig"))
 
+                @cache  # a refusal reads the file whole once
                 def all_lines():
                     source.seek(0)
                     return _as_text(source).split("\n")

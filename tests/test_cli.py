@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import os
@@ -229,6 +230,63 @@ def run_subprocess(argv):
                           capture_output=True, text=True, env=env, timeout=60)
     assert not re.search(r":\d+: \w*Warning: ", proc.stderr), proc.stderr
     return proc
+
+
+class TestManifestDigest:
+    """config_digest is the SHA-256 of the config's bytes, then each input's,
+    from the interpreter's built-in SHA-256 rather than OpenSSL's."""
+
+    def test_import_loads_no_openssl(self):
+        if not any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256")):
+            pytest.skip("this interpreter has no built-in SHA-256 module, "
+                        "so the CLI falls back to hashlib")
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, bioright.cli; "
+             "print(sorted({'_hashlib', 'hashlib'} & set(sys.modules)))"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_simulate_config_then_reference(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(COAXIAL_CONFIG)
+        ref = tmp_path / "ref.csv"
+        with open(ref, "w") as f:
+            traj.write_trajectory_csv(traj.synth_second_order(13.85, 64.5, 225.0, 0.5), f)
+        out = tmp_path / "sim.csv"
+        assert run(["simulate", "--config", str(cfg), "--reference", str(ref),
+                    "--output", str(out)]) == 0
+        manifest = json.loads(out.with_suffix(".manifest.json").read_text())
+        want = hashlib.sha256(cfg.read_bytes() + ref.read_bytes()).hexdigest()
+        assert manifest["config_digest"] == want
+
+    def test_metrics_input_of_several_read_blocks(self, tmp_path):
+        data = tmp_path / "tracks.csv"
+        data.write_text(full_csv_dataset(frame_count=200))
+        assert data.stat().st_size > 2 * traj.READ_BLOCK
+        out = tmp_path / "report.csv"
+        assert run(["metrics", "--input", str(data), "--output", str(out),
+                    "--frame-rate", "1000"]) == 0
+        manifest = json.loads(out.with_suffix(".manifest.json").read_text())
+        assert manifest["config_digest"] == hashlib.sha256(data.read_bytes()).hexdigest()
+
+    def test_demo_digests_nothing(self, tmp_path):
+        out = tmp_path / "demo"
+        assert run(["demo", "--output-dir", str(out), "--dt", "0.5",
+                    "--resolution", "2"]) == 0
+        manifest = json.loads((out / "reference.manifest.json").read_text())
+        assert manifest["inputs"] == []
+        assert manifest["config_digest"] == hashlib.sha256(b"").hexdigest()
+        assert manifest["config_digest"].startswith("e3b0c442")
+
+    def test_missing_input_raises(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(COAXIAL_CONFIG)
+        with pytest.raises(FileNotFoundError):
+            cli._digest(cfg, tmp_path / "gone.csv")
+        assert cli._digest(None, cfg) == hashlib.sha256(cfg.read_bytes()).hexdigest()
 
 
 class TestScaleSingleRow:
