@@ -279,7 +279,6 @@ class TestManifestDigest:
         manifest = json.loads((out / "reference.manifest.json").read_text())
         assert manifest["inputs"] == []
         assert manifest["config_digest"] == hashlib.sha256(b"").hexdigest()
-        assert manifest["config_digest"].startswith("e3b0c442")
 
     def test_missing_input_raises(self, tmp_path):
         cfg = tmp_path / "run.cfg"
