@@ -948,6 +948,8 @@ def test_canonical_outputs_file_list(tmp_path):
                  "tracks.csv", "truth.json", "2d.json", "3d.csv", "3d.json")),
              *(f"inputs/replay/{name}"
                for name in ("lizard.csv", "planar.cfg", "truth.json"))}
+    want |= {f"stdout/{Path(name).stem}.txt" for name in want
+             if "/" not in name and not name.endswith(".json")} | {"stdout/demo.txt"}
     files = [p for p in (tmp_path / "out").rglob("*") if p.is_file()]
     assert {p.relative_to(tmp_path / "out").as_posix() for p in files} == want
     assert all(p.stat().st_size for p in files)
@@ -957,3 +959,11 @@ def test_canonical_outputs_file_list(tmp_path):
         for dim in ("2d", "3d"):
             assert read[f"{what}_{dim}_csv.csv"] == read[f"{what}_{dim}_json.csv"], (what, dim)
     assert read["Body_2d_csv.csv"] == read["Body_3d_csv.csv"]
+    # every file, stdout included, is byte for byte the one the digests were made from
+    digests = Path(__file__).with_name("canonical_outputs.sha256").read_text().splitlines()
+    made_with = digests.pop(0).removeprefix("# numpy ")
+    if made_with != (numpy := ".".join(np.__version__.split(".")[:2])):
+        pytest.skip(f"canonical digests were made with numpy {made_with}, this is "
+                    f"numpy {numpy}: its float loops may differ in the last bit")
+    got = {f"{hashlib.sha256(data).hexdigest()}  {name}" for name, data in read.items()}
+    assert sorted(got ^ set(digests)) == []

@@ -13,15 +13,19 @@ from `bioright.cli.main`:
 - PlanarOffset `simulate` in both modes and `sweep --resolution 4` on it;
 - `demo --resolution 4`.
 
-The run manifests carry a timestamp and are deleted, so `diff -r` of two
-output sets is empty when the code gives the same bytes. `bioright` is
+Each command's stdout is written to OUTDIR/stdout/<output name>.txt, with
+OUTDIR for the directory's path. The run manifests carry a timestamp and
+are deleted, so `diff -r` of two output sets is empty when the code gives
+the same bytes; tests/canonical_outputs.sha256 holds each file's digest. `bioright` is
 imported from PYTHONPATH first and from this repository's src/ after it:
 `PYTHONPATH=other/src python tools/canonical_outputs.py OUT` writes the
 set of another checkout.
 """
 
 import argparse
+import contextlib
 import importlib.util
+import io
 import sys
 from pathlib import Path
 
@@ -44,14 +48,20 @@ def _perfbench_gen():
 
 
 def _run(*argv):
+    """`bioright *argv`, whose last argument is its output in OUTDIR."""
     argv = [str(arg) for arg in argv]
-    code = cli.main(argv)
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        code = cli.main(argv)
     if code != 0:
         raise SystemExit(f"bioright {' '.join(argv)} exited {code}")
+    output = Path(argv[-1])
+    (output.parent / "stdout").mkdir(exist_ok=True)
+    (output.parent / "stdout" / f"{output.stem}.txt").write_text(
+        stdout.getvalue().replace(str(output.parent), "OUTDIR"))
 
 
 def write_outputs(out):
-    out = Path(out)
+    out = Path(out).resolve()  # so that OUTDIR is a whole absolute path in stdout
     rec, rep = out / "inputs" / "recording", out / "inputs" / "replay"
     rec.mkdir(parents=True)
     rep.mkdir()
