@@ -66,9 +66,14 @@ def _write_manifest(command, inputs, outputs, config=None):
 
 
 def _load_dataset_arg(args):
-    fmt = "json" if str(args.input).endswith(".json") else "csv"
-    kwargs = {} if fmt == "json" else {"frame_rate": args.frame_rate}
-    return keypoints.load_dataset(args.input, format=fmt, **kwargs)
+    """A .json input names its own frame rate, which a --frame-rate must equal."""
+    if not str(args.input).endswith(".json"):
+        return keypoints.load_dataset(args.input, format="csv", frame_rate=args.frame_rate)
+    dataset = keypoints.load_dataset(args.input, format="json")
+    if args.frame_rate not in (None, dataset.frame_rate):
+        raise ValueError(f"--frame-rate {args.frame_rate!r} differs from the input's "
+                         f"frame_rate {dataset.frame_rate!r}")
+    return dataset
 
 
 def cmd_metrics(args):

@@ -145,9 +145,7 @@ def segment_series(dataset, segment):
     if not valid.any():
         raise NoValidFrames(f"no valid frames for {segment.value}")
     times = np.arange(dataset.frame_count) / dataset.frame_rate
-    return _series(segment, times, R[valid], valid,
-                   {"tail_x_direction": "vent_to_tip",
-                    "hip_y_temp_direction": "left_to_right"})
+    return _series(segment, times, R[valid], valid, {})
 
 
 def relative_leg_series(leg, body):

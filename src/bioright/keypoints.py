@@ -2,18 +2,21 @@
 re-association, gap interpolation, and the planar pixel-to-world map."""
 
 import csv
+import io
 import json
 import math
 import operator
+import os
 import warnings
 from dataclasses import dataclass, replace
 from itertools import chain
 
 import numpy as np
 
-from .errors import (AlreadyWorldUnits, EmptyDataset, ParseError,
+from . import traj
+from .errors import (AlreadyWorldUnits, BiorightError, EmptyDataset, ParseError,
                      SchemaError, TooSparse)
-from .traj import _as_text, _text_lines, format_rows
+from .traj import _as_text, format_rows
 
 #: Canonical keypoint names, id 1..23.
 KEYPOINT_NAMES = {
@@ -155,8 +158,27 @@ def load_dataset(source, format="csv", frame_rate=None):
         raise ValueError(f"unknown format {format!r}")
     if frame_rate is None:
         raise SchemaError("frame_rate is required for CSV input (never inferred)")
-    with _text_lines(source) as (blocks, all_lines):
-        return _parse_csv(chain.from_iterable(_quotes_closed(blocks)), frame_rate, all_lines)
+    if isinstance(source, (str, os.PathLike)):
+        with open(source, "rb") as f:
+            if f.seekable():  # parsed in read blocks, so its text is never held
+                text = io.TextIOWrapper(f, encoding="utf-8-sig")  # strict, as _as_text
+                try:
+                    return _parse_csv(chain.from_iterable(_quotes_closed(
+                        traj._line_blocks(text))), frame_rate, _refused)
+                except (ValueError, BiorightError):
+                    f.seek(0)  # parsed again whole, as a stream, to name the refusal
+                finally:
+                    text.detach()
+            return load_dataset(f, format, frame_rate)
+    lines = traj._as_text(source).split("\n")
+    return _parse_csv(chain.from_iterable(_quotes_closed(iter([lines]))), frame_rate,
+                      lambda: lines)
+
+
+def _refused():
+    """all_lines() of a parse in read blocks, which leaves naming a refusal to
+    a parse of the whole text: bad UTF-8 or a NUL anywhere outranks it."""
+    raise ValueError("refused")
 
 
 def _quotes_closed(blocks):
@@ -267,6 +289,8 @@ def _scatter(names, kid, frame, coords, visible, frame_count):
     if frame_count > MAX_FRAMES:
         raise SchemaError(f"recording spans {frame_count} frames, "
                           f"more than MAX_FRAMES = {MAX_FRAMES}")
+    if frame_count < 0:
+        raise SchemaError(f"frame_count must not be negative, got {frame_count}")
     outside = (frame < 0) | (frame >= frame_count)
     if outside.any():
         raise SchemaError(f"track {kid[outside][0]}: frame index outside "

@@ -1,20 +1,17 @@
 """Angle-trajectory utilities: differentiation, smoothing, time-scaling,
 step-response characterization, a second-order surrogate generator used
 as the canonical reference input for simulation, CSV row blocks, and the
-text readers of every input file: the whole text of a file or stream, or
-the lines of a seekable file read once, in blocks."""
+text readers of every input file: the whole text of a file or stream, and
+the lines of a text file, in blocks."""
 
-import io
 import math
 import os
-from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field, replace
-from functools import cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import BadWindow, BiorightError, NoStep, OutOfDomain, ParseError, TooShort, Unreachable
+from .errors import BadWindow, NoStep, OutOfDomain, ParseError, TooShort, Unreachable
 
 #: Tolerance on grid uniformity: GRID_TOL seconds plus GRID_RTOL max|t|, as
 #: times written with %.9g are off by <= 5e-9 |t| and two steps by <= 2e-8 max|t|.
@@ -32,7 +29,7 @@ MAX_SAMPLES = 10_000_000
 #: Rows per formatting call of `format_rows`, which bounds its memory.
 WRITE_BLOCK = 1024
 
-#: Characters per read of `_text_lines` (bytes of `cli._digest`), which bounds memory.
+#: Characters per read of `_line_blocks` (bytes of `cli._digest`), which bounds memory.
 READ_BLOCK = 1 << 16
 
 
@@ -266,39 +263,9 @@ def _as_text(source):
     return data
 
 
-@contextmanager
-def _text_lines(source):
-    """(blocks, all_lines) of a path or stream: an iterator over lists of its
-    lines, which joined are `_as_text(source).split("\\n")`, and a function that
-    lists them all, only on a refusal. A seekable path is opened once
-    and read once, in blocks, so its text is never held; a refusal re-reads it
-    whole through `_as_text`, so that bad UTF-8 or a NUL anywhere outranks the
-    refusal. A stream or a pipe is read whole."""
-    with ExitStack() as stack:
-        if isinstance(source, (str, os.PathLike)):
-            source = stack.enter_context(open(source, "rb"))
-            if source.seekable():
-                # strict UTF-8, universal newlines and no BOM, as _as_text
-                text = stack.enter_context(io.TextIOWrapper(source, encoding="utf-8-sig"))
-
-                @cache  # a refusal reads the file whole once
-                def all_lines():
-                    source.seek(0)
-                    return _as_text(source).split("\n")
-
-                try:
-                    yield _line_blocks(text), all_lines
-                except (ValueError, BiorightError):
-                    all_lines()
-                    raise
-                return
-        lines = _as_text(source).split("\n")
-        yield iter([lines]), lambda: lines
-
-
 def _line_blocks(f):
     """The lines of a text file, one list per READ_BLOCK characters, a line that
-    spans blocks joined once; a NUL raises a ParseError that _text_lines replaces."""
+    spans blocks joined once; a NUL raises a ParseError that a whole read replaces."""
     head = []
     while block := f.read(READ_BLOCK):
         if "\0" in block:

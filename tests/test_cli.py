@@ -767,6 +767,42 @@ class TestJsonIntegerFieldsExit2:
         assert proc.stderr.startswith("error: frame_rate must be a JSON number")
         assert not out.exists()
 
+    def test_negative_frame_count(self, tmp_path, capsys):
+        src, out = tmp_path / "rec.json", tmp_path / "report.csv"
+        src.write_text('{"frame_rate": 1000, "frame_count": -1, "unit": "pixel", '
+                       '"tracks": [{"id": 1, "name": "Neck", "samples": []}]}')
+        assert run(["metrics", "--input", str(src), "--output", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            "error: frame_count must not be negative, got -1\n"
+        assert not list(tmp_path.glob("report*"))
+
+
+class TestJsonFrameRateArgument:
+    """A JSON input names its frame rate: a --frame-rate must equal it."""
+
+    @pytest.mark.parametrize("command", [["metrics"], ["reconstruct", "--segment", "Body"]])
+    def test_differing_rate_exit_2(self, tmp_path, capsys, command):
+        src, out = tmp_path / "rec.json", tmp_path / "out.csv"
+        with open(src, "w") as f:
+            keypoints.save_dataset(yawing_lizard(), f, format="json")
+        assert run([*command, "--input", str(src), "--frame-rate", "7",
+                    "--output", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            "error: --frame-rate 7.0 differs from the input's frame_rate 1000.0\n"
+        assert not list(tmp_path.glob("out*"))
+
+    @pytest.mark.parametrize("command", [["metrics"], ["reconstruct", "--segment", "Body"]])
+    def test_equal_rate_same_bytes(self, tmp_path, command):
+        src = tmp_path / "rec.json"
+        with open(src, "w") as f:
+            keypoints.save_dataset(yawing_lizard(), f, format="json")
+        out = {}
+        for name, rate in (("none", []), ("equal", ["--frame-rate", "1000"])):
+            dst = tmp_path / f"{name}.csv"
+            assert run([*command, "--input", str(src), *rate, "--output", str(dst)]) == 0
+            out[name] = dst.read_bytes()
+        assert out["equal"] == out["none"]
+
 
 class TestWindowMsTwoFiniteNumbers:
     """--window-ms is two finite numbers A:B; anything else exits 2 naming

@@ -1832,28 +1832,32 @@ def test_csv_path_read_once(tmp_path, monkeypatch):
     assert_same_dataset(load_path(quoted), want)
 
 
-@pytest.mark.parametrize("lineno", [1, 3001])
-def test_csv_refused_path_read_whole_once(tmp_path, monkeypatch, lineno):
+@pytest.mark.parametrize("lineno, duplicate", [(1, False), (3001, False), (3001, True)],
+                         ids=["1", "3001", "3001_duplicate"])
+def test_csv_refused_path_read_whole_once(tmp_path, monkeypatch, lineno, duplicate):
     # a refusal reads the file whole once, both to name its line and to let
     # bad UTF-8 or a NUL anywhere outrank it: here a bad header, and a bad
-    # number on line 3 001 of 5 001, several read blocks deep
+    # number on line 3 001 of 5 001, several read blocks deep, and a
+    # duplicate (frame, keypoint) row there, a fault-table refusal
     lines = benchmark_recording(tmp_path, 11, frames=300).split("\n")[:5001]
     assert len(lines) == 5001
     fields = lines[lineno - 1].split(",")
     fields[3] = "u"  # the header's x, or a row's x coordinate
-    lines[lineno - 1] = ",".join(fields)
+    lines[lineno - 1] = lines[lineno - 2] if duplicate else ",".join(fields)
     text = "\n".join(lines) + "\n"
     assert len(text) > 3 * traj.READ_BLOCK
-    with pytest.raises(ParseError) as from_stream:
+    error = SchemaError if duplicate else ParseError
+    with pytest.raises(error) as from_stream:
         load_new(text)
     calls = []
     as_text = traj._as_text
     monkeypatch.setattr(traj, "_as_text", lambda source: calls.append(source) or as_text(source))
-    with pytest.raises(ParseError) as from_path:
+    with pytest.raises(error) as from_path:
         csv_loaders(tmp_path)["path"](text)
     assert len(calls) == 1
     assert str(from_path.value) == str(from_stream.value)
-    assert str(from_path.value).startswith("line 3001: bad number" if lineno > 1
+    assert str(from_path.value).startswith("line 3001: duplicate (frame " if duplicate
+                                           else "line 3001: bad number" if lineno > 1
                                            else "unexpected header")
 
 
