@@ -16,8 +16,9 @@ from `bioright.cli.main`:
 Each command's stdout is written to OUTDIR/stdout/<output name>.txt, with
 OUTDIR for the directory's path. The run manifests carry a timestamp and
 are deleted, so `diff -r` of two output sets is empty when the code gives
-the same bytes; tests/canonical_outputs.sha256 holds each file's digest. `bioright` is
-imported from PYTHONPATH first and from this repository's src/ after it:
+the same bytes; tests/canonical_outputs.sha256 holds each file's digest.
+`bioright` is imported from PYTHONPATH first and from this repository's
+src/ after it:
 `PYTHONPATH=other/src python tools/canonical_outputs.py OUT` writes the
 set of another checkout.
 """
