@@ -1,11 +1,8 @@
-"""Toolkit for reconstructing rigid-segment orientations from animal
-keypoint tracks and replaying righting motions through a free-floating
-spacecraft-plus-arm simulator."""
+"""Rigid-segment orientations from animal keypoint tracks, and righting
+motions replayed through a free-floating spacecraft-plus-arm simulator.
+`import bioright` loads no submodule; `from bioright import X` loads X."""
 
 __version__ = "0.1.0"
-
-from . import (errors, frames, keypoints, objective, rotmath, smsdyn,
-               track_quality, traj)
 
 __all__ = ["errors", "frames", "keypoints", "objective", "rotmath",
            "smsdyn", "track_quality", "traj", "__version__"]

@@ -22,9 +22,9 @@ except ImportError:
 
 import numpy as np
 
-from . import __version__, frames, keypoints, objective, smsdyn, track_quality, traj
-from .errors import (BiorightError, Diverged, EmptyDataset, ParseError,
-                     SchemaError, TooShort, TooSparse)
+from . import __version__, objective, smsdyn, traj
+from .errors import (BiorightError, Diverged, EmptyDataset, NoValidFrames,
+                     ParseError, SchemaError, TooShort, TooSparse)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -37,8 +37,6 @@ SURROGATE_OVERSHOOT = 13.85
 SURROGATE_RISE = 64.5
 SURROGATE_DURATION = 225.0
 PUBLISHED_SETTLE = 169.5
-
-SEGMENT_NAMES = {s.value: s for s in frames.Segment}
 
 
 def _digest(*paths):
@@ -67,6 +65,7 @@ def _write_manifest(command, inputs, outputs, config=None):
 
 def _load_dataset_arg(args):
     """A .json input names its own frame rate, which a --frame-rate must equal."""
+    from . import keypoints  # the simulator commands never load the keypoint stack
     if not str(args.input).endswith(".json"):
         return keypoints.load_dataset(args.input, format="csv", frame_rate=args.frame_rate)
     dataset = keypoints.load_dataset(args.input, format="json")
@@ -77,6 +76,7 @@ def _load_dataset_arg(args):
 
 
 def cmd_metrics(args):
+    from . import track_quality
     dataset = _load_dataset_arg(args)
     rows = track_quality.stability_report(dataset)
     with open(args.output, "w") as f:
@@ -98,12 +98,15 @@ def _window_s(text):
 
 
 def cmd_reconstruct(args):
+    from . import frames, keypoints
+    if args.segment not in (names := [s.value for s in frames.Segment]):
+        raise ValueError(f"--segment must be one of {', '.join(names)}, got {args.segment!r}")
     dataset = _load_dataset_arg(args)
     if dataset.unit == "pixel":
         calib = keypoints.PlanarCalibration(scale=args.scale,
                                             origin_pixel=(0.0, 0.0))
         dataset = keypoints.pixel_to_world(dataset, calib)
-    segment = SEGMENT_NAMES[args.segment]
+    segment = frames.Segment(args.segment)
     series = frames.segment_series(dataset, segment)
     if args.relative_to_body and segment is not frames.Segment.BODY:
         body = frames.segment_series(dataset, frames.Segment.BODY)
@@ -120,11 +123,11 @@ def cmd_reconstruct(args):
 
 def cmd_scale(args):
     scaled = traj.time_scale(_read_trajectory(args.input), args.target_duration)
+    m = traj.step_metrics(scaled, steady_time=scaled.times[-1]) if args.step_metrics else None
     with open(args.output, "w") as f:
         traj.write_trajectory_csv(scaled, f)
     outputs = [args.output]
-    if args.step_metrics:
-        m = traj.step_metrics(scaled, steady_time=scaled.times[-1])
+    if m is not None:
         for key, value in m.as_dict().items():
             print(f"{key}={value}")
         metrics_path = Path(args.output).with_suffix(".metrics.json")
@@ -224,11 +227,11 @@ def _sweep(resolution, pd_run, cfg, path):
 def cmd_demo(args):
     """`simulate` (both modes) and `sweep` on the defaults, into one directory."""
     cfg, params, reference = _load_run(args)
+    m = traj.step_metrics(reference, steady_time=SURROGATE_DURATION)
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "reference.csv", "w") as f:
         traj.write_trajectory_csv(reference, f)
-    m = traj.step_metrics(reference, steady_time=SURROGATE_DURATION)
     print(f"surrogate: rise={m.rise_time:.2f}s settle={m.settling_time:.2f}s "
           f"overshoot={m.overshoot:.2f}%")
     print(f"published triple: rise={SURROGATE_RISE}s "
@@ -273,7 +276,7 @@ def build_parser():
     p = sub.add_parser("reconstruct", help="segment orientation series")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--segment", required=True, choices=sorted(SEGMENT_NAMES))
+    p.add_argument("--segment", required=True, help="a frames.Segment name, such as Body")
     p.add_argument("--frame-rate", type=float, default=None)
     p.add_argument("--window-ms", default=None, metavar="A:B", type=_window_s)
     p.add_argument("--scale", type=float, default=0.001,
@@ -315,7 +318,7 @@ def build_parser():
 
 #: Exit code of each family of errors, the first match wins.
 EXIT_CODES = (((ParseError, SchemaError, ValueError, OSError), EXIT_PARSE),
-              ((EmptyDataset, TooSparse, TooShort), EXIT_EMPTY),
+              ((EmptyDataset, TooSparse, TooShort, NoValidFrames), EXIT_EMPTY),
               (Diverged, EXIT_DIVERGED), (BiorightError, EXIT_DOMAIN))
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bioright import cli, keypoints, smsdyn, traj
+from bioright import cli, frames, keypoints, smsdyn, traj
 
 from conftest import REST_POSE, full_csv_dataset, csv_text
 from test_fastpaths import benchmark_recording
@@ -232,22 +232,66 @@ def run_subprocess(argv):
     return proc
 
 
+def modules_after(statement):
+    """The names in sys.modules after `statement`, in a fresh interpreter."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", f"{statement}\nimport sys; print(*sorted(sys.modules))"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+class TestImportPerCommand:
+    """`import bioright.cli` loads what the simulator commands use; metrics
+    and reconstruct load the keypoint stack when they run."""
+
+    def test_cli_import_set(self):
+        loaded = modules_after("import bioright.cli")
+        assert {"bioright.traj", "bioright.smsdyn", "bioright.objective"} <= loaded
+        assert not {"bioright.keypoints", "bioright.frames", "bioright.rotmath",
+                    "bioright.track_quality"} & loaded
+        # the manifest hashes with the built-in SHA-256, so no command maps
+        # OpenSSL; an interpreter built without it falls back to hashlib
+        if any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256")):
+            assert not {"hashlib", "_hashlib"} & loaded
+
+    def test_from_bioright_import_loads_the_submodule(self):
+        assert not any(m.startswith("bioright.") for m in modules_after("import bioright"))
+        loaded = modules_after("from bioright import frames, keypoints, track_quality")
+        assert {"bioright.frames", "bioright.rotmath", "bioright.keypoints",
+                "bioright.track_quality"} <= loaded
+        assert "bioright.smsdyn" not in loaded
+        modules_after("import bioright\nfrom bioright import *\n"
+                      "assert all(name in globals() for name in bioright.__all__)")
+
+
+class TestFailedCommandWritesNothing:
+    """A command that fails on its data exits before its first write."""
+
+    def test_scale_step_metrics_of_a_flat_trajectory(self, tmp_path):
+        src = tmp_path / "flat.csv"
+        src.write_text("t,angle_deg,rate_deg_s\n0,1,0\n1,1,0\n2,1,0\n")
+        proc = run_subprocess(["scale", "--input", str(src), "--output",
+                               str(tmp_path / "out.csv"), "--target-duration", "10",
+                               "--step-metrics"])
+        assert proc.returncode == 4
+        assert proc.stderr == "error: initial and final values coincide\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["flat.csv"]
+
+    def test_demo_steady_time_outside_the_reference(self, tmp_path):
+        out = tmp_path / "demo"
+        proc = run_subprocess(["demo", "--dt", "20", "--output-dir", str(out)])
+        assert proc.returncode == 4
+        assert proc.stdout == ""
+        assert proc.stderr == "error: steady_time outside the trajectory span\n"
+        assert not out.exists()
+
+
 class TestManifestDigest:
     """config_digest is the SHA-256 of the config's bytes, then each input's,
     from the interpreter's built-in SHA-256 rather than OpenSSL's."""
-
-    def test_import_loads_no_openssl(self):
-        if not any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256")):
-            pytest.skip("this interpreter has no built-in SHA-256 module, "
-                        "so the CLI falls back to hashlib")
-        env = dict(os.environ,
-                   PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys, bioright.cli; "
-             "print(sorted({'_hashlib', 'hashlib'} & set(sys.modules)))"],
-            capture_output=True, text=True, env=env, timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
 
     def test_simulate_config_then_reference(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -404,6 +448,25 @@ class TestReconstructTypedErrors:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ") and "3D dataset" in proc.stderr
+
+    def test_unknown_segment_exit_2_before_the_input_is_read(self, tmp_path):
+        proc = run_subprocess(["reconstruct", "--input", str(tmp_path / "gone.csv"),
+                               "--output", str(tmp_path / "neck.csv"), "--segment", "Neck"])
+        assert proc.returncode == 2
+        assert "'Neck'" in proc.stderr and "gone.csv" not in proc.stderr
+        assert all(s.value in proc.stderr for s in frames.Segment)
+
+    def test_no_valid_frame_exit_3(self, tmp_path):
+        src = tmp_path / "empty.json"
+        src.write_text(json.dumps({
+            "frame_rate": 1000, "frame_count": 0, "unit": "pixel",
+            "tracks": [{"id": 1, "name": "Neck", "samples": []}]}))
+        out = tmp_path / "body.csv"
+        proc = run_subprocess(["reconstruct", "--input", str(src), "--output", str(out),
+                               "--segment", "Body"])
+        assert proc.returncode == 3
+        assert proc.stderr == "error: no valid frames for Body\n"
+        assert not out.exists()
 
     def test_reversed_window_exit_4(self, tmp_path):
         src = tmp_path / "pose.csv"
