@@ -2,8 +2,7 @@
 
 Subcommands: metrics, reconstruct, scale, simulate, sweep, demo. Every
 command writes plot-ready CSV plus a JSON run manifest next to the
-output. Exit codes: 0 success, 2 input/parse, 3 empty/sparse data,
-4 domain errors, 5 divergence.
+output. A failure exits with its error class's exit_code (README's table).
 """
 
 import argparse
@@ -23,14 +22,7 @@ except ImportError:
 import numpy as np
 
 from . import __version__, objective, smsdyn, traj
-from .errors import (BiorightError, Diverged, EmptyDataset, NoValidFrames,
-                     ParseError, SchemaError, TooShort, TooSparse)
-
-EXIT_OK = 0
-EXIT_PARSE = 2
-EXIT_EMPTY = 3
-EXIT_DOMAIN = 4
-EXIT_DIVERGED = 5
+from .errors import BiorightError, ParseError
 
 # Surrogate reference characteristics (step-response triple).
 SURROGATE_OVERSHOOT = 13.85
@@ -83,7 +75,6 @@ def cmd_metrics(args):
         track_quality.write_report_csv(rows, f)
     _write_manifest("metrics", [args.input], [args.output])
     print(f"wrote {len(rows)} rows to {args.output}")
-    return EXIT_OK
 
 
 def _window_s(text):
@@ -118,7 +109,6 @@ def cmd_reconstruct(args):
     _write_manifest("reconstruct", [args.input], [args.output])
     print(f"wrote {int(series.valid.sum())} valid of {len(series.times)} "
           f"samples to {args.output}")
-    return EXIT_OK
 
 
 def cmd_scale(args):
@@ -134,7 +124,6 @@ def cmd_scale(args):
         metrics_path.write_text(json.dumps(m.as_dict(), indent=2) + "\n")
         outputs.append(metrics_path)
     _write_manifest("scale", [args.input], outputs)
-    return EXIT_OK
 
 
 def _read_trajectory(path):
@@ -201,7 +190,6 @@ def cmd_simulate(args):
         print("inertia_ratio_reported=0.056 "
               "(published value; derivation ambiguous, raw ratio is "
               f"{ratio:.4f})")
-    return EXIT_OK
 
 
 def cmd_sweep(args):
@@ -210,7 +198,6 @@ def cmd_sweep(args):
     report = _sweep(args.resolution, pd_run, cfg, args.output)
     _write_manifest("sweep", [args.reference], [args.output], config=args.config)
     print(f"wrote {len(report.rows)} rows to {args.output}")
-    return EXIT_OK
 
 
 def _sweep(resolution, pd_run, cfg, path):
@@ -257,7 +244,6 @@ def cmd_demo(args):
           f"argmin J={report.argmin.J:.6g}")
     _write_manifest("demo", [], [out / "reference.csv", out / "prescribed.csv",
                                  out / "pd.csv", out / "sweep.csv"])
-    return EXIT_OK
 
 
 def build_parser():
@@ -316,12 +302,6 @@ def build_parser():
     return parser
 
 
-#: Exit code of each family of errors, the first match wins.
-EXIT_CODES = (((ParseError, SchemaError, ValueError, OSError), EXIT_PARSE),
-              ((EmptyDataset, TooSparse, TooShort, NoValidFrames), EXIT_EMPTY),
-              (Diverged, EXIT_DIVERGED), (BiorightError, EXIT_DOMAIN))
-
-
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     for i in range(len(argv) - 1, 0, -1):  # argparse reads -5:10 as an option
@@ -330,10 +310,11 @@ def main(argv=None):
             argv[i - 1:i + 1] = [f"{option}={argv[i]}"]
     try:  # a --window-ms that is not two finite numbers fails in parse_args
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        args.func(args)
+        return 0
     except (BiorightError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return next(code for errors, code in EXIT_CODES if isinstance(exc, errors))
+        return exc.exit_code if isinstance(exc, BiorightError) else 2
 
 
 if __name__ == "__main__":

@@ -2,7 +2,8 @@
 
 
 class BiorightError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors; exit_code is the CLI's exit status."""
+    exit_code = 4
 
 
 class DegenerateAxes(BiorightError):
@@ -19,18 +20,22 @@ class MissingKeypoint(BiorightError):
 
 class ParseError(BiorightError):
     """Malformed input row or token."""
+    exit_code = 2
 
 
 class SchemaError(BiorightError):
     """Input violates the dataset schema (bad id, unknown name, duplicate)."""
+    exit_code = 2
 
 
 class EmptyDataset(BiorightError):
     """No data rows present."""
+    exit_code = 3
 
 
 class TooSparse(BiorightError):
     """Not enough visible samples for the requested computation."""
+    exit_code = 3
 
 
 class AlreadyWorldUnits(BiorightError):
@@ -39,6 +44,7 @@ class AlreadyWorldUnits(BiorightError):
 
 class NoValidFrames(BiorightError):
     """No frame yields a constructible segment frame."""
+    exit_code = 3
 
 
 class TimeGridMismatch(BiorightError):
@@ -51,6 +57,7 @@ class EmptyWindow(BiorightError):
 
 class TooShort(BiorightError):
     """Trajectory has too few samples."""
+    exit_code = 3
 
 
 class BadWindow(BiorightError):
@@ -76,6 +83,7 @@ class SingularMass(BiorightError):
 
 class Diverged(BiorightError):
     """Simulation state magnitude exceeded the divergence bound."""
+    exit_code = 5
 
 
 class ModeUnsupported(BiorightError):

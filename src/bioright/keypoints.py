@@ -314,7 +314,7 @@ def _load_json(source):
     if found is None or not {type(found[-1]), *map(type, found[0].values())} <= {str}:
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: too deep
             raise ParseError(f"bad JSON: {exc}") from None
         found = _json_tracks(obj)
     del text  # the largest object alive: the dataset is built after it is gone

@@ -9,7 +9,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import Diverged, ModeUnsupported, OutOfDomain, SingularMass
-from .traj import format_rows, time_grid
+from .traj import GRID_RTOL, GRID_TOL, format_rows, time_grid
 
 DIVERGE_LIMIT = 1e6
 
@@ -324,12 +324,16 @@ def simulate_pd(p, joint_ref, gains, dt, base_angle0=math.pi,
     from the reference's first time to its last.
 
     The joint torque is clamped to the gains' torque limit; the base is
-    unactuated. Raises OutOfDomain for a dt that traj.time_grid refuses or
-    a non-finite initial angle, and Diverged unless every state
-    |x| <= DIVERGE_LIMIT.
+    unactuated. Raises OutOfDomain for a dt that traj.time_grid refuses, a
+    dt whose grid misses the reference's last time by more than GRID_TOL +
+    GRID_RTOL max|t| or a non-finite initial angle, and Diverged unless
+    every state |x| <= DIVERGE_LIMIT.
     """
-    t0 = float(joint_ref.times[0])
-    times = time_grid(t0, float(joint_ref.times[-1]) - t0, dt)
+    t0, t_end = float(joint_ref.times[0]), float(joint_ref.times[-1])
+    times = time_grid(t0, t_end - t0, dt)
+    if abs(times[-1] - t_end) > GRID_TOL + GRID_RTOL * max(abs(t0), abs(t_end)):
+        raise OutOfDomain(f"dt = {dt:g} s ends the grid at {times[-1]:.9g} s, not at the "
+                          f"reference's last time {t_end:.9g} s")
     th0 = joint_ref.angle[0] if joint_angle0 is None else joint_angle0
     if not (math.isfinite(base_angle0) and math.isfinite(th0)):
         raise OutOfDomain(f"initial angles must be finite, got "

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from bioright import cli, frames, keypoints, smsdyn, traj
+from bioright.errors import BiorightError
 
 from conftest import REST_POSE, full_csv_dataset, csv_text
 from test_fastpaths import benchmark_recording
@@ -219,6 +220,34 @@ class TestDemo:
         assert playback and playback[1] == playback[2], captured
         assert "peak base rate=" in captured
         assert (out / "reference.manifest.json").exists()
+
+
+def _error_classes(cls=BiorightError):
+    return [cls] + [c for sub in cls.__subclasses__() for c in _error_classes(sub)]
+
+
+class TestExitCodePerErrorClass:
+    """Each error class carries its exit code: README's table names the class
+    under that code and no other, and main returns it for a failed command;
+    a ValueError or an OSError exits 2."""
+
+    ROWS = dict(re.findall(r"^\| (\d) \|(.*)$",
+                           (Path(__file__).resolve().parents[1] / "README.md").read_text(),
+                           re.M))
+
+    @pytest.mark.parametrize("cls", _error_classes() + [ValueError, OSError],
+                             ids=lambda cls: cls.__name__)
+    def test_readme_row_and_main(self, cls, monkeypatch, capsys):
+        code = cls.exit_code if issubclass(cls, BiorightError) else 2
+        assert [int(c) for c, row in self.ROWS.items()
+                if f"`{cls.__name__}`" in row] == [code]
+
+        def fail(args):
+            raise cls(f"{cls.__name__} raised")
+
+        monkeypatch.setattr(cli, "cmd_sweep", fail)
+        assert run(["sweep", "--output", "unused.csv"]) == code
+        assert capsys.readouterr().err == f"error: {cls.__name__} raised\n"
 
 
 def run_subprocess(argv):
@@ -507,6 +536,47 @@ class TestNonFiniteDt:
         assert proc.returncode == 2
         assert proc.stderr == f"error: dt must be finite, got {value}\n"
         assert not any(tmp_path.iterdir())
+
+
+class TestPdGridEndsAtReferenceEnd:
+    """A --dt whose PD grid misses the reference's last time exits 4 before
+    anything is written, in `simulate --mode pd` and in `sweep`."""
+
+    @pytest.fixture
+    def reference(self, tmp_path):
+        ref = tmp_path / "ref.csv"
+        with open(ref, "w") as f:
+            traj.write_trajectory_csv(traj.synth_second_order(13.85, 64.5, 225.0, 1.5), f)
+        return ref
+
+    @pytest.mark.parametrize("command", [["simulate", "--mode", "pd"], ["sweep"]])
+    def test_dt_160_exit_4_writes_nothing(self, tmp_path, reference, command):
+        proc = run_subprocess([*command, "--reference", str(reference), "--dt", "160",
+                               "--output", str(tmp_path / "out.csv")])
+        assert proc.returncode == 4
+        assert proc.stderr == ("error: dt = 160 s ends the grid at 160 s, not at the "
+                               "reference's last time 225 s\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["ref.csv"]
+
+
+class TestDeeplyNestedJsonExit2:
+    """JSON nested deeper than Python's recursion limit is a ParseError,
+    not a RecursionError traceback."""
+
+    @pytest.mark.parametrize("text", ["[" * 100_000 + "]" * 100_000,
+                                      '{"a":' * 100_000 + "1" + "}" * 100_000],
+                             ids=["array", "object"])
+    @pytest.mark.parametrize("command", [["metrics"], ["reconstruct", "--segment", "Body"]],
+                             ids=["metrics", "reconstruct"])
+    def test_exit_2_writes_nothing(self, tmp_path, text, command):
+        src = tmp_path / "deep.json"
+        src.write_text(text)
+        proc = run_subprocess([*command, "--input", str(src),
+                               "--output", str(tmp_path / "out.csv")])
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: bad JSON: maximum recursion depth exceeded")
+        assert [p.name for p in tmp_path.iterdir()] == ["deep.json"]
 
 
 class TestSweepSingleRow:

@@ -353,6 +353,15 @@ class TestDtDomain:
         with pytest.raises(OutOfDomain, match="dt must be finite and positive"):
             simulate_pd(ets7_params(), ref, gains, dt)
 
+    @pytest.mark.parametrize("dt, end", [(160.0, "160"), (0.007, "225.001")])
+    def test_simulate_pd_grid_misses_the_reference_end(self, dt, end):
+        # the grid would stop short of 225 s, or hold the reference past it
+        ref = traj.synth_second_order(13.85, 64.5, 225.0, 0.01)
+        gains = PdGains(kp=2000.0, kd=20000.0, torque_limit=10.0)
+        with pytest.raises(OutOfDomain, match=f"grid at {end} s, not at the "
+                                              "reference's last time 225 s"):
+            simulate_pd(planar_params(), ref, gains, dt)
+
 
 class TestReferenceStartTime:
     """PD tracking runs from the reference's first time, not from t = 0."""
