@@ -1099,7 +1099,7 @@ def test_bench_record_refuses_a_checkout_holding_bytecode(tmp_path, monkeypatch)
 
 
 def test_canonical_outputs_file_list(tmp_path):
-    """tools/canonical_outputs.py writes every canonical output and no manifest."""
+    """tools/canonical_outputs.py writes every canonical output."""
     path = Path(__file__).resolve().parents[1] / "tools" / "canonical_outputs.py"
     spec = importlib.util.spec_from_file_location("canonical_outputs", path)
     tool = importlib.util.module_from_spec(spec)
@@ -1119,6 +1119,8 @@ def test_canonical_outputs_file_list(tmp_path):
                for name in ("lizard.csv", "planar.cfg", "truth.json"))}
     want |= {f"stdout/{Path(name).stem}.txt" for name in want
              if "/" not in name and not name.endswith(".json")} | {"stdout/demo.txt"}
+    want |= {f"{name[:-4]}.manifest.json" for name in want
+             if "/" not in name and name.endswith(".csv")} | {"demo/reference.manifest.json"}
     files = [p for p in (tmp_path / "out").rglob("*") if p.is_file()]
     assert {p.relative_to(tmp_path / "out").as_posix() for p in files} == want
     assert all(p.stat().st_size for p in files)

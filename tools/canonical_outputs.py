@@ -13,10 +13,11 @@ from `bioright.cli.main`:
 - PlanarOffset `simulate` in both modes and `sweep --resolution 4` on it;
 - `demo --resolution 4`.
 
-Each command's stdout is written to OUTDIR/stdout/<output name>.txt, with
-OUTDIR for the directory's path. The run manifests carry a timestamp and
-are deleted, so `diff -r` of two output sets is empty when the code gives
-the same bytes; tests/canonical_outputs.sha256 holds each file's digest.
+Each command's stdout is written to OUTDIR/stdout/<output name>.txt, and
+each run manifest is kept with its timestamp rewritten to TIMESTAMP; both
+carry OUTDIR for the directory's path. So `diff -r` of two output sets is
+empty when the code gives the same bytes; tests/canonical_outputs.sha256
+holds each file's digest.
 `bioright` is imported from PYTHONPATH first and from this repository's
 src/ after it:
 `PYTHONPATH=other/src python tools/canonical_outputs.py OUT` writes the
@@ -27,6 +28,7 @@ import argparse
 import contextlib
 import importlib.util
 import io
+import re
 import sys
 from pathlib import Path
 
@@ -100,7 +102,8 @@ def write_outputs(out):
          "--output", out / "planar_sweep.csv")
     _run("demo", "--resolution", "4", "--output-dir", out / "demo")
     for manifest in out.rglob("*.manifest.json"):
-        manifest.unlink()
+        manifest.write_text(re.sub(r'"timestamp": "[^"]*"', '"timestamp": "TIMESTAMP"',
+                                   manifest.read_text().replace(str(out), "OUTDIR")))
 
 
 def main(argv=None):
