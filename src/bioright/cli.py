@@ -6,6 +6,8 @@ output. A failure exits with its error class's exit_code (README's table).
 """
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import sys
@@ -31,36 +33,55 @@ SURROGATE_DURATION = 225.0
 PUBLISHED_SETTLE = 169.5
 
 
-def _digest(*paths):
-    h = sha256()
-    for p in paths:
-        if p is not None:
-            with open(p, "rb") as f:
-                while block := f.read(traj.READ_BLOCK):
-                    h.update(block)
-    return h.hexdigest()
+class _Hashed(io.FileIO):
+    """An input file that feeds every byte read from it, in read order, to sha."""
+
+    def __init__(self, path, sha):
+        super().__init__(path)
+        self.sha = sha
+
+    def read(self, size=-1):
+        data = super().read(size)
+        self.sha.update(data)
+        return data
 
 
-def _write_manifest(command, inputs, outputs, config=None):
-    manifest = {
-        "command": command,
-        "inputs": [str(p) for p in inputs if p is not None],
-        "config_digest": _digest(config, *inputs),
-        "outputs": [str(p) for p in outputs],
-        "tool_version": __version__,
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-    }
-    path = Path(outputs[0]).with_suffix(".manifest.json")
-    path.write_text(json.dumps(manifest, indent=2) + "\n")
-    return path
+class _Run(contextlib.ExitStack):
+    """The files of one command, for its manifest: each input opened once, hashed
+    as it is read and closed at exit; each output, created once its content is ready."""
+
+    def __init__(self):
+        super().__init__()
+        self.sha, self.inputs, self.outputs = sha256(), [], []
+
+    def open(self, path):
+        self.inputs.append(str(path))
+        return self.enter_context(_Hashed(path, self.sha))
+
+    def create(self, path):
+        self.outputs.append(str(path))
+        return open(path, "w")
+
+    def write_manifest(self, command):
+        manifest = {
+            "command": command,
+            "inputs": self.inputs,
+            "config_digest": self.sha.hexdigest(),
+            "outputs": self.outputs,
+            "tool_version": __version__,
+            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        }
+        path = Path(self.outputs[0]).with_suffix(".manifest.json")
+        path.write_text(json.dumps(manifest, indent=2) + "\n")
 
 
 def _load_dataset_arg(args):
     """A .json input names its own frame rate, which a --frame-rate must equal."""
     from . import keypoints  # the simulator commands never load the keypoint stack
+    source = args.run.open(args.input)
     if not str(args.input).endswith(".json"):
-        return keypoints.load_dataset(args.input, format="csv", frame_rate=args.frame_rate)
-    dataset = keypoints.load_dataset(args.input, format="json")
+        return keypoints.load_dataset(source, format="csv", frame_rate=args.frame_rate)
+    dataset = keypoints.load_dataset(source, format="json")
     if args.frame_rate not in (None, dataset.frame_rate):
         raise ValueError(f"--frame-rate {args.frame_rate!r} differs from the input's "
                          f"frame_rate {dataset.frame_rate!r}")
@@ -71,9 +92,8 @@ def cmd_metrics(args):
     from . import track_quality
     dataset = _load_dataset_arg(args)
     rows = track_quality.stability_report(dataset)
-    with open(args.output, "w") as f:
+    with args.run.create(args.output) as f:
         track_quality.write_report_csv(rows, f)
-    _write_manifest("metrics", [args.input], [args.output])
     print(f"wrote {len(rows)} rows to {args.output}")
 
 
@@ -104,38 +124,34 @@ def cmd_reconstruct(args):
         series = frames.relative_leg_series(series, body)
     if args.window_ms:
         series = frames.righting_window(series, *args.window_ms)
-    with open(args.output, "w") as f:
+    with args.run.create(args.output) as f:
         frames.write_series_csv(series, f)
-    _write_manifest("reconstruct", [args.input], [args.output])
     print(f"wrote {int(series.valid.sum())} valid of {len(series.times)} "
           f"samples to {args.output}")
 
 
 def cmd_scale(args):
-    scaled = traj.time_scale(_read_trajectory(args.input), args.target_duration)
+    scaled = traj.time_scale(_read_trajectory(args.run, args.input), args.target_duration)
     m = traj.step_metrics(scaled, steady_time=scaled.times[-1]) if args.step_metrics else None
-    with open(args.output, "w") as f:
+    with args.run.create(args.output) as f:
         traj.write_trajectory_csv(scaled, f)
-    outputs = [args.output]
     if m is not None:
         for key, value in m.as_dict().items():
             print(f"{key}={value}")
-        metrics_path = Path(args.output).with_suffix(".metrics.json")
-        metrics_path.write_text(json.dumps(m.as_dict(), indent=2) + "\n")
-        outputs.append(metrics_path)
-    _write_manifest("scale", [args.input], outputs)
+        with args.run.create(Path(args.output).with_suffix(".metrics.json")) as f:
+            f.write(json.dumps(m.as_dict(), indent=2) + "\n")
 
 
-def _read_trajectory(path):
+def _read_trajectory(run, path):
     """A trajectory CSV, differentiated when it carries no rates."""
-    trajectory = traj.read_trajectory_csv(path)
+    trajectory = traj.read_trajectory_csv(run.open(path))
     return traj.differentiate(trajectory) if trajectory.rate is None else trajectory
 
 
 def _load_run(args):
     """Config, model and reference (default: surrogate) of simulate, sweep and
     demo; every run argument is checked before the reference is built or read."""
-    cfg = smsdyn.parse_config(traj._as_text(args.config)) if args.config \
+    cfg = smsdyn.parse_config(traj._as_text(args.run.open(args.config))) if args.config \
         else dict(smsdyn.CONFIG_DEFAULTS)
     if args.dt is not None:
         cfg["dt"] = args.dt
@@ -146,15 +162,15 @@ def _load_run(args):
     if args.resolution is not None:
         objective.check_resolution(args.resolution)
     params = smsdyn.params_from_config(cfg)
-    reference = _read_trajectory(args.reference) if args.reference is not None \
+    reference = _read_trajectory(args.run, args.reference) if args.reference is not None \
         else traj.synth_second_order(SURROGATE_OVERSHOOT, SURROGATE_RISE,
                                      SURROGATE_DURATION, cfg["dt"])
     return cfg, params, reference
 
 
-def _simulate(mode, cfg, params, reference, output=None):
+def _simulate(mode, cfg, params, reference, run=None, output=None):
     """Prescribed playback or PD tracking of the reference from cfg's base
-    angle (with its gains and dt), written to output when one is given."""
+    angle (with its gains and dt), written to the run's output when one is given."""
     phi0 = math.radians(cfg["base_angle0_deg"])
     if mode == "prescribed":
         result = smsdyn.simulate_prescribed(params, reference, L0=0.0,
@@ -164,7 +180,7 @@ def _simulate(mode, cfg, params, reference, output=None):
                                     smsdyn.gains_from_config(cfg), cfg["dt"],
                                     base_angle0=phi0)
     if output is not None:
-        with open(output, "w") as f:
+        with run.create(output) as f:
             smsdyn.write_trajectory_csv(result, f)
     return result
 
@@ -174,8 +190,7 @@ def cmd_simulate(args):
         raise ValueError("--dt does not apply to prescribed playback of a --reference "
                          "file: playback runs on the file's own time grid")
     cfg, params, reference = _load_run(args)
-    result = _simulate(args.mode, cfg, params, reference, args.output)
-    _write_manifest("simulate", [args.reference], [args.output], config=args.config)
+    result = _simulate(args.mode, cfg, params, reference, args.run, args.output)
     r2d = 180.0 / math.pi
     dphi = np.max(np.abs(result.base_angle - result.base_angle[0])) * r2d
     peak_rate = np.max(np.abs(result.base_rate)) * r2d
@@ -195,18 +210,17 @@ def cmd_simulate(args):
 def cmd_sweep(args):
     cfg, params, reference = _load_run(args)
     pd_run = _simulate("pd", cfg, params, reference)
-    report = _sweep(args.resolution, pd_run, cfg, args.output)
-    _write_manifest("sweep", [args.reference], [args.output], config=args.config)
+    report = _sweep(args.resolution, pd_run, cfg, args.run, args.output)
     print(f"wrote {len(report.rows)} rows to {args.output}")
 
 
-def _sweep(resolution, pd_run, cfg, path):
+def _sweep(resolution, pd_run, cfg, run, path):
     """Weight sweep of a PD run, scored against its final base angle."""
     context = objective.ObjectiveContext(rate_limit=math.radians(0.30),
                                          base_angle_target=pd_run.base_angle[-1],
                                          torque_limit=cfg["torque_limit"])
     report = objective.weight_sweep(resolution, pd_run, context)
-    with open(path, "w") as f:
+    with run.create(path) as f:
         objective.write_report_csv(report, f)
     return report
 
@@ -217,7 +231,7 @@ def cmd_demo(args):
     m = traj.step_metrics(reference, steady_time=SURROGATE_DURATION)
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "reference.csv", "w") as f:
+    with args.run.create(out / "reference.csv") as f:
         traj.write_trajectory_csv(reference, f)
     print(f"surrogate: rise={m.rise_time:.2f}s settle={m.settling_time:.2f}s "
           f"overshoot={m.overshoot:.2f}%")
@@ -225,7 +239,7 @@ def cmd_demo(args):
           f"settle={PUBLISHED_SETTLE}s overshoot={SURROGATE_OVERSHOOT}% "
           "(settle not attainable by a 2nd-order fit; see README)")
 
-    prescribed = _simulate("prescribed", cfg, params, reference,
+    prescribed = _simulate("prescribed", cfg, params, reference, args.run,
                            out / "prescribed.csv")
     r2d = 180.0 / math.pi
     dphi = (prescribed.base_angle[-1] - prescribed.base_angle[0]) * r2d
@@ -234,16 +248,14 @@ def cmd_demo(args):
           f"(closed form {smsdyn.base_reaction_estimate(params, sweep) * r2d:.3f}"
           f" deg for the {sweep * r2d:.3f} deg sweep)")
 
-    pd_run = _simulate("pd", cfg, params, reference, out / "pd.csv")
+    pd_run = _simulate("pd", cfg, params, reference, args.run, out / "pd.csv")
     peak_rate = np.max(np.abs(pd_run.base_rate)) * r2d
     print(f"pd tracking: peak base rate={peak_rate:.4f} deg/s "
           "(target < 0.15 deg/s)")
 
-    report = _sweep(args.resolution, pd_run, cfg, out / "sweep.csv")
+    report = _sweep(args.resolution, pd_run, cfg, args.run, out / "sweep.csv")
     print(f"sweep: {len(report.rows)} weight vectors, "
           f"argmin J={report.argmin.J:.6g}")
-    _write_manifest("demo", [], [out / "reference.csv", out / "prescribed.csv",
-                                 out / "pd.csv", out / "sweep.csv"])
 
 
 def build_parser():
@@ -310,7 +322,9 @@ def main(argv=None):
             argv[i - 1:i + 1] = [f"{option}={argv[i]}"]
     try:  # a --window-ms that is not two finite numbers fails in parse_args
         args = build_parser().parse_args(argv)
-        args.func(args)
+        with _Run() as args.run:  # a command opens its inputs and creates its outputs here
+            args.func(args)
+        args.run.write_manifest(args.command)
         return 0
     except (BiorightError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

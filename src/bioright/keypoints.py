@@ -160,16 +160,16 @@ def load_dataset(source, format="csv", frame_rate=None):
         raise SchemaError("frame_rate is required for CSV input (never inferred)")
     if isinstance(source, (str, os.PathLike)):
         with open(source, "rb") as f:
-            if f.seekable():  # parsed in read blocks, so its text is never held
-                text = io.TextIOWrapper(f, encoding="utf-8-sig")  # strict, as _as_text
-                try:
-                    return _parse_csv(chain.from_iterable(_quotes_closed(
-                        traj._line_blocks(text))), frame_rate, _refused)
-                except (ValueError, BiorightError):
-                    f.seek(0)  # parsed again whole, as a stream, to name the refusal
-                finally:
-                    text.detach()
             return load_dataset(f, format, frame_rate)
+    if isinstance(source, (io.RawIOBase, io.BufferedIOBase)) and source.seekable():
+        start, text = source.tell(), io.TextIOWrapper(source, encoding="utf-8-sig")
+        try:  # parsed in read blocks, so its text is never held; strict, as _as_text
+            return _parse_csv(chain.from_iterable(_quotes_closed(
+                traj._line_blocks(text))), frame_rate, _refused)
+        except (ValueError, BiorightError):
+            source.seek(start)  # parsed again whole, as a stream, to name the refusal
+        finally:
+            text.detach()
     lines = traj._as_text(source).split("\n")
     return _parse_csv(chain.from_iterable(_quotes_closed(iter([lines]))), frame_rate,
                       lambda: lines)

@@ -29,7 +29,7 @@ MAX_SAMPLES = 10_000_000
 #: Rows per formatting call of `format_rows`, which bounds its memory.
 WRITE_BLOCK = 1024
 
-#: Characters per read of `_line_blocks` (bytes of `cli._digest`), which bounds memory.
+#: Characters per read of `_line_blocks`, which bounds memory.
 READ_BLOCK = 1 << 16
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import importlib.util
+import io
 import json
 import os
 import re
@@ -261,6 +262,38 @@ def run_subprocess(argv):
     return proc
 
 
+def run_piped(argv, data):
+    """The CLI's exit code in a fresh interpreter, with PIPE in argv naming a
+    pipe that carries data, as a shell names `<(cat file)`."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    read_end, write_end = os.pipe()
+    argv = [arg.replace("PIPE", f"/dev/fd/{read_end}") for arg in argv]
+    with subprocess.Popen([sys.executable, "-m", "bioright.cli", *argv], env=env,
+                          pass_fds=(read_end,)) as proc:
+        os.close(read_end)
+        with open(write_end, "wb") as f:
+            f.write(data)
+        return proc.wait(timeout=60)
+
+
+def trajectory_bytes(duration=225.0, dt=0.5):
+    buf = io.StringIO()
+    traj.write_trajectory_csv(traj.synth_second_order(13.85, 64.5, duration, dt), buf)
+    return buf.getvalue().encode()
+
+
+#: The script of a child interpreter that runs the CLI on argv[2:] and prints
+#: how many times it opened each of the comma-separated paths in argv[1].
+COUNT_OPENS = """import sys
+from bioright import cli
+opened = []
+sys.addaudithook(lambda event, args: opened.append(args[0]) if event == "open" else None)
+code = cli.main(sys.argv[2:])
+print(code, *[list(map(str, opened)).count(path) for path in sys.argv[1].split(",")])
+"""
+
+
 def modules_after(statement):
     """The names in sys.modules after `statement`, in a fresh interpreter."""
     env = dict(os.environ,
@@ -320,7 +353,20 @@ class TestFailedCommandWritesNothing:
 
 class TestManifestDigest:
     """config_digest is the SHA-256 of the config's bytes, then each input's,
-    from the interpreter's built-in SHA-256 rather than OpenSSL's."""
+    as the command read them, from the interpreter's built-in SHA-256 rather
+    than OpenSSL's."""
+
+    #: A command with INPUT for its one input, and that input's bytes.
+    ONE_INPUT = {
+        "metrics": (["metrics", "--input", "INPUT", "--frame-rate", "1000"],
+                    full_csv_dataset(frame_count=60).encode()),
+        "reconstruct": (["reconstruct", "--input", "INPUT", "--segment", "Body",
+                         "--frame-rate", "1000", "--scale", "1.0"], rest_pose_csv(5).encode()),
+        "scale": (["scale", "--input", "INPUT", "--target-duration", "100"],
+                  trajectory_bytes()),
+        "simulate_config": (["simulate", "--config", "INPUT", "--dt", "0.5"],
+                            COAXIAL_CONFIG.encode()),
+    }
 
     def test_simulate_config_then_reference(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -353,12 +399,64 @@ class TestManifestDigest:
         assert manifest["inputs"] == []
         assert manifest["config_digest"] == hashlib.sha256(b"").hexdigest()
 
-    def test_missing_input_raises(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(COAXIAL_CONFIG)
-        with pytest.raises(FileNotFoundError):
-            cli._digest(cfg, tmp_path / "gone.csv")
-        assert cli._digest(None, cfg) == hashlib.sha256(cfg.read_bytes()).hexdigest()
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+    @pytest.mark.parametrize("command", ONE_INPUT)
+    def test_a_piped_input_digests_as_its_file(self, tmp_path, command):
+        argv, data = self.ONE_INPUT[command]
+        src = tmp_path / "input.csv"
+        src.write_bytes(data)
+        from_file, from_pipe = tmp_path / "file.csv", tmp_path / "pipe.csv"
+        assert run([arg.replace("INPUT", str(src)) for arg in argv]
+                   + ["--output", str(from_file)]) == 0
+        assert run_piped([arg.replace("INPUT", "PIPE") for arg in argv]
+                         + ["--output", str(from_pipe)], data) == 0
+        assert from_pipe.read_bytes() == from_file.read_bytes()
+        for out in (from_file, from_pipe):
+            manifest = json.loads(out.with_suffix(".manifest.json").read_text())
+            assert manifest["config_digest"] == hashlib.sha256(data).hexdigest(), out.name
+
+    def test_scale_onto_its_own_input_digests_the_input(self, tmp_path):
+        path = tmp_path / "ref.csv"
+        path.write_bytes(data := trajectory_bytes())
+        assert run(["scale", "--input", str(path), "--output", str(path),
+                    "--target-duration", "100"]) == 0
+        assert path.read_bytes() != data
+        manifest = json.loads(path.with_suffix(".manifest.json").read_text())
+        assert manifest["inputs"] == manifest["outputs"] == [str(path)]
+        assert manifest["config_digest"] == hashlib.sha256(data).hexdigest()
+
+    @pytest.mark.parametrize("command", ["simulate", "metrics"])
+    def test_each_input_opened_once(self, tmp_path, command):
+        if command == "simulate":
+            cfg, ref = tmp_path / "run.cfg", tmp_path / "ref.csv"
+            cfg.write_text(COAXIAL_CONFIG)
+            ref.write_bytes(trajectory_bytes())
+            inputs = [cfg, ref]
+            argv = ["simulate", "--config", str(cfg), "--reference", str(ref)]
+        else:
+            data = tmp_path / "tracks.csv"
+            data.write_text(full_csv_dataset(frame_count=200))
+            assert data.stat().st_size > 2 * traj.READ_BLOCK
+            inputs = [data]
+            argv = ["metrics", "--input", str(data), "--frame-rate", "1000"]
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-c", COUNT_OPENS, ",".join(map(str, inputs)),
+                               *argv, "--output", str(tmp_path / "out.csv")],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split()[-1 - len(inputs):] == ["0"] + ["1"] * len(inputs)
+
+    @pytest.mark.parametrize("missing", ["--config", "--reference"])
+    def test_missing_input_exits_2_and_writes_nothing(self, tmp_path, capsys, missing):
+        paths = {"--config": tmp_path / "run.cfg", "--reference": tmp_path / "ref.csv"}
+        paths["--config"].write_text(COAXIAL_CONFIG)
+        paths["--reference"].write_bytes(trajectory_bytes())
+        paths[missing] = tmp_path / "gone"
+        assert run(["simulate", "--config", str(paths["--config"]),
+                    "--reference", str(paths["--reference"]),
+                    "--output", str(tmp_path / "sim.csv")]) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ref.csv", "run.cfg"]
+        assert "gone" in capsys.readouterr().err
 
 
 class TestScaleSingleRow:

@@ -1469,6 +1469,13 @@ def load_new(text):
                                   frame_rate=1000.0)
 
 
+class UnseekableBytesIO(io.BytesIO):
+    """A binary stream that load_dataset reads whole, as it reads a pipe."""
+
+    def seekable(self):
+        return False
+
+
 def byte_loaders(tmp_path):
     """load_dataset of the same bytes from a binary stream, a file and a
     pipe; a pipe is named by its /dev/fd path, as a shell names
@@ -1641,17 +1648,20 @@ def test_csv_bad_row_deep_in_a_recording_names_its_line(tmp_path):
 
 def test_csv_load_peak_memory_is_a_few_times_the_file(tmp_path):
     # the parsed rows (116 bytes each in 2D) and the dataset's arrays, 2.9x
-    # the file; its whole text and list of lines took it to 5.6x
+    # the file; its whole text and list of lines took it to 5.6x. The CLI's
+    # hashing reader is a seekable binary file, read in blocks as a path is.
     path = tmp_path / "tracks.csv"
     for frames in (2000, 8000):
         benchmark_recording(tmp_path, 11, frames)
-        tracemalloc.start()
-        try:
-            keypoints.load_dataset(path, format="csv", frame_rate=1000.0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 3.5 * path.stat().st_size, frames
+        with cli._Run() as run:
+            for source in (path, run.open(path)):
+                tracemalloc.start()
+                try:
+                    keypoints.load_dataset(source, format="csv", frame_rate=1000.0)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak < 3.5 * path.stat().st_size, (frames, source)
 
 
 #: Rows that put what follows them a few read blocks into the file.
@@ -1685,6 +1695,13 @@ def test_csv_bad_utf8_refused_alike_from_path_and_stream(tmp_path, capsys, data)
     assert capsys.readouterr().err == f"error: {from_stream.value}\n"
 
 
+def test_csv_refused_binary_stream_is_parsed_again_from_where_it_began():
+    stream = io.BytesIO(b"a preamble the caller read\n" + (H2 + "0,1,Neck,1,x,1\n").encode())
+    stream.readline()
+    with pytest.raises(ParseError, match=r"^line 2: bad number"):
+        keypoints.load_dataset(stream, format="csv", frame_rate=1000.0)
+
+
 def random_csv_bytes(rng):
     """A small tracker CSV spliced from valid rows and the pieces that
     break one: line ends of each kind, quotes, a BOM, bad UTF-8, NUL."""
@@ -1707,7 +1724,7 @@ def test_csv_path_and_stream_agree_on_random_files(tmp_path, monkeypatch):
         data = random_csv_bytes(rng)
         path.write_bytes(data)
         results = []
-        for source in (io.BytesIO(data), path):
+        for source in (UnseekableBytesIO(data), path):
             try:
                 results.append(keypoints.load_dataset(source, format="csv",
                                                       frame_rate=1000.0))
@@ -1825,6 +1842,9 @@ def test_csv_path_read_once(tmp_path, monkeypatch):
     monkeypatch.setattr(keypoints, "_open_quote", refused)
     load_path = csv_loaders(tmp_path)["path"]
     assert_same_dataset(load_path(text), want)
+    with cli._Run() as run:  # the CLI's hashing reader, read in blocks as a path is
+        assert_same_dataset(keypoints.load_dataset(run.open(tmp_path / "loaded.csv"),
+                                                   format="csv", frame_rate=1000.0), want)
     monkeypatch.undo()
     monkeypatch.setattr(traj, "_as_text", refused)
     quoted = text.replace(",Neck,", ',"Neck",')
