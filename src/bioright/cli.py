@@ -322,7 +322,7 @@ def main(argv=None):
             argv[i - 1:i + 1] = [f"{option}={argv[i]}"]
     try:  # a --window-ms that is not two finite numbers fails in parse_args
         args = build_parser().parse_args(argv)
-        with _Run() as args.run:  # a command opens its inputs and creates its outputs here
+        with _Run() as args.run:  # closes every input, also when the command fails
             args.func(args)
         args.run.write_manifest(args.command)
         return 0

@@ -251,13 +251,16 @@ class TestExitCodePerErrorClass:
         assert capsys.readouterr().err == f"error: {cls.__name__} raised\n"
 
 
+def child_env():
+    """The environment of a fresh interpreter that imports this bioright."""
+    return dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+
+
 def run_subprocess(argv):
     """The CLI in a fresh interpreter, as a user runs it; a Python warning
     on its stderr fails the test."""
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-m", "bioright.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True, env=child_env(), timeout=60)
     assert not re.search(r":\d+: \w*Warning: ", proc.stderr), proc.stderr
     return proc
 
@@ -265,11 +268,9 @@ def run_subprocess(argv):
 def run_piped(argv, data):
     """The CLI's exit code in a fresh interpreter, with PIPE in argv naming a
     pipe that carries data, as a shell names `<(cat file)`."""
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     read_end, write_end = os.pipe()
     argv = [arg.replace("PIPE", f"/dev/fd/{read_end}") for arg in argv]
-    with subprocess.Popen([sys.executable, "-m", "bioright.cli", *argv], env=env,
+    with subprocess.Popen([sys.executable, "-m", "bioright.cli", *argv], env=child_env(),
                           pass_fds=(read_end,)) as proc:
         os.close(read_end)
         with open(write_end, "wb") as f:
@@ -277,9 +278,10 @@ def run_piped(argv, data):
         return proc.wait(timeout=60)
 
 
-def trajectory_bytes(duration=225.0, dt=0.5):
+def trajectory_bytes():
+    """A reference trajectory CSV: the surrogate step response at dt = 0.5 s."""
     buf = io.StringIO()
-    traj.write_trajectory_csv(traj.synth_second_order(13.85, 64.5, duration, dt), buf)
+    traj.write_trajectory_csv(traj.synth_second_order(13.85, 64.5, 225.0, 0.5), buf)
     return buf.getvalue().encode()
 
 
@@ -296,11 +298,9 @@ print(code, *[list(map(str, opened)).count(path) for path in sys.argv[1].split("
 
 def modules_after(statement):
     """The names in sys.modules after `statement`, in a fresh interpreter."""
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     proc = subprocess.run(
         [sys.executable, "-c", f"{statement}\nimport sys; print(*sorted(sys.modules))"],
-        capture_output=True, text=True, env=env, timeout=60)
+        capture_output=True, text=True, env=child_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
     return set(proc.stdout.split())
 
@@ -439,10 +439,9 @@ class TestManifestDigest:
             assert data.stat().st_size > 2 * traj.READ_BLOCK
             inputs = [data]
             argv = ["metrics", "--input", str(data), "--frame-rate", "1000"]
-        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
         proc = subprocess.run([sys.executable, "-c", COUNT_OPENS, ",".join(map(str, inputs)),
                                *argv, "--output", str(tmp_path / "out.csv")],
-                              capture_output=True, text=True, env=env, timeout=60)
+                              capture_output=True, text=True, env=child_env(), timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split()[-1 - len(inputs):] == ["0"] + ["1"] * len(inputs)
 
