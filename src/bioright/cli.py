@@ -1,15 +1,18 @@
 """Batch command-line front-end.
 
 Subcommands: metrics, reconstruct, scale, simulate, sweep, demo. Every
-command writes plot-ready CSV plus a JSON run manifest next to the
-output. A failure exits with its error class's exit_code (README's table).
+command writes plot-ready CSV plus a JSON run manifest next to the output,
+each moved into place from PATH.partial once the command has returned, the
+manifest last. A failure exits with its error class's exit_code (README's table).
 """
 
 import argparse
 import contextlib
+import errno
 import io
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -48,7 +51,8 @@ class _Hashed(io.FileIO):
 
 class _Run(contextlib.ExitStack):
     """The files of one command, for its manifest: each input opened once, hashed
-    as it is read and closed at exit; each output, created once its content is ready."""
+    as it is read and closed at exit; each output staged as PATH.partial, which
+    commit moves into place and exit removes if it is still there."""
 
     def __init__(self):
         super().__init__()
@@ -58,21 +62,28 @@ class _Run(contextlib.ExitStack):
         self.inputs.append(str(path))
         return self.enter_context(_Hashed(path, self.sha))
 
-    def create(self, path):
+    def write(self, path, writer, value):
+        with open(f"{path}.partial", "x") as f:  # never a file this run did not make
+            self.callback(Path(f.name).unlink, missing_ok=True)
+            writer(value, f)
         self.outputs.append(str(path))
-        return open(path, "w")
 
-    def write_manifest(self, command):
-        manifest = {
-            "command": command,
-            "inputs": self.inputs,
-            "config_digest": self.sha.hexdigest(),
-            "outputs": self.outputs,
-            "tool_version": __version__,
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        }
-        path = Path(self.outputs[0]).with_suffix(".manifest.json")
-        path.write_text(json.dumps(manifest, indent=2) + "\n")
+    def commit(self, command):
+        """Stage the manifest, refuse a directory at any target, then move each
+        staged file onto its path, the manifest last; a failed move undoes none."""
+        manifest = {"command": command, "inputs": self.inputs,
+                    "config_digest": self.sha.hexdigest(), "outputs": list(self.outputs),
+                    "tool_version": __version__,
+                    "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())}
+        self.write(Path(self.outputs[0]).with_suffix(".manifest.json"), _write_json, manifest)
+        if taken := [path for path in self.outputs if os.path.isdir(path)]:
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), taken[0])
+        for path in self.outputs:
+            os.replace(f"{path}.partial", path)
+
+
+def _write_json(value, f):
+    f.write(json.dumps(value, indent=2) + "\n")
 
 
 def _load_dataset_arg(args):
@@ -92,8 +103,7 @@ def cmd_metrics(args):
     from . import track_quality
     dataset = _load_dataset_arg(args)
     rows = track_quality.stability_report(dataset)
-    with args.run.create(args.output) as f:
-        track_quality.write_report_csv(rows, f)
+    args.run.write(args.output, track_quality.write_report_csv, rows)
     print(f"wrote {len(rows)} rows to {args.output}")
 
 
@@ -124,22 +134,19 @@ def cmd_reconstruct(args):
         series = frames.relative_leg_series(series, body)
     if args.window_ms:
         series = frames.righting_window(series, *args.window_ms)
-    with args.run.create(args.output) as f:
-        frames.write_series_csv(series, f)
+    args.run.write(args.output, frames.write_series_csv, series)
     print(f"wrote {int(series.valid.sum())} valid of {len(series.times)} "
           f"samples to {args.output}")
 
 
 def cmd_scale(args):
     scaled = traj.time_scale(_read_trajectory(args.run, args.input), args.target_duration)
-    m = traj.step_metrics(scaled, steady_time=scaled.times[-1]) if args.step_metrics else None
-    with args.run.create(args.output) as f:
-        traj.write_trajectory_csv(scaled, f)
-    if m is not None:
-        for key, value in m.as_dict().items():
+    args.run.write(args.output, traj.write_trajectory_csv, scaled)
+    if args.step_metrics:
+        m = traj.step_metrics(scaled, steady_time=scaled.times[-1]).as_dict()
+        for key, value in m.items():
             print(f"{key}={value}")
-        with args.run.create(Path(args.output).with_suffix(".metrics.json")) as f:
-            f.write(json.dumps(m.as_dict(), indent=2) + "\n")
+        args.run.write(Path(args.output).with_suffix(".metrics.json"), _write_json, m)
 
 
 def _read_trajectory(run, path):
@@ -180,8 +187,7 @@ def _simulate(mode, cfg, params, reference, run=None, output=None):
                                     smsdyn.gains_from_config(cfg), cfg["dt"],
                                     base_angle0=phi0)
     if output is not None:
-        with run.create(output) as f:
-            smsdyn.write_trajectory_csv(result, f)
+        run.write(output, smsdyn.write_trajectory_csv, result)
     return result
 
 
@@ -220,8 +226,7 @@ def _sweep(resolution, pd_run, cfg, run, path):
                                          base_angle_target=pd_run.base_angle[-1],
                                          torque_limit=cfg["torque_limit"])
     report = objective.weight_sweep(resolution, pd_run, context)
-    with run.create(path) as f:
-        objective.write_report_csv(report, f)
+    run.write(path, objective.write_report_csv, report)
     return report
 
 
@@ -231,8 +236,7 @@ def cmd_demo(args):
     m = traj.step_metrics(reference, steady_time=SURROGATE_DURATION)
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with args.run.create(out / "reference.csv") as f:
-        traj.write_trajectory_csv(reference, f)
+    args.run.write(out / "reference.csv", traj.write_trajectory_csv, reference)
     print(f"surrogate: rise={m.rise_time:.2f}s settle={m.settling_time:.2f}s "
           f"overshoot={m.overshoot:.2f}%")
     print(f"published triple: rise={SURROGATE_RISE}s "
@@ -322,9 +326,9 @@ def main(argv=None):
             argv[i - 1:i + 1] = [f"{option}={argv[i]}"]
     try:  # a --window-ms that is not two finite numbers fails in parse_args
         args = build_parser().parse_args(argv)
-        with _Run() as args.run:  # closes every input, also when the command fails
+        with _Run() as args.run:  # closes every input and removes what is still staged
             args.func(args)
-        args.run.write_manifest(args.command)
+            args.run.commit(args.command)
         return 0
     except (BiorightError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

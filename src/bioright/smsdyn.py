@@ -412,7 +412,11 @@ def parse_config(text):
                 raise ValueError(f"config line {lineno}: bad mode {value!r}")
             cfg[key] = value
         else:
-            cfg[key] = float(value)
+            try:
+                cfg[key] = float(value)
+            except ValueError:
+                raise ValueError(f"config line {lineno}: {key} must be a number, "
+                                 f"got {value!r}") from None
             if not math.isfinite(cfg[key]):
                 raise ValueError(f"config line {lineno}: {key} must be finite, "
                                  f"got {value!r}")

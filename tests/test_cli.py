@@ -296,6 +296,23 @@ print(code, *[list(map(str, opened)).count(path) for path in sys.argv[1].split("
 """
 
 
+#: The script of a child interpreter that runs the CLI on argv[1:] and prints,
+#: as its last line, the JSON list of every path it opened for writing and of
+#: every [source, destination] of a rename (os.replace raises that event).
+AUDIT_WRITES = """import json, os, sys
+from bioright import cli
+writes, renames = [], []
+def hook(event, args):
+    if event == "open" and args[2] & (os.O_WRONLY | os.O_RDWR):
+        writes.append(str(args[0]))
+    elif event == "os.rename":
+        renames.append([str(args[0]), str(args[1])])
+sys.addaudithook(hook)
+code = cli.main(sys.argv[1:])
+print(json.dumps([code, writes, renames]))
+"""
+
+
 def modules_after(statement):
     """The names in sys.modules after `statement`, in a fresh interpreter."""
     proc = subprocess.run(
@@ -330,7 +347,7 @@ class TestImportPerCommand:
 
 
 class TestFailedCommandWritesNothing:
-    """A command that fails on its data exits before its first write."""
+    """A failed command leaves no file behind."""
 
     def test_scale_step_metrics_of_a_flat_trajectory(self, tmp_path):
         src = tmp_path / "flat.csv"
@@ -349,6 +366,47 @@ class TestFailedCommandWritesNothing:
         assert proc.stdout == ""
         assert proc.stderr == "error: steady_time outside the trajectory span\n"
         assert not out.exists()
+
+    def test_demo_with_a_directory_at_its_third_output(self, tmp_path, capsys):
+        out = tmp_path / "demo"
+        (out / "pd.csv").mkdir(parents=True)
+        assert run(["demo", "--dt", "0.5", "--resolution", "2", "--output-dir", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: [Errno 21] Is a directory: '{out / 'pd.csv'}'\n"
+        assert [p.name for p in out.iterdir()] == ["pd.csv"]
+
+    def test_scale_step_metrics_with_a_directory_at_the_metrics(self, tmp_path):
+        (src := tmp_path / "in.csv").write_bytes(trajectory_bytes())
+        (tmp_path / "out.metrics.json").mkdir()
+        assert run(["scale", "--input", str(src), "--output", str(tmp_path / "out.csv"),
+                    "--target-duration", "100", "--step-metrics"]) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv", "out.metrics.json"]
+
+    def test_scale_onto_its_own_input_keeps_the_input(self, tmp_path):
+        (path := tmp_path / "x.csv").write_bytes(data := trajectory_bytes())
+        (tmp_path / "x.metrics.json").mkdir()
+        assert run(["scale", "--input", str(path), "--output", str(path),
+                    "--target-duration", "100", "--step-metrics"]) == 2
+        assert path.read_bytes() == data
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv", "x.metrics.json"]
+
+    def test_a_writer_that_fails_after_its_header(self, tmp_path, monkeypatch, capsys):
+        def fail(result, f):
+            f.write("t,phi_deg\n")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(smsdyn, "write_trajectory_csv", fail)
+        assert run(["simulate", "--dt", "0.5", "--output", str(tmp_path / "o.csv")]) == 2
+        assert capsys.readouterr().err == "error: disk full\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_leftover_partial_file_is_refused_and_kept(self, tmp_path, capsys):
+        staged = tmp_path / "o.csv.partial"
+        staged.write_bytes(data := b"t,phi_deg\n0,")
+        assert run(["simulate", "--dt", "0.5", "--output", str(tmp_path / "o.csv")]) == 2
+        assert capsys.readouterr().err == f"error: [Errno 17] File exists: '{staged}'\n"
+        assert staged.read_bytes() == data
+        assert [p.name for p in tmp_path.iterdir()] == ["o.csv.partial"]
 
 
 class TestManifestDigest:
@@ -444,6 +502,30 @@ class TestManifestDigest:
                               capture_output=True, text=True, env=child_env(), timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split()[-1 - len(inputs):] == ["0"] + ["1"] * len(inputs)
+
+    @pytest.mark.parametrize("command", ["demo", "scale"])
+    def test_outputs_arrive_only_by_rename(self, tmp_path, command):
+        # every file is written as its PATH.partial and moved onto PATH once,
+        # in the order the command made them, with the manifest last
+        if command == "demo":
+            out = tmp_path / "demo"
+            argv = ["demo", "--dt", "0.5", "--resolution", "2", "--output-dir", str(out)]
+            outputs = [out / name for name in ("reference.csv", "prescribed.csv", "pd.csv",
+                                               "sweep.csv", "reference.manifest.json")]
+        else:
+            (src := tmp_path / "in.csv").write_bytes(trajectory_bytes())
+            argv = ["scale", "--input", str(src), "--output", str(tmp_path / "out.csv"),
+                    "--target-duration", "100", "--step-metrics"]
+            outputs = [tmp_path / name for name in ("out.csv", "out.metrics.json",
+                                                    "out.manifest.json")]
+        proc = subprocess.run([sys.executable, "-c", AUDIT_WRITES, *argv],
+                              capture_output=True, text=True, timeout=60,
+                              env=dict(child_env(), PYTHONDONTWRITEBYTECODE="1"))
+        assert proc.returncode == 0, proc.stderr
+        code, writes, renames = json.loads(proc.stdout.splitlines()[-1])
+        assert code == 0
+        assert writes == [f"{path}.partial" for path in outputs]
+        assert renames == [[f"{path}.partial", str(path)] for path in outputs]
 
     @pytest.mark.parametrize("missing", ["--config", "--reference"])
     def test_missing_input_exits_2_and_writes_nothing(self, tmp_path, capsys, missing):
@@ -707,6 +789,21 @@ class TestNonFiniteConfig:
         key = line.split()[0]
         assert f"config line 2: {key} must be finite" in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
+
+
+class TestConfigValueNotANumber:
+    @pytest.mark.parametrize("line", ["dt = abc", "kp =", "base_inertia = 3..1",
+                                      "torque_limit = 1,5"])
+    def test_exit_2_naming_line_and_key(self, tmp_path, capsys, line):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"# comment\n{line}\n")
+        code = run(["simulate", "--mode", "pd", "--config", str(config),
+                    "--output", str(tmp_path / "out.csv")])
+        assert code == 2
+        key, _, value = (part.strip() for part in line.partition("="))
+        assert capsys.readouterr().err == \
+            f"error: config line 2: {key} must be a number, got {value!r}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
 
 class TestDemoIsSimulateAndSweep:
