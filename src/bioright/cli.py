@@ -268,18 +268,22 @@ def build_parser():
         description="Keypoint-to-spacecraft righting-motion toolkit")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    recording = argparse.ArgumentParser(add_help=False)  # metrics and reconstruct
+    recording.add_argument("--input", required=True)
+    recording.add_argument("--output", required=True)
+    recording.add_argument("--frame-rate", type=float, default=None)
+    simulator = argparse.ArgumentParser(add_help=False)  # simulate and sweep
+    simulator.add_argument("--config", default=None)
+    simulator.add_argument("--reference", default=None,
+                           help="joint trajectory CSV (default: surrogate)")
+    simulator.add_argument("--output", required=True)
+    simulator.add_argument("--dt", type=float, default=None)
 
-    p = sub.add_parser("metrics", help="tracking-quality stability report")
-    p.add_argument("--input", required=True)
-    p.add_argument("--output", required=True)
-    p.add_argument("--frame-rate", type=float, default=None)
+    p = sub.add_parser("metrics", parents=[recording], help="tracking-quality stability report")
     p.set_defaults(func=cmd_metrics)
 
-    p = sub.add_parser("reconstruct", help="segment orientation series")
-    p.add_argument("--input", required=True)
-    p.add_argument("--output", required=True)
+    p = sub.add_parser("reconstruct", parents=[recording], help="segment orientation series")
     p.add_argument("--segment", required=True, help="a frames.Segment name, such as Body")
-    p.add_argument("--frame-rate", type=float, default=None)
     p.add_argument("--window-ms", default=None, metavar="A:B", type=_window_s)
     p.add_argument("--scale", type=float, default=0.001,
                    help="meters per pixel for 2D input")
@@ -293,21 +297,12 @@ def build_parser():
     p.add_argument("--step-metrics", action="store_true")
     p.set_defaults(func=cmd_scale)
 
-    p = sub.add_parser("simulate", help="run the free-floating simulator")
-    p.add_argument("--config", default=None)
-    p.add_argument("--reference", default=None,
-                   help="joint trajectory CSV (default: surrogate)")
+    p = sub.add_parser("simulate", parents=[simulator], help="run the free-floating simulator")
     p.add_argument("--mode", choices=["prescribed", "pd"], default="prescribed")
-    p.add_argument("--output", required=True)
-    p.add_argument("--dt", type=float, default=None)
     p.set_defaults(func=cmd_simulate, resolution=None)
 
-    p = sub.add_parser("sweep", help="objective weight sweep")
-    p.add_argument("--config", default=None)
-    p.add_argument("--reference", default=None)
+    p = sub.add_parser("sweep", parents=[simulator], help="objective weight sweep")
     p.add_argument("--resolution", type=int, default=4)
-    p.add_argument("--output", required=True)
-    p.add_argument("--dt", type=float, default=None)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("demo", help="synth -> simulate -> sweep chain")

@@ -78,7 +78,7 @@ class Unreachable(BiorightError):
 
 
 class SingularMass(BiorightError):
-    """Mass matrix not invertible (cannot occur for valid parameters)."""
+    """Mass matrix not invertible, as for a Coaxial model whose base or arm has no inertia."""
 
 
 class Diverged(BiorightError):

@@ -40,11 +40,13 @@ LEG_AXES = {
     Segment.LEFT_HIND_LEG: (HIP_LEFT, ANKLE_LEFT),
 }
 
-REQUIRED_KEYPOINTS = {
+#: Trunk recipes: x runs from the 2nd keypoint to the 1st, y_temp from the 3rd to the 4th.
+TRUNK_AXES = {
     Segment.BODY: (NECK, VENT, SHOULDER_RIGHT, SHOULDER_LEFT),
-    Segment.TAIL: (TAIL_TIP, VENT, HIP_RIGHT, HIP_LEFT),
-    **LEG_AXES,
+    Segment.TAIL: (TAIL_TIP, VENT, HIP_LEFT, HIP_RIGHT),
 }
+
+REQUIRED_KEYPOINTS = {**TRUNK_AXES, **LEG_AXES}
 
 
 @dataclass
@@ -63,12 +65,9 @@ class SegmentFrameSeries:
 def _segment_dcms(segment, p):
     """Rotations C_SN and their validity mask from the positions p[kid]
     of the segment's keypoints, each (3,) or (F, 3)."""
-    if segment is Segment.BODY:
-        return rotmath.dcms_from_axes(p[NECK] - p[VENT],
-                                      p[SHOULDER_LEFT] - p[SHOULDER_RIGHT])
-    if segment is Segment.TAIL:
-        return rotmath.dcms_from_axes(p[TAIL_TIP] - p[VENT],
-                                      p[HIP_RIGHT] - p[HIP_LEFT])
+    if segment in TRUNK_AXES:
+        head, tail, a, b = TRUNK_AXES[segment]
+        return rotmath.dcms_from_axes(p[head] - p[tail], p[b] - p[a])
     a, b = LEG_AXES[segment]
     # the limb as x and -x_N as y_temp give the leg's y (row 0) and z (row 2);
     # x is y cross z, as leg_frame defines it (minus row 1 flips signed zeros)
@@ -109,11 +108,10 @@ def leg_frame(segment, positions):
 
 
 def _series(segment, times, rotations, valid, metadata):
-    """Series from the (n, 3, 3) rotations of the n valid frames, scattered
-    into NaN rows (whose angles come out NaN); gimbal lock warns once and
-    its frame count goes in metadata."""
-    stack = np.full((len(valid), 3, 3), np.nan)
-    stack[valid] = rotations
+    """Series from the (N, 3, 3) rotations with the invalid rows set to NaN
+    (whose angles come out NaN); gimbal lock warns once and its frame count
+    goes in metadata."""
+    stack = np.where(valid[:, None, None], rotations, np.nan)
     euler, lock = rotmath.dcms_to_euler321(stack)
     locked = int(lock.sum())
     if locked:
@@ -145,7 +143,7 @@ def segment_series(dataset, segment):
     if not valid.any():
         raise NoValidFrames(f"no valid frames for {segment.value}")
     times = np.arange(dataset.frame_count) / dataset.frame_rate
-    return _series(segment, times, R[valid], valid, {})
+    return _series(segment, times, R, valid, {})
 
 
 def relative_leg_series(leg, body):
@@ -155,7 +153,7 @@ def relative_leg_series(leg, body):
         raise TimeGridMismatch("leg and body series on different time grids")
     valid = leg.valid & body.valid
     return _series(leg.segment, leg.times,
-                   rotmath.relative_rotation(leg.rotations[valid], body.rotations[valid]),
+                   rotmath.relative_rotation(leg.rotations, body.rotations),
                    valid, {**leg.metadata, "relative_to": "Body"})
 
 

@@ -53,6 +53,9 @@ MAX_FRAMES = 1_000_000
 MAX_COORDINATE = 1e75
 _SCAN_BLOCK = 64  # frames whose jumps reassociate_identities tests in one pass
 _AXES = {False: ("x", "y"), True: ("x", "y", "z")}  # by whether a sample names z
+#: The header of a keypoint CSV, by dimension: the only two a CSV may carry.
+_CSV_HEADERS = {len(axes): ["frame", "keypoint_id", "keypoint_name", *axes, "visible"]
+                for axes in _AXES.values()}
 
 
 @dataclass
@@ -103,6 +106,8 @@ class KeypointDataset:
             raise SchemaError(f"unknown unit {self.unit!r}")
         if not 0 < self.frame_rate < math.inf:
             raise SchemaError(f"frame_rate must be finite and positive, got {self.frame_rate}")
+        if not math.isfinite((self.frame_count - 1) / self.frame_rate):
+            raise SchemaError(f"frame_rate {self.frame_rate} puts the last frame at t = inf")
         for kid, track in self.tracks.items():
             if kid != track.id:
                 raise SchemaError(f"track map key {kid} != track id {track.id}")
@@ -148,7 +153,7 @@ class SwapEvent:
 def load_dataset(source, format="csv", frame_rate=None):
     """Read a dataset from a text or binary stream or a path (a str is a path).
 
-    CSV needs frame_rate and is in meters with a z column, else pixels;
+    CSV needs frame_rate and one of the two _CSV_HEADERS: with z in meters, else pixels;
     JSON carries frame_rate, frame_count and unit itself. Missing (frame,
     keypoint) rows become invisible samples.
     """
@@ -201,11 +206,11 @@ def _parse_csv(lines, frame_rate, all_lines):
     """A dataset from an iterator over a tracker CSV's lines without their
     "\\n"; all_lines() lists the same lines, only on a refusal."""
     header = next(csv.reader([next(lines)]))
-    if header[:4] != ["frame", "keypoint_id", "keypoint_name", "x"]:
+    dim = next((d for d, names in _CSV_HEADERS.items() if names == header), None)
+    if dim is None:
         if all_lines() == [""]:
             raise EmptyDataset("no header row")
         raise ParseError(f"unexpected header {header!r}")
-    dim = 3 if "z" in header else 2
     dtype = np.dtype([("frame", "i8"), ("id", "i8"), ("name", "U19"),
                       ("coords", "f8", (dim,)), ("visible", "U2")])
     try:
@@ -400,7 +405,7 @@ def save_dataset(dataset, stream, format="csv"):
     """Write a dataset back out; inverse of load_dataset on valid data."""
     if format == "csv":
         dim = next((t.dim for t in dataset.tracks.values()), 2)
-        stream.write(f"frame,keypoint_id,keypoint_name,{','.join('xyz'[:dim])},visible\n")
+        stream.write(",".join(_CSV_HEADERS[dim]) + "\n")
         for kid in sorted(dataset.tracks):
             track = dataset.tracks[kid]
             # the name is one of KEYPOINT_NAMES: no comma, quote or %

@@ -47,13 +47,9 @@ def dcms_from_axes(x_raw, y_temp):
 
 def euler321_to_dcm(e):
     """Rotation for the 3-2-1 sequence: R1(roll) @ R2(pitch) @ R3(yaw)."""
-    if isinstance(e, EulerYPR):
-        yaw, pitch, roll = e.yaw, e.pitch, e.roll
-    else:
-        yaw, pitch, roll = e
-    cy, sy = np.cos(yaw), np.sin(yaw)
-    cp, sp = np.cos(pitch), np.sin(pitch)
-    cr, sr = np.cos(roll), np.sin(roll)
+    cy, sy = np.cos(e.yaw), np.sin(e.yaw)
+    cp, sp = np.cos(e.pitch), np.sin(e.pitch)
+    cr, sr = np.cos(e.roll), np.sin(e.roll)
     return np.array([
         [cp * cy, cp * sy, -sp],
         [sr * sp * cy - cr * sy, sr * sp * sy + cr * cy, sr * cp],

@@ -3,7 +3,7 @@ axis: mass matrix, Coriolis terms, momentum-conserving playback, RK4
 integration, and PD joint tracking. Gravity is zero throughout."""
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 import numpy as np
@@ -362,8 +362,8 @@ def base_reaction_estimate(p, delta_theta):
 
 
 def inertia_ratio(p):
-    """Arm effective inertia over base inertia."""
-    return p.arm_inertia_cm / p.base_inertia
+    """Arm effective inertia over base inertia; inf for a base without inertia."""
+    return p.arm_inertia_cm / p.base_inertia if p.base_inertia else math.inf
 
 
 def write_trajectory_csv(traj, stream):
@@ -424,10 +424,9 @@ def parse_config(text):
 
 
 def params_from_config(cfg):
-    fields = ("base_mass", "arm_mass", "base_inertia", "arm_inertia_cm",
-              "hinge_offset", "arm_cm_offset")
-    return SmsParams(**{k: cfg[k] for k in fields}, mode=Mode(cfg["mode"]))
+    values = {f.name: cfg[f.name] for f in fields(SmsParams)}
+    return SmsParams(**{**values, "mode": Mode(cfg["mode"])})
 
 
 def gains_from_config(cfg):
-    return PdGains(kp=cfg["kp"], kd=cfg["kd"], torque_limit=cfg["torque_limit"])
+    return PdGains(**{f.name: cfg[f.name] for f in fields(PdGains)})

@@ -1332,3 +1332,70 @@ def test_canonical_outputs_file_list(tmp_path):
                     f"numpy {numpy}: its float loops may differ in the last bit")
     got = {f"{hashlib.sha256(data).hexdigest()}  {name}" for name, data in read.items()}
     assert sorted(got ^ set(digests)) == []
+
+
+class TestKeypointHeaderExit2:
+    """A keypoint CSV whose header is neither layout exits 2 and writes nothing;
+    a header with y after visible was read by column position, every y = 0
+    as "invisible"."""
+
+    @pytest.mark.parametrize("header", [
+        "frame,keypoint_id,keypoint_name,x,visible,y",
+        "frame,keypoint_id,keypoint_name,x,y,visible,z",
+        "frame,keypoint_id,keypoint_name,x,y,visible,",
+        "frame,keypoint_id,keypoint_name,x,y,visible,likelihood"])
+    def test_refused(self, tmp_path, header):
+        rows = "".join(f"{f},1,Neck,5.0,{f % 2},0{',0.5' * (header.count(',') - 5)}\n"
+                       for f in range(4))
+        src, out = tmp_path / "tracks.csv", tmp_path / "report.csv"
+        src.write_text(f"{header}\n{rows}")
+        proc = run_subprocess(["metrics", "--input", str(src), "--frame-rate", "1000",
+                               "--output", str(out)])
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: unexpected header {header.split(',')!r}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["tracks.csv"]
+
+
+class TestZeroBaseInertia:
+    """A Coaxial model whose base has no inertia plays a reference back and
+    prints an infinite inertia ratio; PD tracking of it has a singular mass
+    matrix."""
+
+    def test_prescribed_exit_0(self, tmp_path):
+        cfg, out = tmp_path / "zero.cfg", tmp_path / "o.csv"
+        cfg.write_text("base_inertia = 0\n")
+        proc = run_subprocess(["simulate", "--mode", "prescribed", "--config", str(cfg),
+                               "--dt", "0.5", "--output", str(out)])
+        assert proc.returncode == 0, proc.stderr
+        assert "inertia_ratio=inf\n" in proc.stdout
+        assert out.read_text().startswith("t,phi_deg,theta_deg")
+        assert (tmp_path / "o.manifest.json").exists()
+
+    def test_pd_exit_4(self, tmp_path):
+        cfg, out = tmp_path / "zero.cfg", tmp_path / "o.csv"
+        cfg.write_text("base_inertia = 0\n")
+        proc = run_subprocess(["simulate", "--mode", "pd", "--config", str(cfg),
+                               "--dt", "0.5", "--output", str(out)])
+        assert proc.returncode == 4
+        assert proc.stderr == "error: mass matrix not invertible\n"
+        assert not out.exists()
+
+
+class TestFrameRateTimesFiniteExit2:
+    """A frame rate that puts the last frame at t = inf exits 2 from CSV and
+    JSON alike, and writes nothing (it wrote 1 999 rows at t = inf)."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_refused(self, tmp_path, fmt):
+        src, out = tmp_path / f"rec.{fmt}", tmp_path / "body.csv"
+        with open(src, "w") as f:
+            keypoints.save_dataset(yawing_lizard(), f, format=fmt)
+        if fmt == "json":
+            src.write_text(src.read_text().replace('"frame_rate": 1000.0',
+                                                   '"frame_rate": 1e-320'))
+        rate = ["--frame-rate", "1e-320"] if fmt == "csv" else []
+        proc = run_subprocess(["reconstruct", "--input", str(src), *rate,
+                               "--segment", "Body", "--output", str(out)])
+        assert proc.returncode == 2
+        assert proc.stderr == "error: frame_rate 1e-320 puts the last frame at t = inf\n"
+        assert not out.exists()

@@ -629,3 +629,63 @@ class TestFrameRange:
         track = KeypointTrack(1, "Neck", frames, [(1.0, 2.0), (3.0, 4.0)], [True, True])
         with pytest.raises(SchemaError, match=r"^track 1: frame index outside 0\.\.2$"):
             keypoints.KeypointDataset({1: track}, 1000.0, 3, "pixel")
+
+
+class _Unseekable(io.BytesIO):
+    """A binary stream that cannot seek, as a pipe: load_dataset parses it whole."""
+
+    def seekable(self):
+        return False
+
+
+#: Headers that name the columns of neither layout, each with one row that
+#: fills them as the header says; the first two were read by column position.
+NOT_A_LAYOUT = {
+    "z_after_visible": ("frame,keypoint_id,keypoint_name,x,y,visible,z\n"
+                        "0,1,Neck,5.0,6.0,1,0.5\n"),
+    "visible_before_y": ("frame,keypoint_id,keypoint_name,x,visible,y\n"
+                         "0,1,Neck,5.0,1,0\n"),
+    "trailing_empty_field": ("frame,keypoint_id,keypoint_name,x,y,visible,\n"
+                             "0,1,Neck,5.0,6.0,1,\n"),
+    "likelihood": ("frame,keypoint_id,keypoint_name,x,y,visible,likelihood\n"
+                   "0,1,Neck,5.0,6.0,1,0.9\n"),
+}
+
+
+class TestExactCsvHeader:
+    """A keypoint CSV's header is one of the two layouts, name for name; any
+    other is refused on the block route (a path, a seekable binary stream)
+    and on the whole-text route (an unseekable stream) alike."""
+
+    @pytest.mark.parametrize("source", ["path", "seekable", "unseekable"])
+    @pytest.mark.parametrize("name", sorted(NOT_A_LAYOUT))
+    def test_refused(self, tmp_path, name, source):
+        text = NOT_A_LAYOUT[name]
+        header = text.split("\n")[0].split(",")
+        path = tmp_path / "rec.csv"
+        path.write_text(text)
+        src = {"path": path, "seekable": io.BytesIO(text.encode()),
+               "unseekable": _Unseekable(text.encode())}[source]
+        with pytest.raises(ParseError) as info:
+            load_dataset(src, format="csv", frame_rate=1000.0)
+        assert str(info.value) == f"unexpected header {header!r}"
+
+
+class TestFrameRateKeepsTimesFinite:
+    """A frame rate so small that the last frame's time t = (frame_count - 1) /
+    frame_rate overflows is refused in CSV and in JSON; one frame has t = 0."""
+
+    def test_csv(self):
+        text = csv_text([(0, 1, 1.0, 2.0, 1), (1, 1, 3.0, 4.0, 1)])
+        with pytest.raises(SchemaError, match="puts the last frame at t = inf"):
+            load_csv(text, frame_rate=1e-320)
+        assert load_csv(text, frame_rate=1e-300).frame_rate == 1e-300
+
+    def test_json(self):
+        text = json_text({1: [(0, 1.0, 2.0, True), (1, 3.0, 4.0, True)]}, 2).replace(
+            '"frame_rate": 1000.0', '"frame_rate": 1e-320')
+        with pytest.raises(SchemaError, match="puts the last frame at t = inf"):
+            load_json(text)
+
+    def test_a_single_frame_at_any_rate(self):
+        assert load_csv(csv_text([(0, 1, 1.0, 2.0, 1)]), frame_rate=1e-320).frame_count == 1

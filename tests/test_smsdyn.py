@@ -415,3 +415,9 @@ class TestNonFiniteFields:
         kw[field] = value
         with pytest.raises(ValueError, match="finite"):
             PdGains(**kw)
+
+
+class TestZeroBaseInertia:
+    def test_inertia_ratio_is_inf(self):
+        assert inertia_ratio(SmsParams(1.0, 1.0, 0.0, 1.0)) == math.inf
+        assert inertia_ratio(SmsParams(1.0, 1.0, 0.0, 0.0)) == math.inf
