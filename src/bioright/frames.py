@@ -170,10 +170,10 @@ def righting_window(series, t_start, t_end):
 
 
 def write_series_csv(series, stream):
-    """Emit `t,yaw_deg,pitch_deg,roll_deg,valid`: 4-decimal degrees, blank if invalid."""
+    """Emit `t,yaw_deg,pitch_deg,roll_deg,valid` at `%.9g`, the angles blank if invalid."""
     stream.write("t,yaw_deg,pitch_deg,roll_deg,valid\n")
     ypr = np.where(series.valid[:, None], np.degrees(series.euler), np.nan)
     # only an invalid row ends in ",0\n", and its angles are all NaN
     stream.writelines(block.replace(",nan,nan,nan,0\n", ",,,,0\n") for block in
-                      traj.format_rows("%.6f,%.4f,%.4f,%.4f,%d\n",
+                      traj.format_rows("%.9g,%.9g,%.9g,%.9g,%d\n",
                                        (series.times, *ypr.T, series.valid)))

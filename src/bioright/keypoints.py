@@ -165,7 +165,12 @@ def load_dataset(source, format="csv", frame_rate=None):
         raise SchemaError("frame_rate is required for CSV input (never inferred)")
     if isinstance(source, (str, os.PathLike)):
         with open(source, "rb") as f:
-            return load_dataset(f, format, frame_rate)
+            return _load_csv(f, frame_rate)
+    return _load_csv(source, frame_rate)
+
+
+def _load_csv(source, frame_rate):
+    """A CSV dataset from an open text or binary stream."""
     if isinstance(source, (io.RawIOBase, io.BufferedIOBase)) and source.seekable():
         start, text = source.tell(), io.TextIOWrapper(source, encoding="utf-8-sig")
         try:  # parsed in read blocks, so its text is never held; strict, as _as_text

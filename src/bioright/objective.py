@@ -148,9 +148,7 @@ def write_report_csv(report, stream):
         stream.write(f"# {name}: {definition}\n")
     stream.write("w_safety,w_stability,w_efficiency,"
                  "phi_safety,phi_stability,phi_efficiency,J\n")
-    stream.writelines(format_rows("%.6f,%.6f,%.6f,%.9g,%.9g,%.9g,%.9g\n",
+    stream.writelines(format_rows("%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%.9g\n",
                                   report.rows.T))
     a = report.argmin
-    stream.write(f"# argmin,{a.weights.w_safety:.6f},"
-                 f"{a.weights.w_stability:.6f},{a.weights.w_efficiency:.6f},"
-                 f"J={a.J:.9g}\n")
+    stream.write("# argmin,%.9g,%.9g,%.9g,J=%.9g\n" % (*a.weights.as_tuple(), a.J))

@@ -161,19 +161,15 @@ def stability_report(dataset):
 
 
 def write_report_csv(rows, stream):
-    """Emit the stability report with 2-decimal fixed formatting.
-
-    Variance is the population (not sample) variance.
-    """
+    """Emit the stability report: numbers at `%.9g`, the gap count at `%d`, a too-sparse
+    row's metrics blank beside its reason. Variance is the population (not sample) one."""
     stream.write("keypoint_id,name,avg_movement,norm_movement,"
                  "visibility_pct,max_gap,pos_variance,drift_score,category\n")
     for row in rows:
         if row.metrics is None:
-            stream.write(f"{row.id},{row.name},,,,,,,{row.reason}\n")
-            continue
-        m = row.metrics
-        stream.write(
-            f"{row.id},{row.name},{m.average_movement:.2f},"
-            f"{m.normalized_movement:.2f},{m.visibility:.2f},"
-            f"{m.max_gap_length},{m.position_variance:.2f},"
-            f"{m.drift_score:.2f},{row.category.value}\n")
+            stream.write("%d,%s,,,,,,,%s\n" % (row.id, row.name, row.reason))
+        else:
+            m = row.metrics
+            stream.write("%d,%s,%.9g,%.9g,%.9g,%d,%.9g,%.9g,%s\n" % (
+                row.id, row.name, m.average_movement, m.normalized_movement, m.visibility,
+                m.max_gap_length, m.position_variance, m.drift_score, row.category.value))

@@ -976,7 +976,7 @@ class TestKeypointFileBoundary:
             out[fmt] = (tmp_path / f"body_{fmt}.csv").read_bytes()
         assert out["csv"] == out["json"]
         # 0.4 rad of yaw at frame 4 and no roll: not flipped by a pixel map
-        assert out["csv"].endswith(b"\n0.004000,22.9183,0.0000,0.0000,1\n")
+        assert out["csv"].endswith(b"\n0.004,22.9183118,0,0,1\n")
 
     def test_frame_beyond_bound_exit_2(self, tmp_path):
         src = tmp_path / "far.csv"
@@ -1154,7 +1154,7 @@ class TestWindowMsTwoFiniteNumbers:
                     "--segment", "Body", "--frame-rate", "1000", "--scale", "1.0",
                     "--window-ms", "1:3.5"]) == 0
         assert [line.split(",")[0] for line in out.read_text().splitlines()[1:]] == \
-            ["0.000000", "0.001000", "0.002000"]
+            ["0", "0.001", "0.002"]
         assert "3 valid of 3" in capsys.readouterr().out
 
     @pytest.mark.parametrize("option", ["--window-ms", "--win"])
@@ -1269,6 +1269,33 @@ class TestSameOutputFromCsvAndJson:
             for what in self.COMMANDS:
                 assert out[what, dim, "csv"] == out[what, dim, "json"], (what, dim)
         assert out["body", "2d", "csv"] == out["body", "3d", "csv"]
+
+
+def test_meter_report_shows_the_movement_of_its_pixel_twin(tmp_path):
+    """The report of a recording in meters carries the movement and variance
+    its pixel twin's report does; at 2 decimals 22 of its 23 rows read 0.00."""
+    benchmark_recording(tmp_path, 11)
+    pixels = keypoints.load_dataset(tmp_path / "tracks.csv", frame_rate=1000)
+    with open(tmp_path / "3d.csv", "w") as f:
+        keypoints.save_dataset(keypoints.pixel_to_world(
+            pixels, keypoints.PlanarCalibration(0.001, (0.0, 0.0))), f, format="csv")
+    reports = []
+    for src in ("tracks.csv", "3d.csv"):
+        dst = tmp_path / f"report_{src}"
+        assert run(["metrics", "--input", str(tmp_path / src), "--frame-rate", "1000",
+                    "--output", str(dst)]) == 0
+        reports.append([line.split(",") for line in dst.read_text().splitlines()[1:]])
+    pixel, meter = reports
+    assert sum(row[-1] == "too_sparse" for row in pixel) == 1
+    for px, m in zip(pixel, meter, strict=True):
+        assert (px[0], px[-1]) == (m[0], m[-1])
+        for column, scale in ((2, 1e-3), (6, 1e-6)):  # avg_movement, pos_variance
+            if px[column]:
+                assert float(px[column]) > 0 and float(m[column]) > 0, (px, m)
+                assert float(m[column]) == pytest.approx(float(px[column]) * scale,
+                                                         rel=2e-8)
+            else:
+                assert m[column] == ""
 
 
 def test_bench_record_refuses_a_checkout_holding_bytecode(tmp_path, monkeypatch):

@@ -265,13 +265,13 @@ def oracle_report_csv(rows, argmin):
                  "phi_safety,phi_stability,phi_efficiency,J\n")
     for row in rows:
         w = row.weights
-        stream.write(f"{w.w_safety:.6f},{w.w_stability:.6f},"
-                     f"{w.w_efficiency:.6f},{row.phi_safety:.9g},"
+        stream.write(f"{w.w_safety:.9g},{w.w_stability:.9g},"
+                     f"{w.w_efficiency:.9g},{row.phi_safety:.9g},"
                      f"{row.phi_stability:.9g},{row.phi_efficiency:.9g},"
                      f"{row.J:.9g}\n")
     a = argmin
-    stream.write(f"# argmin,{a.weights.w_safety:.6f},"
-                 f"{a.weights.w_stability:.6f},{a.weights.w_efficiency:.6f},"
+    stream.write(f"# argmin,{a.weights.w_safety:.9g},"
+                 f"{a.weights.w_stability:.9g},{a.weights.w_efficiency:.9g},"
                  f"J={a.J:.9g}\n")
     return stream.getvalue()
 
@@ -1072,8 +1072,8 @@ def oracle_series_csv(series):
     for t, (y, p, r), ok in zip(series.times.tolist(),
                                 np.degrees(series.euler).tolist(),
                                 series.valid.tolist()):
-        stream.write(f"{t:.6f},{y:.4f},{p:.4f},{r:.4f},1\n" if ok
-                     else f"{t:.6f},,,,0\n")
+        stream.write(f"{t:.9g},{y:.9g},{p:.9g},{r:.9g},1\n" if ok
+                     else f"{t:.9g},,,,0\n")
     return stream.getvalue()
 
 

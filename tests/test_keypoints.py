@@ -524,6 +524,22 @@ class TestSources:
             load_dataset("frame,keypoint_id,keypoint_name,x,y,visible\n",
                          format="csv", frame_rate=1000.0)
 
+    @pytest.mark.parametrize("kind", [str, lambda p: p], ids=["str", "PathLike"])
+    def test_one_path_load_is_one_call(self, tmp_path, monkeypatch, kind):
+        # a wrapper around the public name (a tracer's span) sees one load,
+        # not the path load and a second, nested one for its open file
+        path = kind(tmp_path / "rec.csv")
+        with open(path, "w") as f:
+            f.write(full_csv_dataset(3))
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return load_dataset(*args, **kwargs)
+        monkeypatch.setattr(keypoints, "load_dataset", counted)
+        assert keypoints.load_dataset(path, frame_rate=1000.0).frame_count == 3
+        assert calls == [path]
+
 
 class TestLineEndings:
     @pytest.mark.parametrize("newline", ["\r", "\r\n"], ids=["cr", "crlf"])
