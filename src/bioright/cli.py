@@ -197,9 +197,8 @@ def cmd_simulate(args):
                          "file: playback runs on the file's own time grid")
     cfg, params, reference = _load_run(args)
     result = _simulate(args.mode, cfg, params, reference, args.run, args.output)
-    r2d = 180.0 / math.pi
-    dphi = np.max(np.abs(result.base_angle - result.base_angle[0])) * r2d
-    peak_rate = np.max(np.abs(result.base_rate)) * r2d
+    dphi = np.degrees(np.max(np.abs(result.base_angle - result.base_angle[0])))
+    peak_rate = np.degrees(np.max(np.abs(result.base_rate)))
     drift = np.max(np.abs(result.momentum - result.momentum[0]))
     ratio = smsdyn.inertia_ratio(params)
     print(f"max|delta_phi|_deg={dphi:.4f}")
@@ -245,15 +244,14 @@ def cmd_demo(args):
 
     prescribed = _simulate("prescribed", cfg, params, reference, args.run,
                            out / "prescribed.csv")
-    r2d = 180.0 / math.pi
-    dphi = (prescribed.base_angle[-1] - prescribed.base_angle[0]) * r2d
+    dphi = np.degrees(prescribed.base_angle[-1] - prescribed.base_angle[0])
     sweep = prescribed.joint_angle[-1] - prescribed.joint_angle[0]
     print(f"prescribed playback: delta_phi={dphi:.3f} deg "
-          f"(closed form {smsdyn.base_reaction_estimate(params, sweep) * r2d:.3f}"
-          f" deg for the {sweep * r2d:.3f} deg sweep)")
+          f"(closed form {np.degrees(smsdyn.base_reaction_estimate(params, sweep)):.3f}"
+          f" deg for the {np.degrees(sweep):.3f} deg sweep)")
 
     pd_run = _simulate("pd", cfg, params, reference, args.run, out / "pd.csv")
-    peak_rate = np.max(np.abs(pd_run.base_rate)) * r2d
+    peak_rate = np.degrees(np.max(np.abs(pd_run.base_rate)))
     print(f"pd tracking: peak base rate={peak_rate:.4f} deg/s "
           "(target < 0.15 deg/s)")
 

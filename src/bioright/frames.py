@@ -9,8 +9,7 @@ import numpy as np
 
 from . import keypoints, rotmath, traj
 from .errors import (BadWindow, DegenerateAxes, EmptyWindow, GimbalLockWarning,
-                     MissingKeypoint, NoValidFrames, SchemaError,
-                     TimeGridMismatch)
+                     MissingKeypoint, NoValidFrames, SchemaError, TimeGridMismatch)
 
 # Keypoint ids used by the recipes.
 NECK, VENT, TAIL_TIP = 1, 21, 23
@@ -77,11 +76,13 @@ def _segment_dcms(segment, p):
 
 
 def segment_frame(segment, positions):
-    """C_SN of one segment from a {keypoint id: position} mapping."""
+    """C_SN of one segment from a {keypoint id: 3-vector position} mapping."""
     needed = REQUIRED_KEYPOINTS[segment]
     for kid in needed:
         if kid not in positions:
             raise MissingKeypoint(f"keypoint {kid} required but absent")
+        if np.shape(positions[kid]) != (3,):
+            raise SchemaError(f"keypoint {kid}: position must be a 3-vector")
     R, ok = _segment_dcms(segment, {kid: np.asarray(positions[kid], dtype=float)
                                     for kid in needed})
     if not ok:
@@ -135,8 +136,6 @@ def segment_series(dataset, segment):
         raise ValueError("segment_series needs a dataset in meters")
     needed = REQUIRED_KEYPOINTS[segment]
     positions, visible = keypoints.dense_stack(dataset, needed)
-    if positions.shape[2] != 3:
-        raise SchemaError(f"segment_series needs a 3D dataset, got {positions.shape[2]}D")
     R, ok = _segment_dcms(segment, {kid: positions[:, j]
                                     for j, kid in enumerate(needed)})
     valid = visible.all(axis=1) & ok

@@ -52,10 +52,12 @@ MAX_FRAMES = 1_000_000
 #: differences, which stays finite up to about 9e76.
 MAX_COORDINATE = 1e75
 _SCAN_BLOCK = 64  # frames whose jumps reassociate_identities tests in one pass
+#: A recording's dimension by its unit, which KeypointDataset holds each track to.
+DIMS = {"pixel": 2, "meter": 3}
 _AXES = {False: ("x", "y"), True: ("x", "y", "z")}  # by whether a sample names z
-#: The header of a keypoint CSV, by dimension: the only two a CSV may carry.
-_CSV_HEADERS = {len(axes): ["frame", "keypoint_id", "keypoint_name", *axes, "visible"]
-                for axes in _AXES.values()}
+#: The header of a keypoint CSV, by unit: the only two a CSV may carry.
+_CSV_HEADERS = {unit: ["frame", "keypoint_id", "keypoint_name", *_AXES[dim == 3], "visible"]
+                for unit, dim in DIMS.items()}
 
 
 @dataclass
@@ -63,7 +65,8 @@ class KeypointTrack:
     """Position time-series for one keypoint.
 
     frames is strictly increasing; positions is (N, 2) or (N, 3) in a
-    single unit; invisible samples hold NaN positions.
+    single unit, and frames, visible and interpolated are (N,); invisible
+    samples hold NaN positions.
     """
 
     id: int
@@ -77,12 +80,15 @@ class KeypointTrack:
         self.frames = np.asarray(self.frames, dtype=int)
         self.positions = np.asarray(self.positions, dtype=float)
         self.visible = np.asarray(self.visible, dtype=bool)
-        self.interpolated = np.zeros(len(self.frames), dtype=bool) \
+        self.interpolated = np.zeros_like(self.visible) \
             if self.interpolated is None else np.asarray(self.interpolated, dtype=bool)
-        if np.any(np.diff(self.frames) <= 0):
-            raise SchemaError(f"track {self.id}: frame indices not strictly increasing")
         if self.positions.ndim != 2 or self.positions.shape[1] not in (2, 3):
             raise SchemaError(f"track {self.id}: positions must be (N, 2) or (N, 3)")
+        for name in ("frames", "visible", "interpolated"):
+            if getattr(self, name).shape != self.positions.shape[:1]:
+                raise SchemaError(f"track {self.id}: {name} is not ({len(self.positions)},)")
+        if np.any(np.diff(self.frames) <= 0):
+            raise SchemaError(f"track {self.id}: frame indices not strictly increasing")
 
     @property
     def dim(self):
@@ -94,7 +100,7 @@ class KeypointTrack:
 
 @dataclass
 class KeypointDataset:
-    """All tracks of one recording plus the timing metadata."""
+    """All tracks of one recording, each DIMS[unit]-D, plus the timing metadata."""
 
     tracks: dict
     frame_rate: float
@@ -102,7 +108,7 @@ class KeypointDataset:
     unit: str
 
     def __post_init__(self):
-        if self.unit not in ("pixel", "meter"):
+        if self.unit not in DIMS:
             raise SchemaError(f"unknown unit {self.unit!r}")
         if not 0 < self.frame_rate < math.inf:
             raise SchemaError(f"frame_rate must be finite and positive, got {self.frame_rate}")
@@ -117,6 +123,9 @@ class KeypointDataset:
                 raise SchemaError(
                     f"keypoint {track.id} named {track.name!r}, "
                     f"expected {KEYPOINT_NAMES[track.id]!r}")
+            if track.dim != DIMS[self.unit]:
+                raise SchemaError(f"track {track.id}: {track.dim}D positions in a "
+                                  f"{self.unit} dataset, which is {DIMS[self.unit]}D")
             if len(track.frames) and (track.frames[0] < 0 or track.frames[-1] >= self.frame_count):
                 raise SchemaError(f"track {track.id}: frame index outside "
                                   f"0..{self.frame_count - 1}")
@@ -211,11 +220,12 @@ def _parse_csv(lines, frame_rate, all_lines):
     """A dataset from an iterator over a tracker CSV's lines without their
     "\\n"; all_lines() lists the same lines, only on a refusal."""
     header = next(csv.reader([next(lines)]))
-    dim = next((d for d, names in _CSV_HEADERS.items() if names == header), None)
-    if dim is None:
+    unit = next((u for u, names in _CSV_HEADERS.items() if names == header), None)
+    if unit is None:
         if all_lines() == [""]:
             raise EmptyDataset("no header row")
         raise ParseError(f"unexpected header {header!r}")
+    dim = DIMS[unit]
     dtype = np.dtype([("frame", "i8"), ("id", "i8"), ("name", "U19"),
                       ("coords", "f8", (dim,)), ("visible", "U2")])
     try:
@@ -259,8 +269,7 @@ def _parse_csv(lines, frame_rate, all_lines):
     frame_count = 1 + int(frame.max())
     names = {k: KEYPOINT_NAMES[k] for k in np.flatnonzero(np.bincount(kid)).tolist()}
     tracks = _scatter(names, kid, frame, coords, visible == "1", frame_count)
-    return KeypointDataset(tracks, float(frame_rate), frame_count,
-                           "meter" if dim == 3 else "pixel")
+    return KeypointDataset(tracks, float(frame_rate), frame_count, unit)
 
 
 def _parse_rows(lines, dtype):
@@ -409,12 +418,11 @@ def _json_track(kid, track, axes):
 def save_dataset(dataset, stream, format="csv"):
     """Write a dataset back out; inverse of load_dataset on valid data."""
     if format == "csv":
-        dim = next((t.dim for t in dataset.tracks.values()), 2)
-        stream.write(",".join(_CSV_HEADERS[dim]) + "\n")
+        stream.write(",".join(_CSV_HEADERS[dataset.unit]) + "\n")
         for kid in sorted(dataset.tracks):
             track = dataset.tracks[kid]
             # the name is one of KEYPOINT_NAMES: no comma, quote or %
-            row = f"%d,{kid},{track.name}" + ",%r" * track.dim + ",%d\n"
+            row = f"%d,{kid},{track.name}" + ",%r" * DIMS[dataset.unit] + ",%d\n"
             coords = np.where(track.visible[:, None], track.positions, np.nan)
             stream.writelines(format_rows(row, (track.frames, *coords.T, track.visible)))
     elif format == "json":
@@ -445,8 +453,7 @@ def _json_tokens(column):
 def dense_stack(dataset, ids):
     """(F, k, D) positions and (F, k) visibility of the tracks `ids` on
     frames 0..frame_count-1; absent tracks and frames are invisible NaN."""
-    dim = next((t.dim for t in dataset.tracks.values()), 3)
-    positions = np.full((dataset.frame_count, len(ids), dim), np.nan)
+    positions = np.full((dataset.frame_count, len(ids), DIMS[dataset.unit]), np.nan)
     visible = np.zeros((dataset.frame_count, len(ids)), dtype=bool)
     for j, kid in enumerate(ids):
         track = dataset.tracks.get(kid)
@@ -464,10 +471,10 @@ def reassociate_identities(dataset, max_jump):
     the lower id. The per-frame multiset of detections is preserved.
     Returns (new dataset, SwapEvents sorted by (frame_start, from_id)).
     """
+    if dataset.unit != "pixel":
+        raise SchemaError("re-association is defined for 2D datasets, in pixels")
     ids = sorted(dataset.tracks)
     positions, visible = dense_stack(dataset, ids)
-    if positions.shape[2] != 2:
-        raise SchemaError("re-association is defined for 2D datasets")
     last, f = np.full((len(ids), 2), np.nan), 0  # NaN: no visible sample yet
     # a frame's events come in id order, so episodes open in the order returned
     events, latest = [], {}  # latest: (from, to, kind) -> its newest episode
@@ -547,7 +554,7 @@ def pixel_to_world(dataset, calib):
     for kid, track in dataset.tracks.items():
         world = np.zeros((len(track.frames), 3))
         with np.errstate(over="ignore"):  # the dataset refuses a visible inf
-            world[:, :2] = (track.positions[:, :2] - (ox, oy)) * gain
+            world[:, :2] = (track.positions - (ox, oy)) * gain
         world[~track.visible] = np.nan
         tracks[kid] = replace(track, positions=world)
     return KeypointDataset(tracks, dataset.frame_rate, dataset.frame_count,

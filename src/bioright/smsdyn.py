@@ -63,10 +63,6 @@ class SmsState:
     joint_rate: float
     t: float = 0.0
 
-    def as_array(self):
-        return np.array([self.base_angle, self.joint_angle,
-                         self.base_rate, self.joint_rate])
-
 
 @dataclass
 class SmsTrajectory:
@@ -369,10 +365,9 @@ def inertia_ratio(p):
 def write_trajectory_csv(traj, stream):
     """Emit `t,phi_deg,theta_deg,phi_rate_deg_s,theta_rate_deg_s,tau_Nm,L`."""
     stream.write("t,phi_deg,theta_deg,phi_rate_deg_s,theta_rate_deg_s,tau_Nm,L\n")
-    r2d = 180.0 / math.pi
     stream.writelines(format_rows("%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%.9g\n", (
-        traj.times, traj.base_angle * r2d, traj.joint_angle * r2d,
-        traj.base_rate * r2d, traj.joint_rate * r2d, traj.torque, traj.momentum)))
+        traj.times, *map(np.degrees, (traj.base_angle, traj.joint_angle, traj.base_rate,
+                                      traj.joint_rate)), traj.torque, traj.momentum)))
 
 
 # Config file handling: `key = value` lines, '#' comments.

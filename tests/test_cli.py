@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from bioright import cli, frames, keypoints, smsdyn, traj
-from bioright.errors import BiorightError
+from bioright.errors import BiorightError, SchemaError
 
 from conftest import REST_POSE, full_csv_dataset, csv_text
 from test_fastpaths import benchmark_recording
@@ -655,7 +655,7 @@ class TestReconstructTypedErrors:
                                str(tmp_path / "body.csv"), "--segment", "Body"])
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
-        assert proc.stderr.startswith("error: ") and "3D dataset" in proc.stderr
+        assert proc.stderr.startswith("error: track 1: 2D positions in a meter dataset")
 
     def test_unknown_segment_exit_2_before_the_input_is_read(self, tmp_path):
         proc = run_subprocess(["reconstruct", "--input", str(tmp_path / "gone.csv"),
@@ -1381,6 +1381,62 @@ class TestKeypointHeaderExit2:
         assert proc.returncode == 2
         assert proc.stderr == f"error: unexpected header {header.split(',')!r}\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["tracks.csv"]
+
+
+class TestDimensionFollowsUnit:
+    """A dataset is 2D in pixels or 3D in meters, the two kinds a CSV header
+    names. Those two go through a CSV and a JSON file unchanged; any other kind
+    is refused when it is built, and a JSON file of one exits 2 from every
+    command that reads it. A 2D JSON document in meters had given a `metrics`
+    report, and its CSV twin reloaded in pixels. (A JSON file cannot mix
+    dimensions: its first sample names the axes of every track.)"""
+
+    @pytest.mark.parametrize("dims, unit, refusal, json_error", [
+        ((2, 2), "pixel", None, None),
+        ((3, 3), "meter", None, None),
+        ((2, 2), "meter", "track 1: 2D positions in a meter dataset, which is 3D",
+         "track 1: 2D positions in a meter dataset, which is 3D"),
+        ((3, 3), "pixel", "track 1: 3D positions in a pixel dataset, which is 2D",
+         "samples carry z, so the unit must be meter, not pixel"),
+        ((2, 3), "pixel", "track 21: 3D positions in a pixel dataset, which is 2D", None),
+        ((3, 2), "meter", "track 21: 2D positions in a meter dataset, which is 3D", None),
+    ], ids=["2d_pixel", "3d_meter", "2d_meter", "3d_pixel", "mixed_pixel", "mixed_meter"])
+    def test_kind(self, tmp_path, dims, unit, refusal, json_error):
+        positions = {1: [[0.25, -0.5, 1.0], [np.nan] * 3, [0.1, 0.2, 0.3]],
+                     21: [[-1.5, 2.0, 0.0], [3.0, 4.0, 5.0], [np.nan] * 3]}
+        tracks = {}
+        for kid, dim in zip(positions, dims):
+            p = np.array(positions[kid])[:, :dim]
+            tracks[kid] = keypoints.KeypointTrack(kid, keypoints.KEYPOINT_NAMES[kid], range(3),
+                                                  p, ~np.isnan(p[:, 0]))
+        if refusal is None:
+            dataset = keypoints.KeypointDataset(tracks, 1000.0, 3, unit)
+            for fmt in ("csv", "json"):
+                text = io.StringIO()
+                keypoints.save_dataset(dataset, text, format=fmt)
+                again = keypoints.load_dataset(io.StringIO(text.getvalue()), format=fmt,
+                                               frame_rate=1000.0)
+                assert (again.unit, again.frame_count) == (unit, 3)
+                for kid, track in tracks.items():
+                    assert again.tracks[kid].positions.tobytes() == track.positions.tobytes()
+            return
+        with pytest.raises(SchemaError, match=f"^{re.escape(refusal)}$"):
+            keypoints.KeypointDataset(tracks, 1000.0, 3, unit)
+        if json_error is None:
+            return
+        src = tmp_path / "tracks.json"
+        src.write_text(json.dumps({"frame_rate": 1000.0, "frame_count": 3, "unit": unit,
+                                   "tracks": [{"id": kid, "name": track.name, "samples": [
+                                       {"frame": f, "visible": v, **dict(zip("xyz", p))}
+                                       for f, p, v in zip(range(3), track.positions.tolist(),
+                                                          track.visible.tolist())]}
+                                              for kid, track in tracks.items()]}))
+        for command in (["metrics", "--output", str(tmp_path / "report.csv")],
+                        ["reconstruct", "--output", str(tmp_path / "body.csv"),
+                         "--segment", "Body"]):
+            proc = run_subprocess([*command, "--input", str(src)])
+            assert (proc.returncode, proc.stderr) == (2, f"error: {json_error}\n")
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["tracks.json"]
 
 
 class TestZeroBaseInertia:

@@ -256,11 +256,19 @@ class TestTypedBoundaryErrors:
             with pytest.raises(BadWindow):
                 frames.righting_window(series, a, b)
 
+    @pytest.mark.parametrize("segment", [Segment.BODY, Segment.LEFT_FRONT_LEG])
+    def test_position_not_a_3_vector_is_schema_error(self, segment):
+        # a 2D position had warned, then raised numpy's AxisError or ValueError
+        first, *_, last = frames.REQUIRED_KEYPOINTS[segment]
+        flat = {kid: p[:2] for kid, p in REST_POSE.items()}
+        for pose, kid in ((flat, first), ({**rest_positions(), last: flat[last]}, last)):
+            with pytest.raises(SchemaError,
+                               match=f"^keypoint {kid}: position must be a 3-vector$"):
+                frames.segment_frame(segment, pose)
+
     def test_2d_meter_dataset_is_schema_error(self):
         ds = dataset_from_poses([REST_POSE] * 3)
         tracks = {kid: replace(t, positions=t.positions[:, :2])
                   for kid, t in ds.tracks.items()}
-        flat = keypoints.KeypointDataset(tracks, ds.frame_rate, ds.frame_count,
-                                         "meter")
-        with pytest.raises(SchemaError, match="3D dataset"):
-            frames.segment_series(flat, Segment.BODY)
+        with pytest.raises(SchemaError, match="2D positions in a meter dataset"):
+            keypoints.KeypointDataset(tracks, ds.frame_rate, ds.frame_count, "meter")

@@ -94,6 +94,22 @@ class TestRoundTrip:
             assert np.array_equal(track.positions[vis], other.positions[vis])
 
 
+class TestTrackArraysMatchPositions:
+    """frames, visible and interpolated hold one entry per position; a track
+    with three frames and two positions had built, and stability_report then
+    died on a numpy IndexError."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("frames", [0, 1, 2]), ("frames", [[0], [1]]), ("visible", [True] * 3),
+        ("visible", True), ("interpolated", [False])])
+    def test_refused(self, field, value):
+        given = {"frames": [0, 1], "visible": [True, True], "interpolated": None,
+                 field: value}
+        with pytest.raises(SchemaError, match=rf"^track 1: {field} is not \(2,\)$"):
+            KeypointTrack(1, "Neck", given["frames"], [[0, 0], [1, 1]],
+                          given["visible"], given["interpolated"])
+
+
 class TestInterpolateGaps:
     def test_single_gap_midpoint(self):
         track = make_track([(0, 0), (9, 9), (2, 2)], visible=[1, 0, 1])

@@ -140,7 +140,7 @@ class TestRk4:
             s = SmsState(0.0, 0.5, 0.0, 0.2)
             for _ in range(steps):
                 s = step_rk4(p, s, 2.0, dt)
-            return s.as_array()
+            return np.array([s.base_angle, s.joint_angle, s.base_rate, s.joint_rate])
 
         ref = run(0.0005, 8000)  # t = 4 s
         err_coarse = np.max(np.abs(run(0.04, 100) - ref))
