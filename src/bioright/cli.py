@@ -123,10 +123,9 @@ def cmd_reconstruct(args):
     if args.segment not in (names := [s.value for s in frames.Segment]):
         raise ValueError(f"--segment must be one of {', '.join(names)}, got {args.segment!r}")
     dataset = _load_dataset_arg(args)
-    if dataset.unit == "pixel":
-        calib = keypoints.PlanarCalibration(scale=args.scale,
-                                            origin_pixel=(0.0, 0.0))
-        dataset = keypoints.pixel_to_world(dataset, calib)
+    if dataset.unit == "pixel":  # a scale turns no direction, so no written angle depends
+        # on it: it reaches only rotmath.EPS_LEN's degeneracy test and MAX_COORDINATE
+        dataset = keypoints.pixel_to_world(dataset, keypoints.PlanarCalibration(0.001, (0, 0)))
     segment = frames.Segment(args.segment)
     series = frames.segment_series(dataset, segment)
     if args.relative_to_body and segment is not frames.Segment.BODY:
@@ -180,8 +179,7 @@ def _simulate(mode, cfg, params, reference, run=None, output=None):
     angle (with its gains and dt), written to the run's output when one is given."""
     phi0 = math.radians(cfg["base_angle0_deg"])
     if mode == "prescribed":
-        result = smsdyn.simulate_prescribed(params, reference, L0=0.0,
-                                            base_angle0=phi0)
+        result = smsdyn.simulate_prescribed(params, reference, base_angle0=phi0)
     else:
         result = smsdyn.simulate_pd(params, reference,
                                     smsdyn.gains_from_config(cfg), cfg["dt"],
@@ -283,8 +281,6 @@ def build_parser():
     p = sub.add_parser("reconstruct", parents=[recording], help="segment orientation series")
     p.add_argument("--segment", required=True, help="a frames.Segment name, such as Body")
     p.add_argument("--window-ms", default=None, metavar="A:B", type=_window_s)
-    p.add_argument("--scale", type=float, default=0.001,
-                   help="meters per pixel for 2D input")
     p.add_argument("--relative-to-body", action="store_true")
     p.set_defaults(func=cmd_reconstruct)
 

@@ -108,7 +108,7 @@ class KeypointDataset:
     unit: str
 
     def __post_init__(self):
-        if self.unit not in DIMS:
+        if not (isinstance(self.unit, str) and self.unit in DIMS):  # a list or dict is unhashable
             raise SchemaError(f"unknown unit {self.unit!r}")
         if not 0 < self.frame_rate < math.inf:
             raise SchemaError(f"frame_rate must be finite and positive, got {self.frame_rate}")
@@ -517,8 +517,7 @@ def reassociate_identities(dataset, max_jump):
     tracks = {kid: replace(dataset.tracks[kid],
                            positions=positions[dataset.tracks[kid].frames, j])
               for j, kid in enumerate(ids)}
-    return KeypointDataset(tracks, dataset.frame_rate, dataset.frame_count,
-                           dataset.unit), [SwapEvent(*episode) for episode in events]
+    return replace(dataset, tracks=tracks), [SwapEvent(*episode) for episode in events]
 
 
 def interpolate_gaps(track, max_gap):
@@ -557,5 +556,4 @@ def pixel_to_world(dataset, calib):
             world[:, :2] = (track.positions - (ox, oy)) * gain
         world[~track.visible] = np.nan
         tracks[kid] = replace(track, positions=world)
-    return KeypointDataset(tracks, dataset.frame_rate, dataset.frame_count,
-                           "meter")
+    return replace(dataset, tracks=tracks, unit="meter")

@@ -75,7 +75,7 @@ class SmsTrajectory:
     joint_rate: np.ndarray
     torque: np.ndarray
     momentum: np.ndarray
-    metadata: dict = field(default_factory=dict)
+    metadata: dict = field(default_factory=dict)  # simulate_pd's tracking_error
 
 
 @dataclass(frozen=True)
@@ -310,8 +310,7 @@ def simulate_prescribed(p, joint_traj, L0=0.0, base_angle0=math.pi):
     if bad.any():
         raise Diverged(f"playback is not finite at t = {times[bad.argmax()]:.3f} s")
     return SmsTrajectory(times.copy(), phi, theta.copy(), phi_d,
-                         theta_d.copy(), tau, L,
-                         metadata={"mode": "prescribed", "L0": L0})
+                         theta_d.copy(), tau, L)
 
 
 def simulate_pd(p, joint_ref, gains, dt, base_angle0=math.pi,
@@ -343,10 +342,7 @@ def simulate_pd(p, joint_ref, gains, dt, base_angle0=math.pi,
                     memoryview(th_ref), memoryview(thd_ref),
                     gains.kp, gains.kd, -limit, limit)
     return SmsTrajectory(times, *history,
-                         metadata={"mode": "pd", "kp": gains.kp,
-                                   "kd": gains.kd,
-                                   "torque_limit": gains.torque_limit,
-                                   "tracking_error": th_ref - history[1]})
+                         metadata={"tracking_error": th_ref - history[1]})
 
 
 def base_reaction_estimate(p, delta_theta):

@@ -2,6 +2,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -92,8 +93,7 @@ class TestReconstruct:
         src.write_text(rest_pose_csv(5))
         out = tmp_path / "body.csv"
         code = run(["reconstruct", "--input", str(src), "--output", str(out),
-                    "--segment", "Body", "--frame-rate", "1000",
-                    "--scale", "1.0"])
+                    "--segment", "Body", "--frame-rate", "1000"])
         assert code == 0
         lines = out.read_text().splitlines()
         assert lines[0] == "t,yaw_deg,pitch_deg,roll_deg,valid"
@@ -106,7 +106,7 @@ class TestReconstruct:
         code = run(["reconstruct", "--input", str(src),
                     "--output", str(tmp_path / "w.csv"),
                     "--segment", "Body", "--frame-rate", "1000",
-                    "--scale", "1.0", "--window-ms", "5000:6000"])
+                    "--window-ms", "5000:6000"])
         assert code == 4
 
 
@@ -419,7 +419,7 @@ class TestManifestDigest:
         "metrics": (["metrics", "--input", "INPUT", "--frame-rate", "1000"],
                     full_csv_dataset(frame_count=60).encode()),
         "reconstruct": (["reconstruct", "--input", "INPUT", "--segment", "Body",
-                         "--frame-rate", "1000", "--scale", "1.0"], rest_pose_csv(5).encode()),
+                         "--frame-rate", "1000"], rest_pose_csv(5).encode()),
         "scale": (["scale", "--input", "INPUT", "--target-duration", "100"],
                   trajectory_bytes()),
         "simulate_config": (["simulate", "--config", "INPUT", "--dt", "0.5"],
@@ -681,8 +681,7 @@ class TestReconstructTypedErrors:
         src.write_text(rest_pose_csv(5))
         proc = run_subprocess(["reconstruct", "--input", str(src), "--output",
                                str(tmp_path / "w.csv"), "--segment", "Body",
-                               "--frame-rate", "1000", "--scale", "1.0",
-                               "--window-ms", "3:1"])
+                               "--frame-rate", "1000", "--window-ms", "3:1"])
         assert proc.returncode == 4
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ")
@@ -1029,10 +1028,8 @@ class TestNonFiniteScalarArguments:
     """A NaN, infinite or tiny scalar argument is refused with its exit code
     before anything is written."""
 
-    @pytest.mark.parametrize("args", [["--frame-rate", "nan"], ["--frame-rate", "inf"],
-                                      ["--frame-rate", "1000", "--scale", "nan"],
-                                      ["--frame-rate", "1000", "--scale", "inf"]],
-                             ids=["rate_nan", "rate_inf", "scale_nan", "scale_inf"])
+    @pytest.mark.parametrize("args", [["--frame-rate", "nan"], ["--frame-rate", "inf"]],
+                             ids=["rate_nan", "rate_inf"])
     def test_reconstruct_exit_2(self, tmp_path, tracked_csv, capsys, args):
         out = tmp_path / "body.csv"
         assert run(["reconstruct", "--input", str(tracked_csv), "--segment", "Body",
@@ -1104,6 +1101,49 @@ class TestJsonIntegerFieldsExit2:
         assert not list(tmp_path.glob("report*"))
 
 
+class TestJsonFieldTypeSweep:
+    """Each field of a small valid recording, replaced in turn by a value of
+    each JSON type, raises nothing out of main: `metrics` and `reconstruct`
+    exit with a code README's table lists, and a failure prints one `error:`
+    line and leaves nothing but the input behind."""
+
+    BODY = {1: (300.0, 0.0), 21: (0.0, 0.0), 12: (250.0, -50.0), 13: (250.0, 50.0)}
+    FIELDS = {"frame_rate": ("frame_rate",), "frame_count": ("frame_count",),
+              "unit": ("unit",), "tracks": ("tracks",), "track": ("tracks", 0),
+              "id": ("tracks", 0, "id"), "name": ("tracks", 0, "name"),
+              "samples": ("tracks", 0, "samples"), "sample": ("tracks", 0, "samples", 0),
+              **{key: ("tracks", 0, "samples", 0, key) for key in ("frame", "x", "visible")}}
+    VALUES = {"null": None, "true": True, "0": 0, "-1": -1, "2.5": 2.5, "str": "x",
+              "empty_list": [], "list": [1], "empty_object": {}, "object": {"a": 1},
+              "400_digits": 10 ** 399, "nan": math.nan}
+
+    @pytest.mark.parametrize("command", [["metrics"], ["reconstruct", "--segment", "Body"]],
+                             ids=["metrics", "reconstruct"])
+    @pytest.mark.parametrize("value", VALUES.values(), ids=list(VALUES))
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_listed_exit_code(self, tmp_path, capsys, field, value, command):
+        doc = {"frame_rate": 1000.0, "frame_count": 2, "unit": "pixel", "tracks": [
+            {"id": kid, "name": keypoints.KEYPOINT_NAMES[kid], "samples": [
+                {"frame": f, "x": x, "y": y, "visible": True} for f in range(2)]}
+            for kid, (x, y) in self.BODY.items()]}
+        *path, key = self.FIELDS[field]
+        parent = doc
+        for step in path:
+            parent = parent[step]
+        parent[key] = value
+        src = tmp_path / "rec.json"
+        src.write_text(json.dumps(doc))
+        code = run([*command, "--input", str(src), "--output", str(tmp_path / "out.csv")])
+        err = capsys.readouterr().err
+        assert str(code) in TestExitCodePerErrorClass.ROWS
+        left = sorted(p.name for p in tmp_path.iterdir())
+        if code == 0:
+            assert (err, left) == ("", ["out.csv", "out.manifest.json", "rec.json"])
+        else:
+            assert re.fullmatch(r"error: [^\n]+\n", err), err
+            assert left == ["rec.json"]
+
+
 class TestJsonFrameRateArgument:
     """A JSON input names its frame rate: a --frame-rate must equal it."""
 
@@ -1151,7 +1191,7 @@ class TestWindowMsTwoFiniteNumbers:
         src, out = tmp_path / "pose.csv", tmp_path / "w.csv"
         src.write_text(rest_pose_csv(5))
         assert run(["reconstruct", "--input", str(src), "--output", str(out),
-                    "--segment", "Body", "--frame-rate", "1000", "--scale", "1.0",
+                    "--segment", "Body", "--frame-rate", "1000",
                     "--window-ms", "1:3.5"]) == 0
         assert [line.split(",")[0] for line in out.read_text().splitlines()[1:]] == \
             ["0", "0.001", "0.002"]
@@ -1163,7 +1203,7 @@ class TestWindowMsTwoFiniteNumbers:
         src = tmp_path / "pose.csv"
         src.write_text(rest_pose_csv(20))
         common = ["reconstruct", "--input", str(src), "--segment", "Body",
-                  "--frame-rate", "1000", "--scale", "1.0"]
+                  "--frame-rate", "1000"]
         spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
         proc = run_subprocess([*common, "--output", str(spaced), option, "-5:10"])
         assert proc.returncode == 0, proc.stderr
@@ -1218,21 +1258,17 @@ class TestHugeCoordinatesExit2:
         assert (proc.returncode, proc.stderr) == (2, self.MESSAGE)
         assert not out.exists()
 
-    @pytest.mark.parametrize("world", [False, True], ids=["3d_json", "2d_scale"])
-    def test_reconstruct(self, tmp_path, tracked_csv, world):
+    @pytest.mark.parametrize("unit", ["meter"], ids=["3d_json"])
+    def test_reconstruct(self, tmp_path, unit):
         src, out = tmp_path / "huge.json", tmp_path / "body.csv"
-        if world:  # a pixel recording whose world coordinates overflow a float
-            args = ["--input", str(tracked_csv), "--frame-rate", "1000", "--scale", "1e307"]
-        else:
-            body = {1: (1e308, 0.0, 0.0), 21: (-1e308, 0.0, 0.0), 12: (0.0, -1e308, 0.0),
-                    13: (0.0, 1e308, 0.0)}
-            src.write_text(json.dumps({"frame_rate": 1000.0, "frame_count": 3,
-                                       "unit": "meter", "tracks": [
-                {"id": kid, "name": keypoints.KEYPOINT_NAMES[kid], "samples": [
-                    {"frame": f, "x": x, "y": y, "z": z, "visible": True} for f in range(3)]}
-                for kid, (x, y, z) in body.items()]}))
-            args = ["--input", str(src)]
-        proc = run_subprocess(["reconstruct", *args, "--segment", "Body",
+        body = {1: (1e308, 0.0, 0.0), 21: (-1e308, 0.0, 0.0), 12: (0.0, -1e308, 0.0),
+                13: (0.0, 1e308, 0.0)}
+        src.write_text(json.dumps({"frame_rate": 1000.0, "frame_count": 3,
+                                   "unit": unit, "tracks": [
+            {"id": kid, "name": keypoints.KEYPOINT_NAMES[kid], "samples": [
+                {"frame": f, "x": x, "y": y, "z": z, "visible": True} for f in range(3)]}
+            for kid, (x, y, z) in body.items()]}))
+        proc = run_subprocess(["reconstruct", "--input", str(src), "--segment", "Body",
                                "--output", str(out)])
         assert (proc.returncode, proc.stderr) == (2, self.MESSAGE)
         assert not out.exists()

@@ -2443,6 +2443,28 @@ def recording_json(recording_11):
     return docs
 
 
+def test_written_angles_do_not_depend_on_the_pixel_scale(recording_11):
+    # `reconstruct` maps a pixel recording at a fixed 1 mm/px: a scale turns
+    # no direction, so every series it can write is the same bytes at any scale
+    def written(scale):
+        world = keypoints.pixel_to_world(recording_11,
+                                         keypoints.PlanarCalibration(scale, (0.0, 0.0)))
+        series = {s: frames.segment_series(world, s) for s in Segment}
+        relative = [frames.relative_leg_series(series[s], series[Segment.BODY])
+                    for s in Segment if s not in frames.TRUNK_AXES]
+        out = []
+        for one in [*series.values(), *relative]:
+            buf = io.StringIO()
+            frames.write_series_csv(one, buf)
+            out.append(buf.getvalue())
+        return out
+
+    want = written(1e-3)
+    assert len(want) == 10 and all(text.count(",1\n") > 1000 for text in want)
+    for scale in (1e-6, 1.0, 1e3):
+        assert written(scale) == want
+
+
 @pytest.mark.parametrize("dim", ["2d", "3d"])
 def test_json_loader_equal_to_oracle_on_benchmark_recording(recording_json, dim):
     text = recording_json[dim]

@@ -604,6 +604,28 @@ class TestJsonUnitMatchesAxes:
         assert ds.tracks[1].positions.tolist() == [[1.0, 2.0, 3.0]]
 
 
+class TestUnknownUnit:
+    """A unit is one of the two strings: any other value, a list or an object
+    too, is `SchemaError: unknown unit`, from JSON and by hand alike."""
+
+    UNITS = {"Pixel": "Pixel", "empty_str": "", "null": None, "true": True, "0": 0,
+             "2.5": 2.5, "empty_list": [], "list": [1], "empty_object": {}, "object": {"a": 1}}
+
+    @pytest.mark.parametrize("unit", UNITS.values(), ids=list(UNITS))
+    def test_json(self, unit):
+        doc = json.loads(json_text({1: [(0, 1.0, 2.0, True)]}, 1))
+        doc["unit"] = unit
+        with pytest.raises(SchemaError) as info:
+            load_json(json.dumps(doc))
+        assert str(info.value) == f"unknown unit {unit!r}"
+
+    @pytest.mark.parametrize("unit", UNITS.values(), ids=list(UNITS))
+    def test_by_hand(self, unit):
+        with pytest.raises(SchemaError) as info:
+            keypoints.KeypointDataset({1: make_track([(1.0, 2.0)])}, 1000.0, 1, unit)
+        assert str(info.value) == f"unknown unit {unit!r}"
+
+
 class TestFrameBound:
     """A frame grid beyond MAX_FRAMES is refused before it is allocated."""
 

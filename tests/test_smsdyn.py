@@ -228,6 +228,13 @@ class TestPd:
         err = out.metadata["tracking_error"]
         assert np.max(np.abs(np.degrees(err))) < 10.0
 
+    def test_metadata_holds_only_tracking_error(self):
+        ref = traj.synth_second_order(13.85, 20.0, 60.0, 0.5)
+        gains = PdGains(kp=2000.0, kd=20000.0, torque_limit=10.0)
+        assert list(simulate_pd(ets7_params(), ref, gains, dt=0.5).metadata) == \
+            ["tracking_error"]
+        assert simulate_prescribed(ets7_params(), ref).metadata == {}
+
     def test_base_rate_within_budget(self):
         p = ets7_params()
         ref = traj.synth_second_order(13.85, 64.5, 225.0, 0.01)
