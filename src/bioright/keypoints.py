@@ -8,6 +8,7 @@ import math
 import operator
 import os
 import warnings
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from itertools import chain
 
@@ -54,10 +55,10 @@ MAX_COORDINATE = 1e75
 _SCAN_BLOCK = 64  # frames whose jumps reassociate_identities tests in one pass
 #: A recording's dimension by its unit, which KeypointDataset holds each track to.
 DIMS = {"pixel": 2, "meter": 3}
-_AXES = {False: ("x", "y"), True: ("x", "y", "z")}  # by whether a sample names z
+_AXES = {"pixel": ("x", "y"), "meter": ("x", "y", "z")}  # a sample's coordinates, by unit
 #: The header of a keypoint CSV, by unit: the only two a CSV may carry.
-_CSV_HEADERS = {unit: ["frame", "keypoint_id", "keypoint_name", *_AXES[dim == 3], "visible"]
-                for unit, dim in DIMS.items()}
+_CSV_HEADERS = {unit: ["frame", "keypoint_id", "keypoint_name", *axes, "visible"]
+                for unit, axes in _AXES.items()}
 
 
 @dataclass
@@ -108,8 +109,7 @@ class KeypointDataset:
     unit: str
 
     def __post_init__(self):
-        if not (isinstance(self.unit, str) and self.unit in DIMS):  # a list or dict is unhashable
-            raise SchemaError(f"unknown unit {self.unit!r}")
+        _axes_of(self.unit)
         if not 0 < self.frame_rate < math.inf:
             raise SchemaError(f"frame_rate must be finite and positive, got {self.frame_rate}")
         if not math.isfinite((self.frame_count - 1) / self.frame_rate):
@@ -124,8 +124,7 @@ class KeypointDataset:
                     f"keypoint {track.id} named {track.name!r}, "
                     f"expected {KEYPOINT_NAMES[track.id]!r}")
             if track.dim != DIMS[self.unit]:
-                raise SchemaError(f"track {track.id}: {track.dim}D positions in a "
-                                  f"{self.unit} dataset, which is {DIMS[self.unit]}D")
+                raise _wrong_dim(track.id, track.dim, self.unit)
             if len(track.frames) and (track.frames[0] < 0 or track.frames[-1] >= self.frame_count):
                 raise SchemaError(f"track {track.id}: frame index outside "
                                   f"0..{self.frame_count - 1}")
@@ -134,6 +133,17 @@ class KeypointDataset:
                 why = "is NaN" if np.isnan(size).any() else \
                     f"beyond MAX_COORDINATE = {MAX_COORDINATE:g}"
                 raise SchemaError(f"track {track.id}: visible coordinate {why}")
+
+
+def _axes_of(unit):
+    if not (isinstance(unit, str) and unit in DIMS):  # a list or dict is unhashable
+        raise SchemaError(f"unknown unit {unit!r}")
+    return _AXES[unit]
+
+
+def _wrong_dim(kid, dim, unit):
+    return SchemaError(f"track {kid}: {dim}D positions in a {unit} dataset, "
+                       f"which is {DIMS[unit]}D")
 
 
 @dataclass(frozen=True)
@@ -324,44 +334,36 @@ def _scatter(names, kid, frame, coords, visible, frame_count):
 
 
 def _load_json(source):
-    text = _as_text(source)
     try:  # each track's sample dicts become arrays as soon as json has decoded them
-        found = _json_tracks(json.loads(text, object_hook=_json_samples))
-    except Exception:  # named from the plain document, as a whole-document load names it
-        found = None
-    # the unit and the names reach messages, and the hook may have rewritten them
-    if found is None or not {type(found[-1]), *map(type, found[0].values())} <= {str}:
-        try:
-            obj = json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: too deep
-            raise ParseError(f"bad JSON: {exc}") from None
-        found = _json_tracks(obj)
-    del text  # the largest object alive: the dataset is built after it is gone
-    names, samples, axes, frame_rate, frame_count, unit = found
+        obj = json.loads(_as_text(source), object_hook=_json_samples)
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: too deep
+        raise ParseError(f"bad JSON: {exc}") from None
+    names, samples, frame_rate, frame_count, unit = _json_tracks(obj)
     kid = np.repeat(list(names), [len(frames) for frames, _, _ in samples])
     frames, positions, visible = map(np.concatenate, zip(*samples))
-    del found, samples
-    tracks = _scatter(names, kid, frames, positions.reshape(-1, len(axes)), visible,
-                      frame_count)
+    del obj, samples  # each track's own arrays: the dataset is built after they are gone
+    tracks = _scatter(names, kid, frames, positions.reshape(-1, DIMS[unit]), visible, frame_count)
     return KeypointDataset(tracks, frame_rate, frame_count, unit)
 
 
 def _json_samples(obj):
-    """json.loads object_hook: an object's non-empty "samples" list becomes
-    _json_track's arrays, on the axes its own first sample names."""
-    samples = obj.get("samples")
-    if samples and type(samples) is list:
-        obj["samples"] = _json_track(obj.get("id"), samples, _AXES["z" in samples[0]])
+    """json.loads object_hook: a track's non-empty "samples" list becomes _json_track's
+    arrays on the unit its first sample suggests, or stays as decoded if they fail."""
+    if "id" in obj and type(obj.get("samples")) is list:
+        with suppress(Exception):  # an empty list too (IndexError): _json_tracks builds it
+            axes = _AXES["meter" if "z" in obj["samples"][0] else "pixel"]
+            obj["samples"] = _json_track(obj["id"], obj["samples"], axes)
     return obj
 
 
 def _json_tracks(obj):
-    """(names, (frames, positions, visible) per track, axes, frame_rate,
-    frame_count, unit) of a decoded JSON document, checked in the order of
-    a whole-document load."""
+    """(names, (frames, positions, visible) per track, frame_rate, frame_count, unit) of
+    a decoded JSON document, checked in order: top level, unit, each track on its axes."""
     for key in ("frame_rate", "frame_count", "unit", "tracks"):
         if not isinstance(obj, dict) or key not in obj:
             raise ParseError(f"missing top-level key {key!r}")
+    if type(obj["tracks"]) is not list:  # null, 0 and {} are no empty list
+        raise ParseError("tracks must be a JSON list")
     if not obj["tracks"]:
         raise EmptyDataset("no tracks")
     if type(obj["frame_count"]) is not int:  # bool, 2.5 and 1e400 are not counts
@@ -372,32 +374,32 @@ def _json_tracks(obj):
         frame_rate = float(obj["frame_rate"])
     except OverflowError:  # an integer beyond the largest float, about 1.8e308
         raise ParseError("frame_rate must be a JSON number that fits a float") from None
-    names, samples = {}, []
+    unit, names, samples = obj["unit"], {}, []
+    axes = _axes_of(unit)
     try:
-        first = next((t["samples"][0] for t in obj["tracks"] if t["samples"]), {})
-        axes = first if type(first) is tuple else _AXES["z" in first]  # built: its axes
-        if len(axes) == 3 and obj["unit"] == "pixel":
-            raise SchemaError("samples carry z, so the unit must be meter, not pixel")
         for t in obj["tracks"]:
             kid, name, track = t["id"], t["name"], t["samples"]
             if kid in names:
                 raise SchemaError(f"duplicate keypoint id {kid}")
             if kid not in KEYPOINT_NAMES or type(kid) is not int:  # true is no id
                 raise SchemaError(f"keypoint id {kid!r} out of range 1-23")
-            if type(track) is not tuple:  # decoded as a list: not built yet
+            if type(track) is not tuple:  # left as decoded by the hook
                 track = _json_track(kid, track, axes)
-            elif track[0] != axes:  # built on its own first sample's axes
-                raise SchemaError(f"track {kid}: axes {track[0]} in a {axes} document")
+            elif track[0] != axes:  # built by the hook on the other unit's axes
+                raise _wrong_dim(kid, len(track[0]), unit)
             names[kid] = name
             samples.append(track[1:])
     except (KeyError, TypeError, OverflowError) as exc:
+        if exc.args == ("z",):  # itemgetter's, on a sample without z in meters
+            raise _wrong_dim(kid, 2, unit) from None
         raise ParseError(f"malformed track or sample, missing or bad {exc}") from None
-    return names, samples, axes, frame_rate, obj["frame_count"], obj["unit"]
+    return names, samples, frame_rate, obj["frame_count"], unit
 
 
 def _json_track(kid, track, axes):
-    """(axes, frames, positions flattened, visible) of one JSON track's
-    decoded samples."""
+    """(axes, frames, positions flattened, visible) of one JSON track's samples on `axes`."""
+    if type(track) is not list:
+        raise ParseError(f"track {kid}: samples must be a JSON list")
     frames, visible = [s["frame"] for s in track], [s["visible"] for s in track]
     if not {*map(type, frames)} <= {int}:
         raise ParseError(f"track {kid}: frame must be a JSON integer")
@@ -405,6 +407,8 @@ def _json_track(kid, track, axes):
         raise ParseError(f"track {kid}: visible must be true, false, 0 or 1")
     frames, visible = np.array(frames, dtype=int), np.array(visible, dtype=bool)
     values = [*chain.from_iterable(map(operator.itemgetter(*axes), track))]
+    if len(axes) == 2 and any("z" in s for s in track):  # a sample with z, in pixels
+        raise _wrong_dim(kid, 3, "pixel")
     if not {*map(type, values)} <= {int, float, type(None)}:  # "1.5" and true are not
         raise ParseError(f"track {kid}: coordinates must be JSON numbers or null")
     positions = np.array(values, dtype=float)  # None is NaN

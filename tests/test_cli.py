@@ -960,7 +960,8 @@ class TestKeypointFileBoundary:
                                str(out), "--segment", "Body"])
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
-        assert proc.stderr.startswith("error: ") and "unit must be meter" in proc.stderr
+        assert proc.stderr.startswith("error: ") and \
+            "3D positions in a pixel dataset, which is 2D" in proc.stderr
         assert not out.exists()
 
     def test_3d_csv_reconstructs_like_its_json_twin(self, tmp_path):
@@ -1424,20 +1425,18 @@ class TestDimensionFollowsUnit:
     names. Those two go through a CSV and a JSON file unchanged; any other kind
     is refused when it is built, and a JSON file of one exits 2 from every
     command that reads it. A 2D JSON document in meters had given a `metrics`
-    report, and its CSV twin reloaded in pixels. (A JSON file cannot mix
-    dimensions: its first sample names the axes of every track.)"""
+    report, and its CSV twin reloaded in pixels. A JSON file is refused as its
+    dataset built by hand is, with the same message."""
 
-    @pytest.mark.parametrize("dims, unit, refusal, json_error", [
-        ((2, 2), "pixel", None, None),
-        ((3, 3), "meter", None, None),
-        ((2, 2), "meter", "track 1: 2D positions in a meter dataset, which is 3D",
-         "track 1: 2D positions in a meter dataset, which is 3D"),
-        ((3, 3), "pixel", "track 1: 3D positions in a pixel dataset, which is 2D",
-         "samples carry z, so the unit must be meter, not pixel"),
-        ((2, 3), "pixel", "track 21: 3D positions in a pixel dataset, which is 2D", None),
-        ((3, 2), "meter", "track 21: 2D positions in a meter dataset, which is 3D", None),
+    @pytest.mark.parametrize("dims, unit, refusal", [
+        ((2, 2), "pixel", None),
+        ((3, 3), "meter", None),
+        ((2, 2), "meter", "track 1: 2D positions in a meter dataset, which is 3D"),
+        ((3, 3), "pixel", "track 1: 3D positions in a pixel dataset, which is 2D"),
+        ((2, 3), "pixel", "track 21: 3D positions in a pixel dataset, which is 2D"),
+        ((3, 2), "meter", "track 21: 2D positions in a meter dataset, which is 3D"),
     ], ids=["2d_pixel", "3d_meter", "2d_meter", "3d_pixel", "mixed_pixel", "mixed_meter"])
-    def test_kind(self, tmp_path, dims, unit, refusal, json_error):
+    def test_kind(self, tmp_path, dims, unit, refusal):
         positions = {1: [[0.25, -0.5, 1.0], [np.nan] * 3, [0.1, 0.2, 0.3]],
                      21: [[-1.5, 2.0, 0.0], [3.0, 4.0, 5.0], [np.nan] * 3]}
         tracks = {}
@@ -1458,8 +1457,6 @@ class TestDimensionFollowsUnit:
             return
         with pytest.raises(SchemaError, match=f"^{re.escape(refusal)}$"):
             keypoints.KeypointDataset(tracks, 1000.0, 3, unit)
-        if json_error is None:
-            return
         src = tmp_path / "tracks.json"
         src.write_text(json.dumps({"frame_rate": 1000.0, "frame_count": 3, "unit": unit,
                                    "tracks": [{"id": kid, "name": track.name, "samples": [
@@ -1471,8 +1468,60 @@ class TestDimensionFollowsUnit:
                         ["reconstruct", "--output", str(tmp_path / "body.csv"),
                          "--segment", "Body"]):
             proc = run_subprocess([*command, "--input", str(src)])
-            assert (proc.returncode, proc.stderr) == (2, f"error: {json_error}\n")
+            assert (proc.returncode, proc.stderr) == (2, f"error: {refusal}\n")
             assert sorted(p.name for p in tmp_path.iterdir()) == ["tracks.json"]
+
+    @pytest.mark.parametrize("unit, refusal", [
+        ("pixel", "track 1: 3D positions in a pixel dataset, which is 2D"),
+        ("meter", "track 1: 2D positions in a meter dataset, which is 3D"),
+    ], ids=["pixel", "meter"])
+    def test_later_sample_of_the_other_kind(self, tmp_path, capsys, unit, refusal):
+        # only the last sample of track 1 breaks the unit's rule: in pixels it
+        # carries z, in meters it lacks z
+        samples = [{"frame": f, "x": 1.0 + f, "y": 2.0, "visible": True} for f in range(3)]
+        for s in samples[:-1] if unit == "meter" else samples[-1:]:
+            s["z"] = 0.5
+        src = tmp_path / "tracks.json"
+        src.write_text(json.dumps({"frame_rate": 1000.0, "frame_count": 3, "unit": unit,
+                                   "tracks": [{"id": 1, "name": "Neck", "samples": samples}]}))
+        for command in (["metrics", "--output", str(tmp_path / "report.csv")],
+                        ["reconstruct", "--output", str(tmp_path / "body.csv"),
+                         "--segment", "Body"]):
+            assert run([*command, "--input", str(src)]) == 2
+            assert capsys.readouterr().err == f"error: {refusal}\n"
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["tracks.json"]
+
+
+class TestJsonListsAreLists:
+    """A recording's "tracks" and each track's "samples" are JSON lists. A null,
+    a 0 or an object is a ParseError (exit 2), not an empty list, and writes
+    nothing; "tracks": [] is a recording without tracks (exit 3)."""
+
+    @pytest.mark.parametrize("value", [None, 0, {}], ids=["null", "0", "object"])
+    @pytest.mark.parametrize("field, error", [
+        ("tracks", "tracks must be a JSON list"),
+        ("samples", "track 21: samples must be a JSON list"),
+    ], ids=["tracks", "samples"])
+    def test_not_a_list_exit_2(self, tmp_path, capsys, field, error, value):
+        doc = {"frame_rate": 1000.0, "frame_count": 1, "unit": "pixel", "tracks": [
+            {"id": kid, "name": keypoints.KEYPOINT_NAMES[kid],
+             "samples": [{"frame": 0, "x": 1.0, "y": 2.0, "visible": True}]}
+            for kid in (1, 21)]}
+        if field == "tracks":
+            doc["tracks"] = value
+        else:
+            doc["tracks"][1]["samples"] = value
+        src = tmp_path / "rec.json"
+        src.write_text(json.dumps(doc))
+        assert run(["metrics", "--input", str(src), "--output", str(tmp_path / "out.csv")]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["rec.json"]
+
+    def test_empty_tracks_exit_3(self, tmp_path, capsys):
+        src = tmp_path / "rec.json"
+        src.write_text('{"frame_rate": 1000.0, "frame_count": 1, "unit": "pixel", "tracks": []}')
+        assert run(["metrics", "--input", str(src), "--output", str(tmp_path / "out.csv")]) == 3
+        assert capsys.readouterr().err == "error: no tracks\n"
 
 
 class TestZeroBaseInertia:

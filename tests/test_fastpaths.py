@@ -56,26 +56,30 @@ per-gap `interpolate_gaps` loop is frozen as
 `oracle_interpolate_gaps_per_gap`, and the one-pass fill must equal it
 byte for byte on sparse tracks.
 
-The whole-document JSON loader is frozen as `oracle_load_json`. The
-loader decodes with `json.loads` and an `object_hook` that turns each
-object's non-empty "samples" list into that track's arrays as soon as
-it is decoded; if that pass raises anything, or leaves a unit or a name
-that is not a str, it decodes the text again with a plain `json.loads`
-and runs the same checks. It must give an equal dataset on the
-benchmark recording in 2D and 3D, in four key orders and layouts, and
-on small documents with empty and sparse tracks, NaN and Infinity on
-invisible samples, repeated keys, objects other than tracks that hold
-a "samples" list, and a later track whose z a 2D document ignores. On
-every JSON fault the suite's error tests build, on faults the hooked
-pass alone would name differently (a 2D track after a 3D one, a name,
-unit or frame_count that holds samples), and on seeded mutations of a
-small document, it must raise the same exception type with the same
-message. Three intended differences are pinned: a frame_rate integer
-too large for a float is reported as a frame_rate error, a track id
-true is refused, and a track that holds a coordinate whose JSON type is
-no number or null (a string such as "1.5", true, false, a list or an
-object) is refused naming the track, before any other coordinate of it
-is converted.
+The whole-document JSON loader is frozen as `oracle_load_json`: one plain
+`json.loads`, then every check, with each track read on the axes the
+document's unit names (x and y in pixels, x, y and z in meters). The
+loader decodes the text once, with an `object_hook` that builds a track's
+arrays as soon as json has decoded it, on the unit its first sample
+suggests; a list that fails to build is left as decoded, and each track
+is then held to the document's unit in document order. It must give an
+equal dataset on the benchmark recording in 2D and 3D, in four key orders
+and layouts, and on small documents with empty and sparse tracks, a meter
+document of empty tracks only, NaN and Infinity on invisible samples,
+repeated keys, and objects other than tracks that hold a "samples" list.
+On every JSON fault the suite's error tests build (among them a z on a
+later track or sample of a pixel document, a later sample without z in
+a meter one, and tracks or samples that are no list), on faults in
+several stages, and on seeded mutations of a small document, it must
+raise the same exception type with the same message. With the hook
+replaced by one that changes nothing, every one of these documents must
+load to the same dataset bytes or raise the same exception and message,
+and each load must call `json.loads` once. Three intended differences
+are pinned: a frame_rate integer too large for a float is reported as a
+frame_rate error, a track id true is refused, and a track that holds a
+coordinate whose JSON type is no number or null (a string such as "1.5",
+true, false, a list or an object) is refused naming the track, before
+any other coordinate of it is converted.
 """
 
 import csv
@@ -2293,7 +2297,8 @@ def test_sparse_tracks_have_filled_and_unfilled_gaps():
 # -- keypoints: the JSON loader that decodes one track at a time -------------
 
 def oracle_load_json(source):
-    """The whole-document JSON loader: json.loads, then every check."""
+    """The whole-document JSON loader: json.loads, then every check, each
+    track read on the axes of the document's unit."""
     try:
         obj = json.loads(keypoints._as_text(source))
     except json.JSONDecodeError as exc:
@@ -2301,6 +2306,8 @@ def oracle_load_json(source):
     for key in ("frame_rate", "frame_count", "unit", "tracks"):
         if not isinstance(obj, dict) or key not in obj:
             raise ParseError(f"missing top-level key {key!r}")
+    if not isinstance(obj["tracks"], list):
+        raise ParseError("tracks must be a JSON list")
     if not obj["tracks"]:
         raise EmptyDataset("no tracks")
     if type(obj["frame_count"]) is not int:  # bool, 2.5 and 1e400 are not counts
@@ -2309,11 +2316,10 @@ def oracle_load_json(source):
         raise ParseError(f"frame_rate must be a JSON number, got {obj['frame_rate']!r}")
     names, samples = {}, []  # samples: (id, frames, positions, visible) per track
     try:
-        frame_rate, frame_count = float(obj["frame_rate"]), obj["frame_count"]
-        first = next((t["samples"][0] for t in obj["tracks"] if t["samples"]), {})
-        axes = ("x", "y", "z") if "z" in first else ("x", "y")
-        if len(axes) == 3 and obj["unit"] == "pixel":
-            raise SchemaError("samples carry z, so the unit must be meter, not pixel")
+        frame_rate, frame_count, unit = float(obj["frame_rate"]), obj["frame_count"], obj["unit"]
+        if unit not in ("pixel", "meter"):
+            raise SchemaError(f"unknown unit {unit!r}")
+        axes = ("x", "y", "z") if unit == "meter" else ("x", "y")
         coords = operator.itemgetter(*axes)
         for t in obj["tracks"]:
             kid, name, track = t["id"], t["name"], t["samples"]
@@ -2321,14 +2327,24 @@ def oracle_load_json(source):
                 raise SchemaError(f"duplicate keypoint id {kid}")
             if kid not in keypoints.KEYPOINT_NAMES or not isinstance(kid, int):
                 raise SchemaError(f"keypoint id {kid!r} out of range 1-23")
+            if not isinstance(track, list):
+                raise ParseError(f"track {kid}: samples must be a JSON list")
             frames, visible = [s["frame"] for s in track], [s["visible"] for s in track]
             if not {*map(type, frames)} <= {int}:
                 raise ParseError(f"track {kid}: frame must be a JSON integer")
             if not ({*map(type, visible)} <= {bool, int} and {*visible} <= {0, 1}):
                 raise ParseError(f"track {kid}: visible must be true, false, 0 or 1")
             frames, visible = np.array(frames, dtype=int), np.array(visible, dtype=bool)
-            positions = np.array([coords(s) for s in track],
-                                 dtype=float).reshape(len(track), len(axes))
+            try:
+                rows = [coords(s) for s in track]
+            except KeyError as exc:
+                if exc.args != ("z",):
+                    raise
+                raise SchemaError(
+                    f"track {kid}: 2D positions in a meter dataset, which is 3D") from None
+            if unit == "pixel" and any("z" in s for s in track):
+                raise SchemaError(f"track {kid}: 3D positions in a pixel dataset, which is 2D")
+            positions = np.array(rows, dtype=float).reshape(len(track), len(axes))
             if np.any(np.diff(frames) <= 0):
                 raise SchemaError(f"track {kid}: frame indices not strictly increasing")
             if not np.isfinite(positions[visible]).all():
@@ -2338,7 +2354,7 @@ def oracle_load_json(source):
     except (KeyError, TypeError, OverflowError) as exc:
         raise ParseError(f"malformed track or sample, missing or bad {exc}") from None
     tracks = keypoints._scatter(names, *map(np.concatenate, zip(*samples)), frame_count)
-    return keypoints.KeypointDataset(tracks, frame_rate, frame_count, obj["unit"])
+    return keypoints.KeypointDataset(tracks, frame_rate, frame_count, unit)
 
 
 #: The oracle's message for a frame_rate integer too large for a float.
@@ -2391,12 +2407,13 @@ def intended_refusals(text):
     with such a coordinate."""
     try:
         doc = json.loads(text)
-        first = next((t["samples"][0] for t in doc["tracks"] if t["samples"]), {})
-        axes = ("x", "y", "z") if "z" in first else ("x", "y")
+        tracks, axes = doc["tracks"], ("x", "y", "z") if doc["unit"] == "meter" else ("x", "y")
     except (ValueError, LookupError, TypeError):  # the oracle fails before a track
         return text, None, None
+    if not isinstance(tracks, list):
+        return text, None, None
     first_odd_id = bad_track = None
-    for t in doc["tracks"]:
+    for t in tracks:
         kid, samples = (t.get("id"), t.get("samples")) if isinstance(t, dict) else (0, 0)
         if first_odd_id is None and kid == 1 and type(kid) is not int:
             first_odd_id = kid
@@ -2506,6 +2523,7 @@ def valid_json_texts():
     texts = {f"small_{k}": v for k, v in layouts(small).items()}
     texts.update({f"empty_first_{k}": v for k, v in layouts(empty_first).items()})
     texts["all_empty"] = json.dumps(all_empty)
+    texts["all_empty_meter"] = json.dumps({**all_empty, "unit": "meter"})
     spaced = json.dumps(small, separators=(" ,\n", "\r:\t"))
     texts["odd_spacing"] = " \t\r\n" + spaced + "\n "
     texts["compact"] = json.dumps(small, separators=(",", ":"))
@@ -2527,11 +2545,6 @@ def valid_json_texts():
                                                     **empty_first})
     texts["repeated_tracks_first_3d"] = '{"tracks": [{"id": 1, "name": "Neck", ' \
         f'"samples": {json.dumps(pair_3d)}}}], {plain[1:]}'
-    # a 2D document reads x and y only, whatever a later track's z holds
-    for z in (3.0, "a", {}, [1.0, 2.0]):
-        later = json.loads(plain)
-        later["tracks"][1]["samples"][0]["z"] = z
-        texts[f"2d_later_track_z_{str(z)[:3]}"] = json.dumps(later)
     return texts
 
 
@@ -2582,6 +2595,13 @@ def existing_json_faults():
                  -float("inf"), 0.0, -1.0, 10 ** 400):
         put(f"frame_rate_{str(rate)[:8]}", ("frame_rate",), rate)
     put("z_in_pixels", ("tracks", 0, "samples", 0, "z"), 3.0, doc=one)
+    # a 2D document refuses a z on a later track or a later sample, whatever it holds
+    for z in (3.0, "a", {}, [1.0, 2.0]):
+        put(f"2d_later_track_z_{str(z)[:3]}", ("tracks", 1, "samples", 0, "z"), z)
+    put("2d_later_sample_z", ("tracks", 0, "samples", 2, "z"), 3.0)
+    for value in (None, 0, {}):  # null, 0 and {} are no empty list of tracks or samples
+        put(f"tracks_{value}", ("tracks",), value)
+        put(f"samples_{value}", ("tracks", 1, "samples"), value)
     put("cli_no_id", ("tracks", 0, "id"), KeyError, doc=one)
     put("cli_no_visible", ("tracks", 0, "samples", 0, "visible"), KeyError, doc=one)
     put("cli_inf_visible", ("tracks", 0, "samples", 0, "x"), float("inf"), doc=one)
@@ -2600,6 +2620,9 @@ def existing_json_faults():
         {"id": 1, "name": "Neck", "samples": [sample(0, 1.0, 2.0, z=3.0)]},
         {"id": 2, "name": "Eye_Left", "samples": [sample(0, 1.0, 2.0)]}]}
     faults["2d_track_after_3d"] = json.dumps(three_d)
+    later_2d = json.loads(json.dumps(three_d))
+    later_2d["tracks"][0]["samples"].append(sample(1, 3.0, 4.0))
+    faults["3d_later_sample_without_z"] = json.dumps({**later_2d, "frame_count": 2})
     # a track that holds a non-number is refused before its too large integer
     for z in ([1], "1.5"):
         overflow_first = {**three_d, "frame_count": 2, "tracks": [
@@ -2696,3 +2719,38 @@ def test_json_loader_like_oracle_on_seeded_mutations(kind):
     outcomes = [assert_loads_like_oracle(mutated_json(kind, seed)) for seed in range(30)]
     failed = [got for got in outcomes if got[0] in (ParseError, SchemaError, EmptyDataset)]
     assert len(failed) >= 10  # most mutations are faults, and every one is compared
+
+
+def oracle_suite_texts(recording_json):
+    """Every document of the JSON oracle suites above, by name."""
+    texts = {f"recording_{dim}": text for dim, text in recording_json.items()}
+    for suite in (valid_json_texts, existing_json_faults, fault_order_texts):
+        texts.update(suite())
+    texts.update({f"{kind}_{seed}": mutated_json(kind, seed)
+                  for kind in MUTATIONS for seed in range(30)})
+    return texts
+
+
+def test_json_hook_never_changes_an_outcome(monkeypatch, recording_json):
+    # the object_hook only builds a track's arrays early, on the unit its first
+    # sample suggests; without it, every document loads to the same dataset
+    # bytes or raises the same exception with the same message
+    texts = oracle_suite_texts(recording_json)
+    for dim in recording_json:  # the hook builds every track of a valid document
+        doc = json.loads(recording_json[dim], object_hook=keypoints._json_samples)
+        assert {type(t["samples"]) for t in doc["tracks"]} == {tuple}
+    hooked = {name: json_outcome(keypoints._load_json, text) for name, text in texts.items()}
+    monkeypatch.setattr(keypoints, "_json_samples", lambda obj: obj)
+    for name, text in texts.items():
+        assert json_outcome(keypoints._load_json, text) == hooked[name], name
+
+
+def test_json_refusal_decodes_once(monkeypatch, recording_json):
+    calls, loads = [], json.loads
+    monkeypatch.setattr(json, "loads", lambda *args, **kw: calls.append(0) or loads(*args, **kw))
+    refused = 0
+    for name, text in oracle_suite_texts(recording_json).items():
+        calls.clear()
+        refused += issubclass(json_outcome(keypoints._load_json, text)[0], Exception)
+        assert len(calls) == 1, name
+    assert refused > 100

@@ -596,12 +596,26 @@ class TestJsonUnitMatchesAxes:
     def test_3d_pixel_rejected(self):
         doc = json.loads(json_text({1: [(0, 1.0, 2.0, True)]}, 1))
         doc["tracks"][0]["samples"][0]["z"] = 3.0
-        with pytest.raises(SchemaError, match="unit must be meter"):
+        with pytest.raises(SchemaError,
+                           match="^track 1: 3D positions in a pixel dataset, which is 2D$"):
             load_json(json.dumps(doc))
         doc["unit"] = "meter"
         ds = load_json(json.dumps(doc))
         assert ds.unit == "meter"
         assert ds.tracks[1].positions.tolist() == [[1.0, 2.0, 3.0]]
+
+    def test_meter_document_of_empty_tracks_is_3d(self):
+        # no sample names the axes: the unit does, so the dataset is 3D and
+        # goes through save_dataset and load_dataset as its pixel twin does
+        for unit, dim in keypoints.DIMS.items():
+            empty = KeypointTrack(5, "Mouth_Front_Bottom", [], np.empty((0, dim)), [])
+            buf = io.StringIO()
+            save_dataset(keypoints.KeypointDataset({5: empty}, 1000.0, 2, unit), buf,
+                         format="json")
+            assert '"samples": []' in buf.getvalue()
+            ds = load_json(buf.getvalue())
+            assert (ds.unit, ds.tracks[5].positions.shape) == (unit, (2, dim))
+            assert not ds.tracks[5].visible.any()
 
 
 class TestUnknownUnit:
